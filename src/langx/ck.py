@@ -24,7 +24,6 @@ from .ir import (
     MachineStep,
     Metavariable,
     Term,
-    Typing,
 )
 from .engine import is_value_pattern
 
@@ -342,7 +341,7 @@ def derive_ck(spec: LanguageSpec) -> LanguageSpec:
 
     ctx = spec.context_category
     categories = tuple(c for c in spec.categories if ctx is None or c.name != ctx.name)
-    kept = tuple(r for r in spec.rules if isinstance(r.conclusion, Typing))
+    kept = spec.typing_rules()
     return LanguageSpec(
         name=spec.name,
         categories=(*categories, continuation),

@@ -7,8 +7,8 @@ Subcommands:
   eval           run one term under the small-step or machine semantics
   compare        run random well-typed terms under both semantics and diff
 
-Exit codes: 0 success, 1 parse/validation error, 2 transformation error,
-3 stuck term, 4 out of fuel, 5 semantics disagreement.
+Exit codes: 0 success, 1 parse/validation error or input nested too deeply,
+2 transformation error, 3 stuck term, 4 out of fuel, 5 semantics disagreement.
 """
 
 from __future__ import annotations
@@ -394,6 +394,9 @@ def cmd_compare(args, rep: Reporter) -> int:
             if first_failure is None:
                 first_failure = term
 
+    if total < args.count:
+        rep.diagnostic(f"only {total} of the {args.count} requested terms "
+                       f"typechecked within the attempt limit")
     summary = f"{agreed}/{total} agree"
     rep.record(kind="summary", message=summary, agree=agreed, total=total)
     if agreed == total:
@@ -474,6 +477,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args, rep)
     except LangxError as exc:
         rep.diagnostic(str(exc))
+        return EXIT_INVALID
+    except RecursionError:
+        rep.diagnostic("input is nested too deeply to process")
         return EXIT_INVALID
 
 

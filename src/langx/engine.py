@@ -9,11 +9,14 @@ discharges premises left to right under one growing substitution.
 from __future__ import annotations
 
 import dataclasses
+import random
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional, Union
 
 from .ir import (
+    CONTRAVARIANT,
+    COVARIANT,
     HOLE,
     BinderApp,
     Constructor,
@@ -24,9 +27,7 @@ from .ir import (
     LangxError,
     LanguageSpec,
     MachineConfig,
-    MachineStep,
     Metavariable,
-    Reduction,
     Subst,
     Subtype,
     Term,
@@ -36,7 +37,7 @@ from .ir import (
     term_size,
     subterms,
 )
-from .subtyping import NoJoin, join_all
+from .subtyping import join_all
 
 Substitution = dict[str, Term]
 
@@ -233,7 +234,8 @@ def substitute(t: Term, var: str, replacement: Term) -> Term:
 
 
 def instantiate(pattern: Term, sigma: Substitution, spec: LanguageSpec) -> Term:
-    """Build the term a rule right-hand side denotes under a match."""
+    """Build the term a rule pattern denotes under a match: a right-hand side,
+    or a typing premise's subject or type."""
     match pattern:
         case Metavariable():
             if pattern.token not in sigma:
@@ -321,8 +323,6 @@ def plug(context: Term, filler: Term) -> Term:
 def step(t: Term, spec: LanguageSpec) -> Optional[TraceStep]:
     context, redex = decompose(t, spec)
     for rule in spec.reduction_rules():
-        if not isinstance(rule.conclusion, Reduction):
-            continue
         sigma = match_pattern(rule.conclusion.lhs, redex, spec)
         if sigma is None:
             continue
@@ -405,7 +405,7 @@ def ck_eval(config: MachineConfig, spec: LanguageSpec,
     plug), a non-value focus only the rest (start).  Plain first-match order
     would re-enter the rebuilding rules of value formers forever.
     """
-    machine_rules = [r for r in spec.rules if isinstance(r.conclusion, MachineStep)]
+    machine_rules = spec.machine_rules()
     value_rules = [r for r in machine_rules
                    if is_value_pattern(r.conclusion.lhs.focus, spec)]
     other_rules = [r for r in machine_rules
@@ -458,7 +458,6 @@ def check_subtype(t1: Term, t2: Term, spec: LanguageSpec) -> bool:
         marks = spec.variance.get(t1.name)
         if marks is None or len(marks) != len(t1.args):
             return False
-        from .ir import COVARIANT, CONTRAVARIANT
         for mark, a, b in zip(marks, t1.args, t2.args):
             if mark == COVARIANT:
                 if not check_subtype(a, b, spec):
@@ -485,33 +484,6 @@ def _subject_head(t: Term) -> tuple:
         case Var(_):
             return ("var",)
     return ("any",)
-
-
-def _resolve(t: Term, sigma: Substitution) -> Term:
-    """Substitute bound metavariables; unbound ones raise."""
-    match t:
-        case Metavariable():
-            if t.token not in sigma:
-                raise NoRuleApplies(t)
-            return sigma[t.token]
-        case Constructor(name, args):
-            return Constructor(name, tuple(_resolve(a, sigma) for a in args))
-    return t
-
-
-def _unify_type(pattern: Term, actual: Term, sigma: Substitution) -> bool:
-    match pattern:
-        case Metavariable():
-            if pattern.token in sigma:
-                return sigma[pattern.token] == actual
-            sigma[pattern.token] = actual
-            return True
-        case Constructor(name, args):
-            return (isinstance(actual, Constructor) and actual.name == name
-                    and len(actual.args) == len(args)
-                    and all(_unify_type(p, a, sigma)
-                            for p, a in zip(args, actual.args)))
-    return pattern == actual
 
 
 def _rules_by_head(spec: LanguageSpec) -> dict[tuple, InferenceRule]:
@@ -544,6 +516,13 @@ def _typecheck(t: Term, spec: LanguageSpec, env: dict[str, Term],
     if sigma is None:
         raise NoRuleApplies(t)
 
+    def build(pattern: Term) -> Term:
+        # A metavariable the rule leaves unbound makes it unusable on t.
+        try:
+            return instantiate(pattern, sigma, spec)
+        except EngineError:
+            raise NoRuleApplies(t) from None
+
     for premise in rule.premises:
         match premise:
             case Typing(penv, subject, ty):
@@ -551,53 +530,33 @@ def _typecheck(t: Term, spec: LanguageSpec, env: dict[str, Term],
                 for var, vty in penv.extensions:
                     bound = sigma.get(var)
                     name = bound.name if isinstance(bound, Var) else var
-                    inner_env[name] = _resolve(vty, sigma)
-                actual = _typecheck(_resolve_subject(subject, sigma), spec,
-                                    inner_env, table)
-                if not _unify_type(ty, actual, sigma):
+                    inner_env[name] = build(vty)
+                actual = _typecheck(build(subject), spec, inner_env, table)
+                if not _match(ty, actual, sigma, spec):
                     raise NoRuleApplies(t)
             case Subtype(sub, sup):
-                a, b = _resolve(sub, sigma), _resolve(sup, sigma)
+                a, b = build(sub), build(sup)
                 if not check_subtype(a, b, spec):
                     raise SubtypeFailure(a, b)
             case TypeEq(left, right):
                 if isinstance(left, Metavariable) and left.token not in sigma:
-                    sigma[left.token] = _resolve(right, sigma)
+                    sigma[left.token] = build(right)
                 elif isinstance(right, Metavariable) and right.token not in sigma:
-                    sigma[right.token] = _resolve(left, sigma)
+                    sigma[right.token] = build(left)
                 else:
-                    a, b = _resolve(left, sigma), _resolve(right, sigma)
+                    a, b = build(left), build(right)
                     if a != b:
                         raise SubtypeFailure(a, b)
             case Join(result, operands):
-                joined = join_all(tuple(_resolve(o, sigma) for o in operands), spec)
+                joined = join_all(tuple(build(o) for o in operands), spec)
                 if isinstance(result, Metavariable) and result.token not in sigma:
                     sigma[result.token] = joined
-                elif _resolve(result, sigma) != joined:
-                    raise SubtypeFailure(_resolve(result, sigma), joined)
+                elif build(result) != joined:
+                    raise SubtypeFailure(build(result), joined)
             case _:
                 raise TypecheckError(
                     f"rule {rule.name!r} has an unsupported premise for checking")
-    return _resolve(rule.conclusion.ty, sigma)
-
-
-def _resolve_subject(t: Term, sigma: Substitution) -> Term:
-    match t:
-        case Metavariable():
-            if t.token not in sigma:
-                raise NoRuleApplies(t)
-            return sigma[t.token]
-        case Var(name):
-            bound = sigma.get(name)
-            return bound if isinstance(bound, Var) else t
-        case Constructor(name, args):
-            return Constructor(name, tuple(_resolve_subject(a, sigma) for a in args))
-        case BinderApp(binder, bound_var, args):
-            actual = sigma.get(bound_var)
-            name = actual.name if isinstance(actual, Var) else bound_var
-            return BinderApp(binder, name,
-                             tuple(_resolve_subject(a, sigma) for a in args))
-    return t
+    return build(rule.conclusion.ty)
 
 
 # ---------------------------------------------------------------------------
@@ -607,36 +566,40 @@ def _resolve_subject(t: Term, sigma: Substitution) -> Term:
 _BIG = 10 ** 9
 
 
-def _min_sizes(spec: LanguageSpec) -> tuple[dict[str, int], dict[str, int]]:
-    """Smallest term size per category, with and without variables in scope.
+def _production_size(p: Term, open_sizes: dict[str, int],
+                     closed_sizes: dict[str, int], closed: bool) -> int:
+    """Smallest size of a term built from production p, by the given tables.
 
     Slots under a binder always see a variable in scope, so they use the
     open table even when the surrounding term is closed.
     """
+    match p:
+        case Metavariable(category=cat_name):
+            return (closed_sizes if closed else open_sizes).get(cat_name, _BIG)
+        case Var():
+            return _BIG if closed else 1
+        case Constructor(args=args) | BinderApp(args=args):
+            closed = closed and isinstance(p, Constructor)
+            size = 1
+            for a in args:
+                size += _production_size(a, open_sizes, closed_sizes, closed)
+            return size
+    return 1
+
+
+def _min_sizes(spec: LanguageSpec) -> tuple[dict[str, int], dict[str, int]]:
+    """Smallest term size per category, with and without variables in scope."""
     open_sizes = {cat.name: _BIG for cat in spec.categories}
     closed_sizes = {cat.name: _BIG for cat in spec.categories}
-
-    def prod_size(p: Term, closed: bool) -> int:
-        match p:
-            case Metavariable(_, _, cat_name):
-                table = closed_sizes if closed else open_sizes
-                return table.get(cat_name, _BIG)
-            case Var(_):
-                return _BIG if closed else 1
-            case Constructor(_, args):
-                return 1 + sum(prod_size(a, closed) for a in args)
-            case BinderApp(_, _, args):
-                return 1 + sum(prod_size(a, False) for a in args)
-            case _:
-                return 1
 
     changed = True
     while changed:
         changed = False
         for cat in spec.categories:
             for table, closed in ((open_sizes, False), (closed_sizes, True)):
-                best = min((prod_size(p, closed) for p in cat.productions
-                            if not isinstance(p, Hole)), default=_BIG)
+                best = min((_production_size(p, open_sizes, closed_sizes, closed)
+                            for p in cat.productions if not isinstance(p, Hole)),
+                           default=_BIG)
                 if best < table[cat.name]:
                     table[cat.name] = best
                     changed = True
@@ -651,8 +614,6 @@ def iter_random_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 7,
     caller that filters it still sees reproducible terms.  min_budget lifts
     the low end of the per-term size draw, biasing toward larger terms.
     """
-    import random
-
     rng = random.Random(seed)
     open_sizes, closed_sizes = _min_sizes(spec)
     expr = spec.expression_category
@@ -663,24 +624,10 @@ def iter_random_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 7,
             f"smallest closed term has {closed_sizes[expr.name]} nodes, above max size {max_size}")
     var_base = spec.variables[0] if spec.variables else "x"
 
-    def prod_min(p: Term, scope: tuple[str, ...]) -> int:
-        match p:
-            case Metavariable(_, _, cat_name):
-                table = open_sizes if scope else closed_sizes
-                return table.get(cat_name, _BIG)
-            case Var(_):
-                return 1 if scope else _BIG
-            case Constructor(_, args):
-                return 1 + sum(prod_min(a, scope) for a in args)
-            case BinderApp(_, _, args):
-                return 1 + sum(prod_min(a, scope or ("_",)) for a in args)
-            case _:
-                return 1
-
     def gen_cat(cat_name: str, budget: int, scope: tuple[str, ...], depth: int) -> Term:
         cat = spec.category(cat_name)
-        options = [p for p in cat.productions
-                   if not isinstance(p, Hole) and prod_min(p, scope) <= budget]
+        options = [p for p in cat.productions if not isinstance(p, Hole)
+                   and _production_size(p, open_sizes, closed_sizes, not scope) <= budget]
         production = rng.choice(options)
         return gen_prod(production, budget, scope, depth)
 
@@ -704,7 +651,7 @@ def iter_random_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 7,
                   scope: tuple[str, ...], depth: int) -> tuple[Term, ...]:
         args = []
         remaining = budget
-        mins = [prod_min(s, scope) for s in slots]
+        mins = [_production_size(s, open_sizes, closed_sizes, not scope) for s in slots]
         for i, slot in enumerate(slots):
             reserve = sum(mins[i + 1:])
             give = rng.randint(mins[i], max(mins[i], remaining - reserve))
@@ -744,8 +691,6 @@ def iter_swarm_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 7,
     and its arguments fit.  Deterministic in the seed, and grammar-directed:
     only the production subset and size distribution vary per chunk.
     """
-    import random
-
     rng = random.Random(seed)
     expr = spec.expression_category
     if expr is None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 COVARIANT = "co"
 CONTRAVARIANT = "contra"
@@ -309,10 +309,7 @@ class LanguageSpec:
         return cached
 
     def is_variable_token(self, token: str) -> bool:
-        for v in self.variables:
-            if token.startswith(v) and _SUFFIX_RE.fullmatch(token[len(v):]):
-                return True
-        return False
+        return is_variable(token, self.variables)
 
     def base_types(self) -> tuple[str, ...]:
         """Nullary constructors of the Type category, in grammar order."""
@@ -353,22 +350,33 @@ class LanguageSpec:
 # metavariable operations
 
 
-def resolve_metavariable(token: str, spec: LanguageSpec) -> Metavariable:
-    """Resolve a token like T12 or e' against the spec's declared categories.
+def _suffixed(token: str, base: str) -> bool:
+    """Is token base followed by digits and primes only?"""
+    return token.startswith(base) and _SUFFIX_RE.fullmatch(token, len(base)) is not None
 
-    The longest declared category metavariable that prefixes the token wins;
-    the remainder must consist of digits and primes only.
+
+def is_variable(token: str, variables: Iterable[str]) -> bool:
+    """Is token one of the variable tokens, with an optional suffix?"""
+    return any(_suffixed(token, v) for v in variables)
+
+
+def find_metavariable(token: str,
+                      categories: Iterable[tuple[str, str]]) -> Optional[Metavariable]:
+    """Resolve a token like T12 or e' against (category, metavariable) pairs.
+
+    The longest metavariable that prefixes the token wins; the remainder must
+    consist of digits and primes only.  None when no metavariable fits.
     """
     best: Optional[Metavariable] = None
-    for cat in spec.categories:
-        mv = cat.metavariable
-        if not token.startswith(mv):
-            continue
-        rest = token[len(mv):]
-        if not _SUFFIX_RE.fullmatch(rest):
-            continue
-        if best is None or len(mv) > len(best.base):
-            best = Metavariable(mv, rest or None, cat.name)
+    for name, mv in categories:
+        if _suffixed(token, mv) and (best is None or len(mv) > len(best.base)):
+            best = Metavariable(mv, token[len(mv):] or None, name)
+    return best
+
+
+def resolve_metavariable(token: str, spec: LanguageSpec) -> Metavariable:
+    """Resolve a token against the spec's declared categories; see find_metavariable."""
+    best = find_metavariable(token, ((c.name, c.metavariable) for c in spec.categories))
     if best is None:
         raise UnknownMetavariable(
             f"token {token!r} does not resolve to any declared metavariable"

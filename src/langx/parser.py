@@ -36,7 +36,9 @@ from .ir import (
     Var,
     VARIANCE_MARKS,
     DEFAULT_VARIANCE,
+    find_metavariable,
     formula_terms,
+    is_variable,
     subterms,
 )
 
@@ -161,36 +163,22 @@ class _Resolver:
     constructors: dict[str, int]                 # name -> arity, grows in production mode
     mode: str = _RULE
 
-    def metavar(self, token: str) -> Metavariable | None:
-        best: Metavariable | None = None
-        for name, mv in self.categories:
-            if token.startswith(mv) and re.fullmatch(r"[0-9']*", token[len(mv):]):
-                if best is None or len(mv) > len(best.base):
-                    best = Metavariable(mv, token[len(mv):] or None, name)
-        return best
-
-    def is_variable(self, token: str) -> bool:
-        return any(
-            token.startswith(v) and re.fullmatch(r"[0-9']*", token[len(v):])
-            for v in self.variables
-        )
-
     def atom(self, tok: _Tok) -> Term:
         t = tok.text
         if self.mode == _PRODUCTION:
-            mv = self.metavar(t)
+            mv = find_metavariable(t, self.categories)
             if mv is not None:
                 return mv
-            if self.is_variable(t):
+            if is_variable(t, self.variables):
                 return Var(t)
             self.constructors.setdefault(t, 0)
             return Constructor(t)
         if self.mode == _CONCRETE:
-            if self.is_variable(t):
+            if is_variable(t, self.variables):
                 return Var(t)
             if t in self.constructors and self.constructors[t] == 0:
                 return Constructor(t)
-            if self.metavar(t) is not None:
+            if find_metavariable(t, self.categories) is not None:
                 raise _Fail(ParseError(
                     SourceSpan(self.filename, tok.line, tok.col),
                     f"metavariable {t!r} not allowed in a concrete term",
@@ -198,9 +186,9 @@ class _Resolver:
         else:
             if t in self.constructors and self.constructors[t] == 0:
                 return Constructor(t)
-            if self.is_variable(t):
+            if is_variable(t, self.variables):
                 return Var(t)
-            mv = self.metavar(t)
+            mv = find_metavariable(t, self.categories)
             if mv is not None:
                 return mv
         raise _Fail(ParseError(
@@ -262,7 +250,7 @@ class _P:
                 repl = self.term()
                 self.expect("SLASH")
                 var = self.expect("IDENT")
-                if not self.res.is_variable(var.text):
+                if not is_variable(var.text, self.res.variables):
                     raise _Fail(ParseError(
                         SourceSpan(self.filename, var.line, var.col),
                         f"substitution variable {var.text!r} is not a declared variable token",
@@ -397,7 +385,7 @@ class _P:
         while self.peek() is not None and self.peek().kind == "COMMA":
             self.next()
             var = self.expect("IDENT")
-            if not self.res.is_variable(var.text):
+            if not is_variable(var.text, self.res.variables):
                 raise _Fail(ParseError(
                     SourceSpan(self.filename, var.line, var.col),
                     f"environment extension variable {var.text!r} is not a declared variable token",

@@ -11,7 +11,6 @@ solution and are rejected.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .ir import (
     BinderApp,
@@ -37,11 +36,11 @@ from .ir import (
     formula_metavariable_tokens,
     formula_terms,
     fresh,
+    subterms,
 )
-from .variance import Occurrence, collect_occurrences
+from .variance import Occurrence, collect_occurrences, output_type_metavariables
 
 MULTIPLE_CONTRAVARIANT = "MultipleContravariant"
-MIXED_UNSUPPORTED = "MixedUnsupported"
 
 
 class SubtypingError(LangxError):
@@ -72,26 +71,6 @@ class NoJoin(LangxError):
 # splitting
 
 
-def _premise_type_occurrences(premises: tuple[Formula, ...]) -> list[Metavariable]:
-    """Metavariable occurrences in premise output types, premise order, pre-order."""
-    found: list[Metavariable] = []
-
-    def scan(t: Term) -> None:
-        match t:
-            case Metavariable():
-                found.append(t)
-            case Constructor(_, args):
-                for a in args:
-                    scan(a)
-            case _:
-                return
-
-    for p in premises:
-        if isinstance(p, Typing):
-            scan(p.ty)
-    return found
-
-
 def split_equal_types(
     premises: tuple[Formula, ...],
     used: set[str] | None = None,
@@ -102,7 +81,7 @@ def split_equal_types(
     Returns the rewritten premises and a map from each split token to its
     fresh names in occurrence order.
     """
-    occurrences = _premise_type_occurrences(premises)
+    occurrences = [mv for _, _, mv in output_type_metavariables(premises)]
     if used is None:
         used = set()
     used = used | {mv.token for mv in occurrences}
@@ -225,11 +204,9 @@ def transform_rule(rule: InferenceRule, spec: LanguageSpec) -> InferenceRule:
             extra.extend(Subtype(n, target) for n in names if n is not target)
             if token in conclusion_tokens:
                 renames[target.token] = original
-        elif contra >= 2:
+        else:
             raise SubtypingError(rule.name, original, MULTIPLE_CONTRAVARIANT,
                                  occurrences)
-        else:
-            raise SubtypingError(rule.name, original, MIXED_UNSUPPORTED, occurrences)
 
     premises = tuple(rename_formula(p, renames) for p in (*new_premises, *extra))
     return InferenceRule(rule.name, premises, rule.conclusion)
@@ -403,28 +380,13 @@ def canonical_rule(rule: InferenceRule, spec: LanguageSpec) -> InferenceRule:
     mapping: dict[str, Metavariable] = {}
     counters: dict[str, int] = {}
 
-    def visit(t: Term) -> None:
-        match t:
-            case Metavariable():
-                if t.token not in mapping:
-                    counters[t.base] = counters.get(t.base, 0) + 1
-                    mapping[t.token] = Metavariable(t.base, str(counters[t.base]),
-                                                    t.category)
-            case Constructor(_, args):
-                for a in args:
-                    visit(a)
-            case Subst(target, repl, _):
-                visit(target)
-                visit(repl)
-            case BinderApp(_, _, args):
-                for a in args:
-                    visit(a)
-            case _:
-                return
-
     for f in (*rule.premises, rule.conclusion):
         for t in formula_terms(f):
-            visit(t)
+            for s in subterms(t):
+                if isinstance(s, Metavariable) and s.token not in mapping:
+                    counters[s.base] = counters.get(s.base, 0) + 1
+                    mapping[s.token] = Metavariable(s.base, str(counters[s.base]),
+                                                    s.category)
     return InferenceRule(
         rule.name,
         tuple(rename_formula(p, mapping) for p in rule.premises),

@@ -8,12 +8,14 @@ invariance absorbs everything, and two contravariant steps cancel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .ir import (
     CONTRAVARIANT,
     COVARIANT,
     INVARIANT,
     Constructor,
+    Formula,
     LangxError,
     LanguageSpec,
     Metavariable,
@@ -61,20 +63,24 @@ def occurrence_variance(ty: Term, path: tuple[int, ...], spec: LanguageSpec) -> 
     return variance
 
 
-def _scan(ty: Term, token: str, path: tuple[int, ...], variance: str,
-          spec: LanguageSpec, out: list[tuple[tuple[int, ...], str]]) -> None:
-    match ty:
-        case Metavariable():
-            if ty.token == token:
-                out.append((path, variance))
-        case Constructor(name, args) if args:
-            marks = spec.variance.get(name)
-            if marks is None or len(marks) != len(args):
-                raise MissingVariance(name)
-            for i, arg in enumerate(args):
-                _scan(arg, token, path + (i,), compose_variance(variance, marks[i]), spec, out)
-        case _:
-            return
+def output_type_metavariables(
+    premises: tuple[Formula, ...],
+) -> Iterator[tuple[int, tuple[int, ...], Metavariable]]:
+    """(premise index, path, metavariable) for every metavariable in the
+    output type of a Typing premise, in premise order and pre-order within
+    one type.  The bound types of environment extensions are not visited."""
+    def walk(t: Term, path: tuple[int, ...]):
+        match t:
+            case Metavariable():
+                yield path, t
+            case Constructor(_, args):
+                for i, arg in enumerate(args):
+                    yield from walk(arg, path + (i,))
+
+    for i, premise in enumerate(premises):
+        if isinstance(premise, Typing):
+            for path, mv in walk(premise.ty, ()):
+                yield i, path, mv
 
 
 def collect_occurrences(rule: InferenceRule, token: str, spec: LanguageSpec) -> tuple[Occurrence, ...]:
@@ -84,11 +90,8 @@ def collect_occurrences(rule: InferenceRule, token: str, spec: LanguageSpec) -> 
     pre-order within one type.  The bound types of environment extensions and
     the conclusion are deliberately excluded.
     """
-    occurrences: list[Occurrence] = []
-    for i, premise in enumerate(rule.premises):
-        if not isinstance(premise, Typing):
-            continue
-        found: list[tuple[tuple[int, ...], str]] = []
-        _scan(premise.ty, token, (), COVARIANT, spec, found)
-        occurrences.extend(Occurrence(i, path, variance) for path, variance in found)
-    return tuple(occurrences)
+    return tuple(
+        Occurrence(i, path, occurrence_variance(rule.premises[i].ty, path, spec))
+        for i, path, mv in output_type_metavariables(rule.premises)
+        if mv.token == token
+    )

@@ -130,6 +130,19 @@ def test_eval_term_file(capsys, tmp_path):
     assert out == "f\n"
 
 
+@pytest.mark.parametrize("depth,machine", [(300, "smallstep"), (600, "ck")])
+def test_eval_of_a_deeply_nested_term_ends_in_a_diagnostic(tmp_path, depth, machine):
+    term = tmp_path / "deep.txt"
+    term.write_text("(app (lam x int x) " * depth + "ci" + ")" * depth)
+    result = subprocess.run(
+        [sys.executable, "-m", "langx", "eval", fix("stlc_consts.lang"),
+         "--term-file", str(term), "--machine", machine],
+        capture_output=True, text=True)
+    assert result.returncode == 1
+    assert "nested too deeply" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_eval_without_term(capsys):
     code, out, err = run(capsys, "eval", fix("boollist.lang"))
     assert code == 1
@@ -263,6 +276,33 @@ def test_compare_structured_counterexample(capsys, tmp_path):
     assert records[-1]["kind"] == "counterexample"
     assert records[-1]["term"] == "(and t f)"
     assert records[-1]["size"] == 3
+
+
+def test_compare_warns_when_fewer_terms_typecheck_than_requested(capsys, tmp_path):
+    # No rule types the leaf c, so no generated term typechecks.
+    spec = tmp_path / "untypable.lang"
+    spec.write_text("""\
+language untypable
+
+grammar
+  Type T ::= B
+  Expression e ::= c | (s e)
+  Value v ::= c
+  Context E ::= [.] | (s E)
+
+rule t-s
+  G |- e : B
+  --------------------------------
+  G |- (s e) : B
+
+rule s-c
+  --------------------------------
+  (s c) --> c
+""")
+    code, out, err = run(capsys, "compare", str(spec), "--count", "5")
+    assert code == 0
+    assert out.strip().endswith("0/0 agree")
+    assert "only 0 of the 5 requested terms" in err
 
 
 def test_compare_missing_machine_file(capsys):

@@ -1,11 +1,14 @@
+import hashlib
 from itertools import islice
 
 import pytest
 
+from langx import cli
 from langx.ck import derive_ck
 from langx.engine import (
     MT,
     EngineError,
+    NoRuleApplies,
     NotSyntaxDirected,
     OutOfFuel,
     Stuck,
@@ -39,7 +42,7 @@ from langx.ir import (
     Var,
     term_size,
 )
-from langx.parser import parse_spec, parse_term
+from langx.parser import parse_spec, parse_term, render_term
 from langx.subtyping import add_subtyping
 from oracles import enumerate_types
 
@@ -369,6 +372,33 @@ rule t-c2
     assert info.value.head == "c"
 
 
+def test_metavariable_left_unbound_by_the_rule_is_a_typecheck_error():
+    # t-lam's T1 occurs neither in the subject nor in an earlier premise.
+    spec = parse_spec("""\
+language unannotated
+
+variables x
+
+grammar
+  Type T ::= B
+  Expression e ::= x | c | (lam x e)
+
+binder lam 1
+
+rule t-c
+  --------------------------------
+  G |- c : B
+
+rule t-lam
+  G, x : T1 |- e : T2
+  --------------------------------
+  G |- (lam x e) : T2
+""")
+    with pytest.raises(NoRuleApplies) as info:
+        typecheck(conc("(lam x c)", spec), spec)
+    assert isinstance(info.value, TypecheckError)
+
+
 # -- random term generation -------------------------------------------------------
 
 def test_random_terms_deterministic_and_prefix_stable(langfunny):
@@ -417,3 +447,20 @@ def test_swarm_reaches_wide_constructors(langfunny):
 def test_generation_fails_when_smallest_term_exceeds_budget(stlc):
     with pytest.raises(EngineError):
         random_terms(stlc, 1, max_size=2)
+
+
+def fingerprint(terms, spec):
+    """First 16 hex digits of the SHA-256 of the rendered terms, one a line."""
+    digest = hashlib.sha256()
+    for t in terms:
+        digest.update((render_term(t, spec) + "\n").encode())
+    return digest.hexdigest()[:16]
+
+
+def test_seeded_term_streams_are_pinned(stlc_consts, langfunny):
+    assert fingerprint(islice(iter_random_terms(stlc_consts, seed=0, max_size=9), 1000),
+                       stlc_consts) == "0a6114130811bf70"
+    assert fingerprint(islice(iter_swarm_terms(langfunny, seed=0, max_size=10), 1000),
+                       langfunny) == "58d514590a24512a"
+    assert fingerprint(cli.well_typed_terms(langfunny, 1000, 0, 10),
+                       langfunny) == "d67d9ad44cc94597"

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import langx
 from langx.ir import (
     BinderApp,
     Constructor,
@@ -155,3 +156,25 @@ def test_first_subterm_is_self(t):
 @given(metavars, st.sets(st.text("T0123456789", min_size=1, max_size=4)))
 def test_fresh_never_collides(mv, used):
     assert fresh(mv, used).token not in used
+
+
+PUBLIC_NAMES = """
+    AmbiguousStart BadContext BinderApp CKError Constructor ContinuationOp
+    EnvExpr GrammarCategory HOLE Hole InferenceRule Join LanguageSpec
+    LangxError MT MachineConfig MachineStep Metavariable MissingVariance
+    NoFinalContinuation NoJoin NoStart Occurrence OrderAmbiguity OutOfFuel
+    ParseError PatternMismatch Reduction SpecParseError Stuck StuckMachine
+    Subst Subtype SubtypingError Term TraceStep TypeEq TypecheckError Typing
+    Var add_subtyping canonical_rule check_subtype ck ck_eval
+    collect_occurrences compose_variance decompose derive_ck engine evaluate
+    generate_join_relation generate_subtype_relation ir is_value join_types
+    match_pattern meet_types occurrence_variance parse_spec parse_term parser
+    plug print_spec random_terms render_formula render_term split_equal_types
+    step substitute subterms subtyping term_size typecheck variance
+""".split()
+
+
+def test_public_names_stay_exported():
+    assert len(PUBLIC_NAMES) == 75
+    assert set(PUBLIC_NAMES) <= set(langx.__all__)
+    assert all(hasattr(langx, name) for name in PUBLIC_NAMES)
