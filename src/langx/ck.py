@@ -25,7 +25,7 @@ from .ir import (
     Metavariable,
     Term,
 )
-from .engine import is_value_pattern
+from .engine import context_holes, is_value_pattern
 
 CONTINUATION_CATEGORY = "Continuation"
 CONTINUATION_METAVAR = "k"
@@ -121,10 +121,7 @@ def continuation_ops(spec: LanguageSpec) -> dict[str, list[ContinuationOp]]:
             continue
         if not isinstance(prod, Constructor):
             raise BadContext(f"context production {prod!r} is not an operator application")
-        holes = [i for i, a in enumerate(prod.args) if isinstance(a, Hole)]
-        ctx_slots = [i for i, a in enumerate(prod.args)
-                     if isinstance(a, Metavariable) and a.category == ctx.name]
-        holes += ctx_slots
+        holes = context_holes(prod, ctx.name)
         if len(holes) != 1:
             raise BadContext(
                 f"context production for {prod.name!r} must have exactly one hole")
@@ -179,62 +176,32 @@ def generate_start_rule(op: str, conts: list[ContinuationOp],
     )
 
 
-def _insertion_vector(cont: ContinuationOp) -> list[tuple[int, str]]:
-    vec = list(cont.slots)
-    vec.append((cont.index, "v"))
-    vec.sort(key=lambda pair: pair[0])
-    return vec
-
-
-def _matches(vec: list[tuple[int, str]], ctx_shapes: list[str]) -> bool:
-    # E accepts either shape; otherwise v only lines up with v, e with e.
-    for (_, shape), slot in zip(vec, ctx_shapes):
-        if slot != "E" and slot != shape:
-            return False
-    return True
-
-
-def _ctx_shapes(prod: Constructor, spec: LanguageSpec) -> list[str]:
-    ctx = spec.context_category
-    shapes = []
-    for a in prod.args:
-        if isinstance(a, Hole) or (
-                isinstance(a, Metavariable) and ctx is not None
-                and a.category == ctx.name):
-            shapes.append("E")
-        else:
-            shapes.append(_slot_shape(a, spec))
-    return shapes
-
-
 def generate_order_rules(op: str, conts: list[ContinuationOp],
                          spec: LanguageSpec) -> tuple[list[InferenceRule], list[ContinuationOp]]:
-    """Order rules for one operator, plus its final continuations."""
-    ctx = spec.context_category
-    contexts = [p for p in ctx.productions
-                if isinstance(p, Constructor) and p.name == op]
+    """Order rules for one operator, plus its final continuations.
+
+    Once cont's hole holds a value, the next context is any other context of
+    the operator whose slots all line up with the filled shapes; its hole
+    takes either shape.
+    """
     rules: list[InferenceRule] = []
     finals: list[ContinuationOp] = []
     k = _k()
     for cont in conts:
-        vec = _insertion_vector(cont)
-        targets = []
-        for prod in contexts:
-            shapes = _ctx_shapes(prod, spec)
-            hole_at = shapes.index("E") + 1
-            if hole_at != cont.index and len(shapes) == len(vec) \
-                    and _matches(vec, shapes):
-                targets.append(hole_at)
+        filled = dict(sorted((*cont.slots, (cont.index, "v"))))
+        targets = {other.index for other in conts
+                   if other.index != cont.index and len(other.slots) == len(cont.slots)
+                   and all(filled[p] == shape for p, shape in other.slots)}
         if not targets:
             finals.append(cont)
             continue
-        if len(set(targets)) > 1:
+        if len(targets) > 1:
             raise OrderAmbiguity(op, cont.index)
-        j = targets[0]
+        (j,) = targets
         focus = _pos_metavar(spec, "v", cont.index)
         stored = [_pos_metavar(spec, shape, p) for p, shape in cont.slots]
-        new_stored = [_pos_metavar(spec, shape, p) for p, shape in vec if p != j]
-        extracted = next(_pos_metavar(spec, shape, p) for p, shape in vec if p == j)
+        new_stored = [_pos_metavar(spec, shape, p) for p, shape in filled.items() if p != j]
+        extracted = _pos_metavar(spec, filled[j], j)
         rules.append(InferenceRule(
             f"{op}-order-{cont.index}",
             (),

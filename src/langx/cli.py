@@ -119,12 +119,7 @@ def _load_spec(path: str, rep: Reporter) -> Optional[LanguageSpec]:
     except OSError as exc:
         rep.diagnostic(f"cannot read {path}: {exc.strerror}")
         return None
-    try:
-        return parse_spec(text, filename=path)
-    except SpecParseError as exc:
-        for err in exc.errors:
-            rep.diagnostic(str(err), span=str(err.span))
-        return None
+    return parse_spec(text, filename=path)
 
 
 def _write_output(text: str, path: Optional[str], rep: Reporter) -> None:
@@ -171,13 +166,7 @@ def cmd_derive_ck(args, rep: Reporter) -> int:
     if spec.context_category is None:
         rep.diagnostic(f"{args.spec}: no evaluation-context category to derive from")
         return EXIT_INVALID
-    try:
-        out = derive_ck(spec)
-    except CKError as exc:
-        rep.record(kind="error", message=str(exc))
-        rep.text(str(exc), err=True)
-        return EXIT_TRANSFORM
-    _write_output(print_spec(out), args.output, rep)
+    _write_output(print_spec(derive_ck(spec)), args.output, rep)
     return EXIT_OK
 
 
@@ -215,12 +204,7 @@ def cmd_eval(args, rep: Reporter) -> int:
     if source is None:
         rep.diagnostic("eval needs a term argument or --term-file")
         return EXIT_INVALID
-    try:
-        term = parse_term(source, spec, concrete=True)
-    except SpecParseError as exc:
-        for err in exc.errors:
-            rep.diagnostic(str(err), span=str(err.span))
-        return EXIT_INVALID
+    term = parse_term(source, spec, concrete=True)
 
     if args.machine == "ck":
         machine_spec = spec
@@ -228,12 +212,7 @@ def cmd_eval(args, rep: Reporter) -> int:
             if spec.context_category is None:
                 rep.diagnostic("spec has no machine rules and no contexts to derive them from")
                 return EXIT_INVALID
-            try:
-                machine_spec = derive_ck(spec)
-            except CKError as exc:
-                rep.record(kind="error", message=str(exc))
-                rep.text(str(exc), err=True)
-                return EXIT_TRANSFORM
+            machine_spec = derive_ck(spec)
         runner = lambda: ck_eval(MachineConfig(term, MT), machine_spec, fuel=args.fuel)
         render_spec = machine_spec
     else:
@@ -272,21 +251,12 @@ def cmd_eval(args, rep: Reporter) -> int:
     return EXIT_OK
 
 
-def _outcome_smallstep(term: Term, spec: LanguageSpec, fuel: int):
+def _outcome(run, state, spec: LanguageSpec, fuel: int):
+    """How run (evaluate or ck_eval) ends on state: a value, stuck or out of fuel."""
     try:
-        value, _ = evaluate(term, spec, fuel=fuel)
+        value, _ = run(state, spec, fuel=fuel)
         return ("value", value)
-    except Stuck:
-        return ("stuck", None)
-    except OutOfFuel:
-        return ("out-of-fuel", None)
-
-
-def _outcome_machine(term: Term, spec: LanguageSpec, fuel: int):
-    try:
-        value, _ = ck_eval(MachineConfig(term, MT), spec, fuel=fuel)
-        return ("value", value)
-    except StuckMachine:
+    except (Stuck, StuckMachine):
         return ("stuck", None)
     except OutOfFuel:
         return ("out-of-fuel", None)
@@ -357,27 +327,23 @@ def cmd_compare(args, rep: Reporter) -> int:
         if spec.context_category is None:
             rep.diagnostic(f"{args.spec}: no evaluation-context category to derive from")
             return EXIT_INVALID
-        try:
-            machine_spec = derive_ck(spec)
-        except CKError as exc:
-            rep.record(kind="error", message=str(exc))
-            rep.text(str(exc), err=True)
-            return EXIT_TRANSFORM
+        machine_spec = derive_ck(spec)
 
     machine_fuel = 3 * args.fuel
 
+    def outcomes(term: Term):
+        return (_outcome(evaluate, term, spec, args.fuel),
+                _outcome(ck_eval, MachineConfig(term, MT), machine_spec, machine_fuel))
+
     def disagrees(term: Term) -> bool:
-        source = _outcome_smallstep(term, spec, args.fuel)
-        machine = _outcome_machine(term, machine_spec, machine_fuel)
-        return not outcomes_agree(source, machine)
+        return not outcomes_agree(*outcomes(term))
 
     total = 0
     agreed = 0
     first_failure = None
     for index, term in enumerate(well_typed_terms(
             spec, args.count, args.seed, args.max_size)):
-        source = _outcome_smallstep(term, spec, args.fuel)
-        machine = _outcome_machine(term, machine_spec, machine_fuel)
+        source, machine = outcomes(term)
         ok = outcomes_agree(source, machine)
         total += 1
         agreed += ok
@@ -475,6 +441,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     rep = Reporter(args.format == "structured", Style())
     try:
         return args.func(args, rep)
+    except SpecParseError as exc:
+        for err in exc.errors:
+            rep.diagnostic(str(err), span=str(err.span))
+        return EXIT_INVALID
+    except CKError as exc:
+        rep.record(kind="error", message=str(exc))
+        rep.text(str(exc), err=True)
+        return EXIT_TRANSFORM
     except LangxError as exc:
         rep.diagnostic(str(exc))
         return EXIT_INVALID

@@ -269,25 +269,10 @@ def decompose(t: Term, spec: LanguageSpec) -> tuple[Term, Term]:
     """Split t into a context (a term containing one hole) and the focused
     redex candidate, descending per the context grammar; (hole, t) when t
     itself is the focus."""
-    ctx = spec.context_category
-    if ctx is not None and isinstance(t, Constructor):
-        for prod in ctx.productions:
-            if isinstance(prod, Hole):
-                continue
-            if not (isinstance(prod, Constructor) and prod.name == t.name
-                    and len(prod.args) == len(t.args)):
-                continue
-            hole_at = _context_slot(prod, spec)
-            if hole_at is None:
-                continue
-            ok = True
-            for i, (slot, arg) in enumerate(zip(prod.args, t.args)):
-                if i == hole_at:
-                    continue
-                if not _generates(slot, arg, spec):
-                    ok = False
-                    break
-            if ok and not is_value(t.args[hole_at], spec):
+    if isinstance(t, Constructor):
+        for hole_at, others in spec.derived(_context_table).get((t.name, len(t.args)), ()):
+            if all(_generates(slot, t.args[i], spec) for i, slot in others) \
+                    and not is_value(t.args[hole_at], spec):
                 inner_ctx, redex = decompose(t.args[hole_at], spec)
                 wrapped = Constructor(t.name, tuple(
                     inner_ctx if i == hole_at else a for i, a in enumerate(t.args)))
@@ -295,14 +280,26 @@ def decompose(t: Term, spec: LanguageSpec) -> tuple[Term, Term]:
     return HOLE, t
 
 
-def _context_slot(production: Constructor, spec: LanguageSpec) -> Optional[int]:
+def context_holes(production: Constructor, context_name: str) -> list[int]:
+    """Positions of a context production's arguments that hold the hole: the
+    hole itself or a metavariable of the context category."""
+    return [i for i, a in enumerate(production.args)
+            if isinstance(a, Hole)
+            or (isinstance(a, Metavariable) and a.category == context_name)]
+
+
+def _context_table(spec: LanguageSpec) -> dict[tuple[str, int], list[tuple[int, list]]]:
+    """Operator context productions by (name, arity), in grammar order, each as
+    its hole position and its other (position, slot) pairs."""
     ctx = spec.context_category
-    for i, slot in enumerate(production.args):
-        if isinstance(slot, Metavariable) and ctx is not None and slot.category == ctx.name:
-            return i
-        if isinstance(slot, Hole):
-            return i
-    return None
+    table: dict[tuple[str, int], list[tuple[int, list]]] = {}
+    for prod in ctx.productions if ctx is not None else ():
+        if isinstance(prod, Constructor):
+            holes = context_holes(prod, ctx.name)
+            if holes:
+                others = [(i, a) for i, a in enumerate(prod.args) if i != holes[0]]
+                table.setdefault((prod.name, len(prod.args)), []).append((holes[0], others))
+    return table
 
 
 def plug(context: Term, filler: Term) -> Term:
@@ -396,6 +393,16 @@ def _machine_kind(rule_name: str) -> str:
 MT = Constructor("mt")
 
 
+def _machine_rules_by_focus(
+        spec: LanguageSpec) -> tuple[list[InferenceRule], list[InferenceRule]]:
+    """The machine rules whose focus pattern is value-shaped, and the rest."""
+    value_rules, other_rules = [], []
+    for rule in spec.machine_rules():
+        is_val = is_value_pattern(rule.conclusion.lhs.focus, spec)
+        (value_rules if is_val else other_rules).append(rule)
+    return value_rules, other_rules
+
+
 def ck_eval(config: MachineConfig, spec: LanguageSpec,
             fuel: int = 10000) -> tuple[Term, list[TraceStep]]:
     """Run MachineStep rules until the terminal ⟨value, mt⟩ configuration.
@@ -405,12 +412,7 @@ def ck_eval(config: MachineConfig, spec: LanguageSpec,
     plug), a non-value focus only the rest (start).  Plain first-match order
     would re-enter the rebuilding rules of value formers forever.
     """
-    machine_rules = spec.machine_rules()
-    value_rules = [r for r in machine_rules
-                   if is_value_pattern(r.conclusion.lhs.focus, spec)]
-    other_rules = [r for r in machine_rules
-                   if not is_value_pattern(r.conclusion.lhs.focus, spec)]
-
+    value_rules, other_rules = spec.derived(_machine_rules_by_focus)
     trace: list[TraceStep] = []
     current = config
     for _ in range(fuel):
@@ -499,11 +501,8 @@ def _rules_by_head(spec: LanguageSpec) -> dict[tuple, InferenceRule]:
 def typecheck(t: Term, spec: LanguageSpec,
               env: Optional[dict[str, Term]] = None) -> Term:
     """Type of a term under syntax-directed rules; raises TypecheckError."""
-    return _typecheck(t, spec, env or {}, _rules_by_head(spec))
-
-
-def _typecheck(t: Term, spec: LanguageSpec, env: dict[str, Term],
-               table: dict[tuple, InferenceRule]) -> Term:
+    table = spec.derived(_rules_by_head)
+    env = env or {}
     if isinstance(t, Var):
         if t.name in env:
             return env[t.name]
@@ -531,7 +530,7 @@ def _typecheck(t: Term, spec: LanguageSpec, env: dict[str, Term],
                     bound = sigma.get(var)
                     name = bound.name if isinstance(bound, Var) else var
                     inner_env[name] = build(vty)
-                actual = _typecheck(build(subject), spec, inner_env, table)
+                actual = typecheck(build(subject), spec, inner_env)
                 if not _match(ty, actual, sigma, spec):
                     raise NoRuleApplies(t)
             case Subtype(sub, sup):
@@ -606,6 +605,16 @@ def _min_sizes(spec: LanguageSpec) -> tuple[dict[str, int], dict[str, int]]:
     return open_sizes, closed_sizes
 
 
+def _production_sizes(
+        spec: LanguageSpec) -> dict[tuple[str, bool], tuple[tuple[Term, int], ...]]:
+    """Per (category, closed): each production but the hole, with its smallest size."""
+    open_sizes, closed_sizes = spec.derived(_min_sizes)
+    return {(cat.name, closed): tuple(
+                (p, _production_size(p, open_sizes, closed_sizes, closed))
+                for p in cat.productions if not isinstance(p, Hole))
+            for cat in spec.categories for closed in (False, True)}
+
+
 def iter_random_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 7,
                       min_budget: int = 0) -> Iterator[Term]:
     """Endless stream of random closed Expression terms of size <= max_size.
@@ -615,7 +624,8 @@ def iter_random_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 7,
     the low end of the per-term size draw, biasing toward larger terms.
     """
     rng = random.Random(seed)
-    open_sizes, closed_sizes = _min_sizes(spec)
+    open_sizes, closed_sizes = spec.derived(_min_sizes)
+    productions = spec.derived(_production_sizes)
     expr = spec.expression_category
     if expr is None:
         raise EngineError("spec has no Expression category to generate terms for")
@@ -625,9 +635,7 @@ def iter_random_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 7,
     var_base = spec.variables[0] if spec.variables else "x"
 
     def gen_cat(cat_name: str, budget: int, scope: tuple[str, ...], depth: int) -> Term:
-        cat = spec.category(cat_name)
-        options = [p for p in cat.productions if not isinstance(p, Hole)
-                   and _production_size(p, open_sizes, closed_sizes, not scope) <= budget]
+        options = [p for p, size in productions[cat_name, not scope] if size <= budget]
         production = rng.choice(options)
         return gen_prod(production, budget, scope, depth)
 

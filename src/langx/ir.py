@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 COVARIANT = "co"
 CONTRAVARIANT = "contra"
@@ -27,6 +27,7 @@ DEFAULT_VARIANCE: dict[str, tuple[str, ...]] = {
 }
 
 _SUFFIX_RE = re.compile(r"[0-9']*")
+_T = TypeVar("_T")
 
 
 class LangxError(Exception):
@@ -280,33 +281,36 @@ class LanguageSpec:
             return self.category(self.context_name)
         return self.category("Context")
 
-    # -- rule views ----------------------------------------------------------
+    # -- derived tables, computed once per instance ---------------------------
+
+    def derived(self, build: Callable[["LanguageSpec"], _T]) -> _T:
+        """build(self), computed once per spec object and kept in its __dict__
+        under the builder, which must therefore be a module-level function.
+
+        Equality and dataclasses.replace see fields only, so a spec made by
+        with_rules, replace or a transformation starts with no tables.  A
+        builder that raises stores nothing.
+        """
+        try:
+            return self.__dict__[build]
+        except KeyError:
+            value = self.__dict__[build] = build(self)
+            return value
 
     def typing_rules(self) -> tuple[InferenceRule, ...]:
-        return tuple(r for r in self.rules if isinstance(r.conclusion, Typing))
+        return self.derived(_rule_views)[Typing]
 
     def reduction_rules(self) -> tuple[InferenceRule, ...]:
-        return tuple(r for r in self.rules if isinstance(r.conclusion, Reduction))
+        return self.derived(_rule_views)[Reduction]
 
     def machine_rules(self) -> tuple[InferenceRule, ...]:
-        return tuple(r for r in self.rules if isinstance(r.conclusion, MachineStep))
+        return self.derived(_rule_views)[MachineStep]
 
     def with_rules(self, rules: tuple[InferenceRule, ...]) -> "LanguageSpec":
         return replace(self, rules=rules)
 
-    # -- derived tables, computed once per instance ---------------------------
-
     def constructor_arities(self) -> dict[str, int]:
-        cached = self.__dict__.get("_arities")
-        if cached is None:
-            arities: dict[str, int] = {}
-            for t in self._all_terms():
-                for s in subterms(t):
-                    if isinstance(s, Constructor):
-                        arities.setdefault(s.name, len(s.args))
-            object.__setattr__(self, "_arities", arities)
-            cached = arities
-        return cached
+        return self.derived(_constructor_arities)
 
     def is_variable_token(self, token: str) -> bool:
         return is_variable(token, self.variables)
@@ -323,27 +327,38 @@ class LanguageSpec:
 
     def base_subtype_closure(self) -> frozenset[tuple[str, str]]:
         """Declared base axioms closed under transitivity (reflexivity excluded)."""
-        cached = self.__dict__.get("_closure")
-        if cached is None:
-            pairs = set(self.base_subtypes)
-            changed = True
-            while changed:
-                changed = False
-                for a, b in list(pairs):
-                    for c, d in list(pairs):
-                        if b == c and (a, d) not in pairs:
-                            pairs.add((a, d))
-                            changed = True
-            cached = frozenset(pairs)
-            object.__setattr__(self, "_closure", cached)
-        return cached
+        return self.derived(_base_subtype_closure)
 
-    def _all_terms(self) -> Iterator[Term]:
-        for cat in self.categories:
-            yield from cat.productions
-        for rule in self.rules:
-            for f in (*rule.premises, rule.conclusion):
-                yield from formula_terms(f)
+
+def _rule_views(spec: LanguageSpec) -> dict[type, tuple[InferenceRule, ...]]:
+    return {kind: tuple(r for r in spec.rules if isinstance(r.conclusion, kind))
+            for kind in (Typing, Reduction, MachineStep)}
+
+
+def _constructor_arities(spec: LanguageSpec) -> dict[str, int]:
+    """Each constructor's arity at its first occurrence, grammar before rules."""
+    terms = [p for cat in spec.categories for p in cat.productions]
+    terms += [t for rule in spec.rules for f in (*rule.premises, rule.conclusion)
+              for t in formula_terms(f)]
+    arities: dict[str, int] = {}
+    for t in terms:
+        for s in subterms(t):
+            if isinstance(s, Constructor):
+                arities.setdefault(s.name, len(s.args))
+    return arities
+
+
+def _base_subtype_closure(spec: LanguageSpec) -> frozenset[tuple[str, str]]:
+    pairs = set(spec.base_subtypes)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(pairs):
+            for c, d in list(pairs):
+                if b == c and (a, d) not in pairs:
+                    pairs.add((a, d))
+                    changed = True
+    return frozenset(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -624,6 +624,15 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
         except _Fail as f:
             errors.append(f.error)
 
+    # Type constructors the rules use without a variance line take the usual
+    # variance when their arity agrees; _validate reports the others.
+    type_ctors = _type_constructors(rules)
+    for ctor in type_ctors:
+        default = DEFAULT_VARIANCE.get(ctor)
+        if ctor not in variance and default is not None \
+                and res.constructors[ctor] == len(default):
+            variance[ctor] = default
+
     spec = LanguageSpec(
         name=name,
         categories=tuple(categories),
@@ -634,7 +643,7 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
         binders=binders,
         context_name=context_name,
     )
-    _validate(spec, filename, cat_spans, rule_spans, errors)
+    _validate(spec, filename, cat_spans, rule_spans, type_ctors, errors)
     if errors:
         raise SpecParseError(errors)
     return spec
@@ -659,11 +668,25 @@ def _type_position_terms(f: Formula):
             return
 
 
+def _type_constructors(rules: list[InferenceRule]) -> dict[str, str]:
+    """Constructors with arguments in the rules' type positions, in order of
+    first use, each with the name of the last rule that uses it."""
+    used: dict[str, str] = {}
+    for rule in rules:
+        for f in (*rule.premises, rule.conclusion):
+            for t in _type_position_terms(f):
+                for s in subterms(t):
+                    if isinstance(s, Constructor) and s.args:
+                        used[s.name] = rule.name
+    return used
+
+
 def _validate(
     spec: LanguageSpec,
     filename: str,
     cat_spans: dict[str, int],
     rule_spans: dict[str, int],
+    type_ctors: dict[str, str],
     errors: list[ParseError],
 ) -> None:
     def err(line: int, message: str) -> None:
@@ -797,20 +820,10 @@ def _validate(
     for ctor, marks in spec.variance.items():
         if ctor in arities and arities[ctor] != len(marks):
             err(1, f"variance entry for {ctor!r} has {len(marks)} marks, arity is {arities[ctor]}")
-    used_type_ctors: dict[str, int] = {}
-    for rule in spec.rules:
-        for f in (*rule.premises, rule.conclusion):
-            for t in _type_position_terms(f):
-                for s in subterms(t):
-                    if isinstance(s, Constructor) and s.args:
-                        used_type_ctors[s.name] = rule_spans.get(rule.name, 1)
-    for ctor, line in used_type_ctors.items():
+    for ctor, rule_name in type_ctors.items():
         if ctor not in spec.variance:
-            if ctor in DEFAULT_VARIANCE and (
-                    ctor not in arities or arities[ctor] == len(DEFAULT_VARIANCE[ctor])):
-                spec.variance[ctor] = DEFAULT_VARIANCE[ctor]
-            else:
-                err(line, f"missing variance entry for type constructor {ctor!r}")
+            err(rule_spans.get(rule_name, 1),
+                f"missing variance entry for type constructor {ctor!r}")
 
     # base subtype lattice: declared on base types, acyclic, antisymmetric
     bases = set(spec.base_types())

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from itertools import islice
 
@@ -37,13 +38,16 @@ from langx.ir import (
     BinderApp,
     Constructor,
     MachineConfig,
+    MachineStep,
     Metavariable,
     Subst,
+    Typing,
     Var,
     term_size,
 )
 from langx.parser import parse_spec, parse_term, render_term
 from langx.subtyping import add_subtyping
+from conftest import load
 from oracles import enumerate_types
 
 
@@ -370,6 +374,33 @@ rule t-c2
     with pytest.raises(NotSyntaxDirected) as info:
         typecheck(Constructor("c"), spec)
     assert info.value.head == "c"
+
+
+def test_not_syntax_directed_is_raised_on_every_call(stlc):
+    twice = stlc.with_rules(
+        (*stlc.rules, dataclasses.replace(stlc.rules[0], name="t-lam2")))
+    for _ in range(2):
+        with pytest.raises(NotSyntaxDirected):
+            typecheck(conc("(lam x B x)", stlc), twice)
+
+
+def test_transformations_do_not_inherit_the_source_tables():
+    spec = load("langfunny")
+    term = conc("(addToPairAsList c1 (app (lam x B (pair x c2)) c3))", spec)
+    typecheck(term, spec)
+    evaluate(term, spec)
+    assert spec.machine_rules() == ()
+
+    wide = add_subtyping(spec)
+    assert wide.typing_rules() == tuple(
+        r for r in wide.rules if isinstance(r.conclusion, Typing))
+    assert wide.typing_rules() != spec.typing_rules()
+
+    machine = derive_ck(spec)
+    assert machine.machine_rules() == tuple(
+        r for r in machine.rules if isinstance(r.conclusion, MachineStep))
+    assert machine.machine_rules() and machine.reduction_rules() == ()
+    assert ck_eval(MachineConfig(term, MT), machine)[0] == evaluate(term, spec)[0]
 
 
 def test_metavariable_left_unbound_by_the_rule_is_a_typecheck_error():

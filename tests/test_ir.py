@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import langx
+from conftest import load
 from langx.ir import (
     BinderApp,
     Constructor,
@@ -23,6 +24,7 @@ from langx.ir import (
     subterms,
     term_size,
 )
+from langx.parser import parse_spec, print_spec
 
 T = Metavariable("T", None, "Type")
 e = Metavariable("e", None, "Expression")
@@ -122,6 +124,32 @@ def test_is_variable_token(stlc):
     assert stlc.is_variable_token("x'")
     assert not stlc.is_variable_token("y")
     assert not stlc.is_variable_token("T1")
+
+
+def test_derived_builds_once_per_spec_object():
+    spec = load("stlc")
+    calls = []
+
+    def rule_count(s):
+        calls.append(s)
+        return len(s.rules)
+
+    assert spec.derived(rule_count) == spec.derived(rule_count) == 3
+    assert len(calls) == 1
+    assert spec.typing_rules() is spec.typing_rules()
+    assert spec.constructor_arities() is spec.constructor_arities()
+    assert spec.base_subtype_closure() is spec.base_subtype_closure()
+    trimmed = spec.with_rules(spec.rules[:1])
+    assert trimmed.derived(rule_count) == 1
+    assert [r.name for r in trimmed.typing_rules()] == ["t-lam"]
+
+
+def test_spec_with_built_tables_equals_its_round_trip():
+    spec = load("langfunny")
+    spec.typing_rules()
+    spec.constructor_arities()
+    spec.base_subtype_closure()
+    assert parse_spec(print_spec(spec)) == spec
 
 
 def test_with_rules_replaces_only_rules(stlc):

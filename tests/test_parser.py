@@ -200,6 +200,23 @@ def test_variance_unknown_mark_rejected():
     assert errors_of(bad)
 
 
+def test_default_variance_fills_an_undeclared_arrow():
+    text = (FIXTURES / "stlc.lang").read_text()
+    undeclared = text.replace("variance\n  arrow : contra co\n\n", "")
+    assert "variance" not in undeclared
+    spec = parse_spec(undeclared)
+    assert spec.variance == {"arrow": ("contra", "co")}
+    assert print_spec(spec) == text
+    assert parse_spec(print_spec(spec)) == spec
+
+
+def test_default_variance_needs_the_default_arity():
+    bad = MINIMAL.replace("Type T ::= B", "Type T ::= B | (prod T T T)") \
+        .replace("G |- c : B", "G |- c : (prod B B B)")
+    msgs = errors_of(bad)
+    assert any("missing variance entry for type constructor 'prod'" in m for m in msgs)
+
+
 def test_base_subtype_cycle_rejected():
     bad = MINIMAL.replace("Type T ::= B", "Type T ::= B | C") \
         + "\nsubtype-base\n  B <: C\n  C <: B\n"
