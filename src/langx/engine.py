@@ -107,38 +107,127 @@ class TraceStep:
 
 # ---------------------------------------------------------------------------
 # grammar membership
+#
+# A bottom-up tree automaton: a node's categories follow from its head and
+# its children's categories, so a walk computes them once per node, children
+# first, with an explicit stack instead of one Python frame per level.
+
+# Categories of non-leaf nodes by id(node).  Each entry keeps its node alive,
+# so the id cannot be reused while the memo lives.
+Categories = dict[int, tuple[Term, frozenset[str]]]
+
+_NO_CATEGORIES: frozenset[str] = frozenset()
 
 
-def member(t: Term, category_name: str, spec: LanguageSpec) -> bool:
-    """Is t derivable from the named grammar category?"""
-    cat = spec.category(category_name)
-    if cat is None:
-        return False
-    return any(_generates(p, t, spec) for p in cat.productions)
+def _membership_table(spec: LanguageSpec) -> dict[tuple, tuple[
+        frozenset[str], tuple[tuple[tuple[Term, ...], frozenset[str]], ...]]]:
+    """Non-unit productions by the head of the node they derive.
+
+    Each head maps to every category that derives some node with that head,
+    and to its productions' distinct slot tuples, each with every category
+    that reaches such a production directly or through unit productions
+    (Expression ::= v).
+    """
+    reached_by = {cat.name: {cat.name} for cat in spec.categories}
+    changed = True
+    while changed:
+        changed = False
+        for cat in spec.categories:
+            for p in cat.productions:
+                if isinstance(p, Metavariable) and p.category in reached_by:
+                    below = reached_by[p.category]
+                    if not reached_by[cat.name] <= below:
+                        below |= reached_by[cat.name]
+                        changed = True
+    by_head: dict[tuple, dict[tuple[Term, ...], set[str]]] = {}
+    for cat in spec.categories:
+        for p in cat.productions:
+            if isinstance(p, (Constructor, BinderApp, Var, Hole)):
+                slots = p.args if isinstance(p, (Constructor, BinderApp)) else ()
+                by_head.setdefault(_subject_head(p), {}).setdefault(
+                    slots, set()).update(reached_by[cat.name])
+    return {head: (frozenset().union(*entries.values()),
+                   tuple((slots, frozenset(names)) for slots, names in entries.items()))
+            for head, entries in by_head.items()}
 
 
-def _generates(production: Term, t: Term, spec: LanguageSpec) -> bool:
-    match production:
-        case Metavariable(_, _, cat_name):
-            return member(t, cat_name, spec)
-        case Var(_):
+def categories(t: Term, spec: LanguageSpec,
+               cats: Optional[Categories] = None) -> frozenset[str]:
+    """Every grammar category that derives t.
+
+    Pass one cats dict to calls on the same, unchanged terms to share their
+    subterms' results.
+    """
+    return _categories(t, spec.derived(_membership_table), {} if cats is None else cats)
+
+
+def _categories(t: Term, table: dict, cats: Categories) -> frozenset[str]:
+    hit = cats.get(id(t))
+    if hit is not None:
+        return hit[1]
+    entry = table.get(_subject_head(t))
+    if entry is None:
+        return _NO_CATEGORIES
+    if not getattr(t, "args", None):
+        return entry[0]   # a leaf: no production of its head has slots
+    stack = [(t, entry)]
+    while stack:
+        node, entry = stack[-1]
+        pending = []
+        for a in node.args:
+            if getattr(a, "args", None) and id(a) not in cats:
+                child_entry = table.get(_subject_head(a))
+                if child_entry is None:
+                    cats[id(a)] = (a, _NO_CATEGORIES)
+                else:
+                    pending.append((a, child_entry))
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        found = _NO_CATEGORIES
+        for slots, names in entry[1]:
+            if not names <= found and all(
+                    _slot_derives(s, a, table, cats) for s, a in zip(slots, node.args)):
+                found = found | names
+        cats[id(node)] = (node, found)
+    return cats[id(t)][1]
+
+
+def _slot_derives(slot: Term, t: Term, table: dict, cats: Categories) -> bool:
+    """Does a production slot derive t?  A metavariable slot reads t's
+    categories; nested slots recurse only as deep as the production."""
+    if isinstance(slot, Metavariable):
+        return slot.category in _categories(t, table, cats)
+    match slot:
+        case Var():
             return isinstance(t, Var)
+        case Hole():
+            return isinstance(t, Hole)
         case Constructor(name, slots):
             return (isinstance(t, Constructor) and t.name == name
                     and len(t.args) == len(slots)
-                    and all(_generates(s, a, spec) for s, a in zip(slots, t.args)))
+                    and all(_slot_derives(s, a, table, cats) for s, a in zip(slots, t.args)))
         case BinderApp(binder, _, slots):
             return (isinstance(t, BinderApp) and t.binder == binder
                     and len(t.args) == len(slots)
-                    and all(_generates(s, a, spec) for s, a in zip(slots, t.args)))
-        case Hole():
-            return isinstance(t, Hole)
+                    and all(_slot_derives(s, a, table, cats) for s, a in zip(slots, t.args)))
     return False
 
 
-def is_value(t: Term, spec: LanguageSpec) -> bool:
+def member(t: Term, category_name: str, spec: LanguageSpec,
+           cats: Optional[Categories] = None) -> bool:
+    """Is t derivable from the named grammar category?"""
+    table = spec.derived(_membership_table)
+    entry = table.get(_subject_head(t))
+    if entry is None or category_name not in entry[0]:
+        return False
+    return category_name in _categories(t, table, {} if cats is None else cats)
+
+
+def is_value(t: Term, spec: LanguageSpec, cats: Optional[Categories] = None) -> bool:
     value = spec.value_category
-    return value is not None and member(t, value.name, spec)
+    return value is not None and member(t, value.name, spec, cats)
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +248,12 @@ def match_pattern(pattern: Term, subject: Term, spec: LanguageSpec,
 
 
 def _match(pattern: Term, subject: Term, sigma: Substitution,
-           spec: LanguageSpec) -> bool:
+           spec: LanguageSpec, cats: Optional[Categories] = None) -> bool:
     match pattern:
         case Metavariable(_, _, cat_name):
             value = spec.value_category
-            if value is not None and cat_name == value.name and not is_value(subject, spec):
+            if value is not None and cat_name == value.name \
+                    and not is_value(subject, spec, cats):
                 return False
             if pattern.token in sigma:
                 return sigma[pattern.token] == subject
@@ -176,7 +266,7 @@ def _match(pattern: Term, subject: Term, sigma: Substitution,
         case Constructor(name, args):
             return (isinstance(subject, Constructor) and subject.name == name
                     and len(subject.args) == len(args)
-                    and all(_match(p, s, sigma, spec)
+                    and all(_match(p, s, sigma, spec, cats)
                             for p, s in zip(args, subject.args)))
         case BinderApp(binder, bound_var, args):
             if not (isinstance(subject, BinderApp) and subject.binder == binder
@@ -187,7 +277,7 @@ def _match(pattern: Term, subject: Term, sigma: Substitution,
                     return False
             else:
                 sigma[bound_var] = Var(subject.bound_var)
-            return all(_match(p, s, sigma, spec)
+            return all(_match(p, s, sigma, spec, cats)
                        for p, s in zip(args, subject.args))
     return False
 
@@ -269,15 +359,36 @@ def decompose(t: Term, spec: LanguageSpec) -> tuple[Term, Term]:
     """Split t into a context (a term containing one hole) and the focused
     redex candidate, descending per the context grammar; (hole, t) when t
     itself is the focus."""
-    if isinstance(t, Constructor):
-        for hole_at, others in spec.derived(_context_table).get((t.name, len(t.args)), ()):
-            if all(_generates(slot, t.args[i], spec) for i, slot in others) \
-                    and not is_value(t.args[hole_at], spec):
-                inner_ctx, redex = decompose(t.args[hole_at], spec)
-                wrapped = Constructor(t.name, tuple(
-                    inner_ctx if i == hole_at else a for i, a in enumerate(t.args)))
-                return wrapped, redex
-    return HOLE, t
+    path, focus = _focus_path(t, spec, {})
+    return _refill(path, HOLE), focus
+
+
+def _focus_path(t: Term, spec: LanguageSpec,
+                cats: Categories) -> tuple[list[tuple[Constructor, int]], Term]:
+    """The nodes decompose descends through, each with the argument position
+    it descends into, and the focus it reaches."""
+    contexts = spec.derived(_context_table)
+    table = spec.derived(_membership_table)
+    path: list[tuple[Constructor, int]] = []
+    while isinstance(t, Constructor):
+        for hole_at, others in contexts.get((t.name, len(t.args)), ()):
+            if all(_slot_derives(slot, t.args[i], table, cats) for i, slot in others) \
+                    and not is_value(t.args[hole_at], spec, cats):
+                path.append((t, hole_at))
+                t = t.args[hole_at]
+                break
+        else:
+            break
+    return path, t
+
+
+def _refill(path: list[tuple[Constructor, int]], filler: Term) -> Term:
+    """The root of path with its focus replaced by filler.  Only the nodes on
+    the path are rebuilt; every other subterm is shared, not copied."""
+    for node, hole_at in reversed(path):
+        filler = Constructor(node.name, node.args[:hole_at] + (filler,)
+                             + node.args[hole_at + 1:])
+    return filler
 
 
 def context_holes(production: Constructor, context_name: str) -> list[int]:
@@ -317,13 +428,17 @@ def plug(context: Term, filler: Term) -> Term:
 # small-step evaluation
 
 
-def step(t: Term, spec: LanguageSpec) -> Optional[TraceStep]:
-    context, redex = decompose(t, spec)
+def step(t: Term, spec: LanguageSpec,
+         cats: Optional[Categories] = None) -> Optional[TraceStep]:
+    """One contextual reduction of t, or None when no rule applies.  cats is
+    the membership memo of t's subterms, shared with the caller."""
+    cats = {} if cats is None else cats
+    path, redex = _focus_path(t, spec, cats)
     for rule in spec.reduction_rules():
-        sigma = match_pattern(rule.conclusion.lhs, redex, spec)
-        if sigma is None:
+        sigma: Substitution = {}
+        if not _match(rule.conclusion.lhs, redex, sigma, spec, cats):
             continue
-        result = plug(context, instantiate(rule.conclusion.rhs, sigma, spec))
+        result = _refill(path, instantiate(rule.conclusion.rhs, sigma, spec))
         return TraceStep("contextual-reduction", rule.name, t, result)
     return None
 
@@ -333,9 +448,10 @@ def evaluate(t: Term, spec: LanguageSpec, fuel: int = 10000) -> tuple[Term, list
     trace: list[TraceStep] = []
     current = t
     for _ in range(fuel):
-        if is_value(current, spec):
+        cats: Categories = {}
+        if is_value(current, spec, cats):
             return current, trace
-        ts = step(current, spec)
+        ts = step(current, spec, cats)
         if ts is None:
             raise Stuck(current, trace)
         trace.append(ts)
@@ -416,17 +532,16 @@ def ck_eval(config: MachineConfig, spec: LanguageSpec,
     trace: list[TraceStep] = []
     current = config
     for _ in range(fuel):
-        focus_is_value = is_value(current.focus, spec)
+        cats: Categories = {}
+        focus_is_value = is_value(current.focus, spec, cats)
         if focus_is_value and current.continuation == MT:
             return current.focus, trace
         stepped = None
         for rule in (value_rules if focus_is_value else other_rules):
             lhs = rule.conclusion.lhs
-            sigma = match_pattern(lhs.focus, current.focus, spec)
-            if sigma is None:
-                continue
-            sigma = match_pattern(lhs.continuation, current.continuation, spec, sigma)
-            if sigma is None:
+            sigma: Substitution = {}
+            if not (_match(lhs.focus, current.focus, sigma, spec, cats)
+                    and _match(lhs.continuation, current.continuation, sigma, spec, cats)):
                 continue
             rhs = rule.conclusion.rhs
             after = MachineConfig(
@@ -485,6 +600,8 @@ def _subject_head(t: Term) -> tuple:
             return ("bind", binder, len(args))
         case Var(_):
             return ("var",)
+        case Hole():
+            return ("hole",)
     return ("any",)
 
 
@@ -688,6 +805,12 @@ def _restrict_expression(spec: LanguageSpec,
     return dataclasses.replace(spec, categories=categories)
 
 
+def _restricted_specs(spec: LanguageSpec) -> dict[tuple[int, ...], LanguageSpec]:
+    """Specs whose Expression grammar keeps only some productions, by their
+    indices; iter_swarm_terms fills it as it draws them."""
+    return {}
+
+
 def iter_swarm_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 7,
                      chunk: int = 25) -> Iterator[Term]:
     """Random terms, alternating full-grammar and narrowed-grammar chunks.
@@ -704,6 +827,7 @@ def iter_swarm_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 7,
     if expr is None:
         raise EngineError("spec has no Expression category to generate terms for")
     productions = expr.productions
+    restricted = spec.derived(_restricted_specs)
     leaf_idx = [i for i, p in enumerate(productions)
                 if isinstance(p, Constructor) and not p.args]
     focus_idx = [i for i, p in enumerate(productions)
@@ -723,8 +847,11 @@ def iter_swarm_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 7,
                             keep.add(i)
                     elif rng.random() < 0.15:
                         keep.add(i)
-                candidate = _restrict_expression(
-                    spec, tuple(productions[i] for i in sorted(keep)))
+                kept = tuple(sorted(keep))
+                candidate = restricted.get(kept)
+                if candidate is None:
+                    candidate = restricted[kept] = _restrict_expression(
+                        spec, tuple(productions[i] for i in kept))
                 try:
                     next(iter_random_terms(candidate, rng.randrange(2 ** 32),
                                            max_size))

@@ -42,7 +42,7 @@ class UnknownMetavariable(LangxError):
 # terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Metavariable:
     """A rule-level variable ranging over a grammar category, e.g. T12 or e'."""
 
@@ -55,20 +55,20 @@ class Metavariable:
         return self.base + (self.suffix or "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     """An object-level variable occurrence, e.g. the body of (lam x T x)."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constructor:
     name: str
     args: tuple["Term", ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinderApp:
     """A binding construct: binder name, the bound variable, remaining args."""
 
@@ -77,12 +77,12 @@ class BinderApp:
     args: tuple["Term", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hole:
     """The hole of an evaluation context."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subst:
     """Deferred substitution target[replacement/var] on a rule right-hand side."""
 

@@ -11,6 +11,33 @@ from langx.ir import (
 )
 
 
+def oracle_member(t, category_name, spec):
+    """Top-down grammar membership: re-derive t from each production of the
+    category, recursing once per level of t."""
+    cat = spec.category(category_name)
+    if cat is None:
+        return False
+    return any(_generates(p, t, spec) for p in cat.productions)
+
+
+def _generates(production, t, spec):
+    if isinstance(production, Metavariable):
+        return oracle_member(t, production.category, spec)
+    if isinstance(production, Var):
+        return isinstance(t, Var)
+    if isinstance(production, Hole):
+        return isinstance(t, Hole)
+    if isinstance(production, Constructor):
+        return (isinstance(t, Constructor) and t.name == production.name
+                and len(t.args) == len(production.args)
+                and all(_generates(s, a, spec) for s, a in zip(production.args, t.args)))
+    if isinstance(production, BinderApp):
+        return (isinstance(t, BinderApp) and t.binder == production.binder
+                and len(t.args) == len(production.args)
+                and all(_generates(s, a, spec) for s, a in zip(production.args, t.args)))
+    return False
+
+
 def compositions(total, parts):
     """All tuples of `parts` positive integers summing to `total`."""
     if parts == 0:

@@ -130,7 +130,7 @@ def test_eval_term_file(capsys, tmp_path):
     assert out == "f\n"
 
 
-@pytest.mark.parametrize("depth,machine", [(300, "smallstep"), (600, "ck")])
+@pytest.mark.parametrize("depth,machine", [(600, "smallstep"), (600, "ck")])
 def test_eval_of_a_deeply_nested_term_ends_in_a_diagnostic(tmp_path, depth, machine):
     term = tmp_path / "deep.txt"
     term.write_text("(app (lam x int x) " * depth + "ci" + ")" * depth)
@@ -141,6 +141,18 @@ def test_eval_of_a_deeply_nested_term_ends_in_a_diagnostic(tmp_path, depth, mach
     assert result.returncode == 1
     assert "nested too deeply" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("depth", [300, 450])
+def test_small_step_eval_of_a_deeply_nested_term_succeeds(tmp_path, depth):
+    term = tmp_path / "deep.txt"
+    term.write_text("(app (lam x int x) " * depth + "ci" + ")" * depth)
+    result = subprocess.run(
+        [sys.executable, "-m", "langx", "eval", fix("stlc_consts.lang"),
+         "--term-file", str(term)],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ci\n"
 
 
 def test_eval_without_term(capsys):

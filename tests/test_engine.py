@@ -16,6 +16,7 @@ from langx.engine import (
     StuckMachine,
     TypecheckError,
     UnboundVariable,
+    categories,
     check_subtype,
     ck_eval,
     decompose,
@@ -35,6 +36,7 @@ from langx.engine import (
     typecheck,
 )
 from langx.ir import (
+    HOLE,
     BinderApp,
     Constructor,
     MachineConfig,
@@ -43,12 +45,13 @@ from langx.ir import (
     Subst,
     Typing,
     Var,
+    subterms,
     term_size,
 )
 from langx.parser import parse_spec, parse_term, render_term
 from langx.subtyping import add_subtyping
 from conftest import load
-from oracles import enumerate_types
+from oracles import enumerate_closed_terms, enumerate_types, oracle_member
 
 
 def conc(text, spec):
@@ -69,6 +72,102 @@ def test_membership_and_values(stlc):
     redex = conc(f"(app {ID} {ID})", stlc)
     assert not is_value(redex, stlc)
     assert not member(lam, "NoSuchCategory", stlc)
+
+
+def assert_membership_matches_oracle(terms, spec):
+    names = [cat.name for cat in spec.categories]
+    for t in terms:
+        expected = {name for name in names if oracle_member(t, name, spec)}
+        assert categories(t, spec) == expected, t
+        for name in names:
+            assert member(t, name, spec) == (name in expected), (t, name)
+        assert not member(t, "NoSuchCategory", spec)
+
+
+SPEC_FIXTURES = ("stlc", "stlc_consts", "references", "app2", "langfunny", "boollist")
+
+
+@pytest.mark.parametrize("name", SPEC_FIXTURES)
+def test_categories_match_the_top_down_oracle_on_generated_terms(name):
+    spec = load(name)
+    terms = list(islice(iter_random_terms(spec, seed=3, max_size=9), 150))
+    terms += islice(iter_swarm_terms(spec, seed=4, max_size=9), 150)
+    subs = [s for t in terms for s in subterms(t)]
+    odd = [Var("x"), HOLE, Metavariable("e", None, "Expression"),
+           Metavariable("v", "1", "Value"), Constructor("nosuch", (Var("x"),))]
+    assert_membership_matches_oracle(subs + odd, spec)
+
+
+def test_categories_match_the_top_down_oracle_on_continuations(langfunny):
+    machine = derive_ck(langfunny)
+    states = []
+    for t in islice(iter_swarm_terms(langfunny, seed=9, max_size=9), 60):
+        try:
+            _, trace = ck_eval(MachineConfig(t, MT), machine, fuel=300)
+        except (StuckMachine, OutOfFuel) as failed:
+            trace = failed.trace
+        for ts in trace:
+            states += [ts.before.focus, ts.before.continuation,
+                       ts.after.focus, ts.after.continuation]
+    assert any(isinstance(s, Constructor) and s.name.endswith("_2") for s in states)
+    assert_membership_matches_oracle(states, machine)
+
+
+UNITS = """\
+language units
+
+variables x
+
+grammar
+  Type T ::= B | (arrow T T)
+  Number n ::= zero | (succ n)
+  Value v ::= n | (lam x T e) | (pair v v)
+  Expression e ::= x | v | (lam x T e) | (app e e) | (pair e e) | (twice (lam x T e) n) | (fst (pair e e))
+  Context E ::= [.] | (app E e) | (app v E) | (pair E e) | (pair v E) | (succ [.])
+
+binder lam 1
+"""
+
+
+def any_trees(size):
+    """Every tree of exactly `size` nodes over the units signature and one
+    head outside it, whatever the grammar says, with a variable and a hole
+    among the leaves."""
+    if size == 1:
+        return [Constructor("zero"), Constructor("B"), Var("x"), HOLE]
+    out = [Constructor(name, (a,)) for a in any_trees(size - 1)
+           for name in ("succ", "fst", "nosuch")]
+    for left in range(1, size - 1):
+        for a in any_trees(left):
+            for b in any_trees(size - 1 - left):
+                out += [Constructor("pair", (a, b)), Constructor("app", (a, b)),
+                        Constructor("twice", (a, b)), BinderApp("lam", "x", (a, b))]
+    return out
+
+
+def test_categories_follow_unit_productions_and_nested_slots():
+    spec = parse_spec(UNITS)
+    two = Constructor("succ", (Constructor("succ", (Constructor("zero"),)),))
+    assert categories(two, spec) == {"Number", "Value", "Expression"}
+    lam = conc("(lam x B x)", spec)
+    assert categories(Constructor("twice", (lam, two)), spec) == {"Expression"}
+    assert categories(Constructor("twice", (two, two)), spec) == frozenset()
+    assert categories(Constructor("fst", (Constructor("pair", (lam, two)),)), spec) \
+        == {"Expression"}
+    assert categories(Constructor("succ", (HOLE,)), spec) == {"Context"}
+    terms = [t for size in range(1, 6) for t in any_trees(size)]
+    terms += enumerate_closed_terms(spec, 6)
+    assert_membership_matches_oracle(terms, spec)
+
+
+def test_membership_memo_is_shared_and_keeps_its_nodes(langfunny):
+    t = conc("(pair (pair c1 (lam x B x)) nil)", langfunny)
+    cats = {}
+    assert categories(t, langfunny, cats) == {"Expression", "Value"}
+    assert {id(n) for n, _ in cats.values()} == set(cats)
+    assert len(cats) == 3   # the three nodes with arguments; leaves are not kept
+    assert is_value(t.args[0], langfunny, cats)
+    assert len(cats) == 3
 
 
 def test_value_metavariable_only_matches_values(stlc):
@@ -210,6 +309,22 @@ def test_evaluate_stuck(boollist):
         evaluate(t, boollist)
     assert info.value.term == t
     assert info.value.trace == []
+
+
+def identity_chain(depth):
+    """(app (lam x int x) (app (lam x int x) ... ci)), depth applications."""
+    t = Constructor("ci")
+    for _ in range(depth):
+        t = Constructor("app", (BinderApp("lam", "x", (Constructor("int"), Var("x"))), t))
+    return t
+
+
+@pytest.mark.parametrize("depth", [300, 450])
+def test_evaluate_deeply_nested_term(stlc_consts, depth):
+    value, trace = evaluate(identity_chain(depth), stlc_consts)
+    assert value == Constructor("ci")
+    assert len(trace) == depth
+    assert {ts.kind for ts in trace} == {"contextual-reduction"}
 
 
 def test_evaluate_out_of_fuel(boollist):
