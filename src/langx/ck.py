@@ -24,8 +24,9 @@ from .ir import (
     MachineStep,
     Metavariable,
     Term,
+    context_holes,
 )
-from .engine import context_holes, is_value_pattern
+from .engine import is_value_pattern
 
 CONTINUATION_CATEGORY = "Continuation"
 CONTINUATION_METAVAR = "k"

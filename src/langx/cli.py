@@ -66,15 +66,14 @@ EXIT_DISAGREE = 5
 class Style:
     """ANSI color helper honoring LANGX_COLOR={auto,always,never}."""
 
-    def __init__(self, mode: Optional[str] = None, stream=None):
-        mode = mode or os.environ.get("LANGX_COLOR", "auto")
-        stream = stream if stream is not None else sys.stdout
+    def __init__(self):
+        mode = os.environ.get("LANGX_COLOR", "auto")
         if mode == "always":
             self.enabled = True
         elif mode == "never":
             self.enabled = False
         else:
-            self.enabled = hasattr(stream, "isatty") and stream.isatty()
+            self.enabled = hasattr(sys.stdout, "isatty") and sys.stdout.isatty()
 
     def _wrap(self, code: str, text: str) -> str:
         return f"\x1b[{code}m{text}\x1b[0m" if self.enabled else text
@@ -90,67 +89,67 @@ class Style:
 
 
 class Reporter:
-    """Uniform text / line-delimited JSON output."""
+    """Uniform text / line-delimited JSON output; every line the CLI prints
+    goes through emit."""
 
     def __init__(self, structured: bool, style: Style):
         self.structured = structured
         self.style = style
 
-    def record(self, **fields) -> None:
+    def emit(self, text: Optional[str], err: bool = False, **record) -> None:
+        """Print record as one JSON line in structured mode; otherwise print
+        text, to stderr if err, unless it is None."""
         if self.structured:
-            print(json.dumps(fields))
-
-    def text(self, message: str, err: bool = False) -> None:
-        if not self.structured:
-            print(message, file=sys.stderr if err else sys.stdout)
+            print(json.dumps(record))
+        elif text is not None:
+            print(text, file=sys.stderr if err else sys.stdout)
 
     def diagnostic(self, message: str, span: Optional[str] = None) -> None:
-        if self.structured:
-            print(json.dumps({"kind": "diagnostic", "message": message,
-                              "span": span}))
-        else:
-            print(message, file=sys.stderr)
+        self.emit(message, err=True, kind="diagnostic", message=message, span=span)
 
 
-def _load_spec(path: str, rep: Reporter) -> Optional[LanguageSpec]:
+def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
-        rep.diagnostic(f"cannot read {path}: {exc.strerror}")
-        return None
-    return parse_spec(text, filename=path)
+        raise LangxError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _load_spec(path: str) -> LanguageSpec:
+    return parse_spec(_read(path), filename=path)
+
+
+def _derive(spec: LanguageSpec, path: str) -> LanguageSpec:
+    """The machine derived from spec's evaluation contexts."""
+    if spec.context_category is None:
+        raise LangxError(f"{path}: no evaluation-context category to derive from")
+    return derive_ck(spec)
 
 
 def _write_output(text: str, path: Optional[str], rep: Reporter) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-        rep.record(kind="written", message=path)
-    elif rep.structured:
-        rep.record(kind="spec", message=text)
+        rep.emit(None, kind="written", message=path)
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        rep.emit(text.removesuffix("\n"), kind="spec", message=text)
 
 
 def cmd_check(args, rep: Reporter) -> int:
-    spec = _load_spec(args.spec, rep)
-    if spec is None:
-        return EXIT_INVALID
-    rep.record(kind="ok", message=f"{spec.name}: valid")
-    rep.text(f"{spec.name}: valid")
+    spec = _load_spec(args.spec)
+    message = f"{spec.name}: valid"
+    rep.emit(message, kind="ok", message=message)
     return EXIT_OK
 
 
 def cmd_add_subtyping(args, rep: Reporter) -> int:
-    spec = _load_spec(args.spec, rep)
-    if spec is None:
-        return EXIT_INVALID
+    spec = _load_spec(args.spec)
     try:
         out = add_subtyping(spec)
     except SubtypingError as exc:
-        rep.record(kind="error", rule=exc.rule_name, message=str(exc))
-        rep.text(str(exc), err=True)
+        rep.emit(str(exc), err=True, kind="error", rule=exc.rule_name,
+                 message=str(exc))
         return EXIT_TRANSFORM
     if args.with_relations:
         extra = generate_subtype_relation(spec) + generate_join_relation(spec)
@@ -160,13 +159,8 @@ def cmd_add_subtyping(args, rep: Reporter) -> int:
 
 
 def cmd_derive_ck(args, rep: Reporter) -> int:
-    spec = _load_spec(args.spec, rep)
-    if spec is None:
-        return EXIT_INVALID
-    if spec.context_category is None:
-        rep.diagnostic(f"{args.spec}: no evaluation-context category to derive from")
-        return EXIT_INVALID
-    _write_output(print_spec(derive_ck(spec)), args.output, rep)
+    spec = _load_spec(args.spec)
+    _write_output(print_spec(_derive(spec, args.spec)), args.output, rep)
     return EXIT_OK
 
 
@@ -181,85 +175,54 @@ def _print_trace(trace, spec: LanguageSpec, rep: Reporter) -> None:
     for step in trace:
         before = _render_state(step.before, spec)
         after = _render_state(step.after, spec)
-        rep.record(kind=step.kind, rule=step.rule_name,
-                   before=before, after=after)
-        if not rep.structured:
-            label = rep.style.rule(f"[{step.kind}/{step.rule_name}]")
-            print(f"{label} {before}  ~~>  {after}")
-
-
-def cmd_eval(args, rep: Reporter) -> int:
-    spec = _load_spec(args.spec, rep)
-    if spec is None:
-        return EXIT_INVALID
-    if args.term_file:
-        try:
-            with open(args.term_file, encoding="utf-8") as handle:
-                source = handle.read()
-        except OSError as exc:
-            rep.diagnostic(f"cannot read {args.term_file}: {exc.strerror}")
-            return EXIT_INVALID
-    else:
-        source = args.term
-    if source is None:
-        rep.diagnostic("eval needs a term argument or --term-file")
-        return EXIT_INVALID
-    term = parse_term(source, spec, concrete=True)
-
-    if args.machine == "ck":
-        machine_spec = spec
-        if not spec.machine_rules():
-            if spec.context_category is None:
-                rep.diagnostic("spec has no machine rules and no contexts to derive them from")
-                return EXIT_INVALID
-            machine_spec = derive_ck(spec)
-        runner = lambda: ck_eval(MachineConfig(term, MT), machine_spec, fuel=args.fuel)
-        render_spec = machine_spec
-    else:
-        runner = lambda: evaluate(term, spec, fuel=args.fuel)
-        render_spec = spec
-
-    try:
-        value, trace = runner()
-    except Stuck as exc:
-        if args.trace:
-            _print_trace(exc.trace, render_spec, rep)
-        stuck_at = render_term(exc.term, render_spec)
-        rep.record(kind="stuck", message=stuck_at)
-        rep.text(rep.style.bad(f"stuck: {stuck_at}"), err=True)
-        return EXIT_STUCK
-    except StuckMachine as exc:
-        if args.trace:
-            _print_trace(exc.trace, render_spec, rep)
-        state = _render_state(exc.config, render_spec)
-        rep.record(kind="stuck", message=state)
-        rep.text(rep.style.bad(f"stuck: {state}"), err=True)
-        return EXIT_STUCK
-    except OutOfFuel as exc:
-        if args.trace:
-            _print_trace(exc.trace, render_spec, rep)
-        state = _render_state(exc.state, render_spec)
-        rep.record(kind="out-of-fuel", message=state)
-        rep.text(rep.style.bad(f"out of fuel after {args.fuel} steps at {state}"),
-                 err=True)
-        return EXIT_FUEL
-
-    if args.trace:
-        _print_trace(trace, render_spec, rep)
-    rep.record(kind="value", message=render_term(value, render_spec))
-    rep.text(render_term(value, render_spec))
-    return EXIT_OK
+        label = rep.style.rule(f"[{step.kind}/{step.rule_name}]")
+        rep.emit(f"{label} {before}  ~~>  {after}", kind=step.kind,
+                 rule=step.rule_name, before=before, after=after)
 
 
 def _outcome(run, state, spec: LanguageSpec, fuel: int):
-    """How run (evaluate or ck_eval) ends on state: a value, stuck or out of fuel."""
+    """How run (evaluate or ck_eval) ends on state, as (kind, value or the
+    state the run stopped at, trace); kind is value, stuck or out-of-fuel."""
     try:
-        value, _ = run(state, spec, fuel=fuel)
-        return ("value", value)
-    except (Stuck, StuckMachine):
-        return ("stuck", None)
-    except OutOfFuel:
-        return ("out-of-fuel", None)
+        value, trace = run(state, spec, fuel=fuel)
+        return "value", value, trace
+    except Stuck as exc:
+        return "stuck", exc.term, exc.trace
+    except StuckMachine as exc:
+        return "stuck", exc.config, exc.trace
+    except OutOfFuel as exc:
+        return "out-of-fuel", exc.state, exc.trace
+
+
+def cmd_eval(args, rep: Reporter) -> int:
+    spec = _load_spec(args.spec)
+    source = _read(args.term_file) if args.term_file else args.term
+    if source is None:
+        raise LangxError("eval needs a term argument or --term-file")
+    term = parse_term(source, spec, concrete=True)
+
+    if args.machine == "ck":
+        if not spec.machine_rules():
+            if spec.context_category is None:
+                raise LangxError(
+                    "spec has no machine rules and no contexts to derive them from")
+            spec = derive_ck(spec)
+        kind, result, trace = _outcome(ck_eval, MachineConfig(term, MT), spec, args.fuel)
+    else:
+        kind, result, trace = _outcome(evaluate, term, spec, args.fuel)
+
+    if args.trace:
+        _print_trace(trace, spec, rep)
+    shown = _render_state(result, spec)
+    if kind == "value":
+        rep.emit(shown, kind=kind, message=shown)
+        return EXIT_OK
+    if kind == "stuck":
+        rep.emit(rep.style.bad(f"stuck: {shown}"), err=True, kind=kind, message=shown)
+        return EXIT_STUCK
+    rep.emit(rep.style.bad(f"out of fuel after {args.fuel} steps at {shown}"),
+             err=True, kind=kind, message=shown)
+    return EXIT_FUEL
 
 
 def outcomes_agree(a, b) -> bool:
@@ -316,24 +279,14 @@ def shrink_counterexample(term: Term, disagrees) -> Term:
 
 
 def cmd_compare(args, rep: Reporter) -> int:
-    spec = _load_spec(args.spec, rep)
-    if spec is None:
-        return EXIT_INVALID
-    if args.ck:
-        machine_spec = _load_spec(args.ck, rep)
-        if machine_spec is None:
-            return EXIT_INVALID
-    else:
-        if spec.context_category is None:
-            rep.diagnostic(f"{args.spec}: no evaluation-context category to derive from")
-            return EXIT_INVALID
-        machine_spec = derive_ck(spec)
-
+    spec = _load_spec(args.spec)
+    machine_spec = _load_spec(args.ck) if args.ck else _derive(spec, args.spec)
     machine_fuel = 3 * args.fuel
 
     def outcomes(term: Term):
-        return (_outcome(evaluate, term, spec, args.fuel),
-                _outcome(ck_eval, MachineConfig(term, MT), machine_spec, machine_fuel))
+        """(kind, value) of each side; the stopping state plays no part."""
+        return (_outcome(evaluate, term, spec, args.fuel)[:2],
+                _outcome(ck_eval, MachineConfig(term, MT), machine_spec, machine_fuel)[:2])
 
     def disagrees(term: Term) -> bool:
         return not outcomes_agree(*outcomes(term))
@@ -347,34 +300,31 @@ def cmd_compare(args, rep: Reporter) -> int:
         ok = outcomes_agree(source, machine)
         total += 1
         agreed += ok
-        rep.record(kind="compare", index=index,
-                   term=render_term(term, spec),
-                   source=_outcome_text(source, spec),
-                   machine=_outcome_text(machine, machine_spec),
-                   agree=ok)
-        if not ok:
-            rep.text(rep.style.bad(
-                f"disagreement on term {index}: {render_term(term, spec)}\n"
-                f"  small-step: {_outcome_text(source, spec)}\n"
-                f"  machine:    {_outcome_text(machine, machine_spec)}"))
-            if first_failure is None:
-                first_failure = term
+        shown = render_term(term, spec)
+        source_text = _outcome_text(source, spec)
+        machine_text = _outcome_text(machine, machine_spec)
+        rep.emit(None if ok else rep.style.bad(
+                     f"disagreement on term {index}: {shown}\n"
+                     f"  small-step: {source_text}\n"
+                     f"  machine:    {machine_text}"),
+                 kind="compare", index=index, term=shown, source=source_text,
+                 machine=machine_text, agree=ok)
+        if not ok and first_failure is None:
+            first_failure = term
 
     if total < args.count:
         rep.diagnostic(f"only {total} of the {args.count} requested terms "
                        f"typechecked within the attempt limit")
     summary = f"{agreed}/{total} agree"
-    rep.record(kind="summary", message=summary, agree=agreed, total=total)
+    style = rep.style.good if agreed == total else rep.style.bad
+    rep.emit(style(summary), kind="summary", message=summary, agree=agreed, total=total)
     if agreed == total:
-        rep.text(rep.style.good(summary))
         return EXIT_OK
 
-    rep.text(rep.style.bad(summary))
     minimal = shrink_counterexample(first_failure, disagrees)
-    rep.record(kind="counterexample", term=render_term(minimal, spec),
-               size=term_size(minimal))
-    rep.text(f"minimal counterexample ({term_size(minimal)} nodes): "
-             f"{render_term(minimal, spec)}")
+    shown = render_term(minimal, spec)
+    rep.emit(f"minimal counterexample ({term_size(minimal)} nodes): {shown}",
+             kind="counterexample", term=shown, size=term_size(minimal))
     return EXIT_DISAGREE
 
 
@@ -432,22 +382,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "fuel", 1) <= 0:
-        print("fuel must be positive", file=sys.stderr)
-        return EXIT_INVALID
-    if getattr(args, "count", 1) <= 0:
-        print("count must be positive", file=sys.stderr)
-        return EXIT_INVALID
     rep = Reporter(args.format == "structured", Style())
     try:
+        if getattr(args, "fuel", 1) <= 0:
+            raise LangxError("fuel must be positive")
+        if getattr(args, "count", 1) <= 0:
+            raise LangxError("count must be positive")
         return args.func(args, rep)
     except SpecParseError as exc:
         for err in exc.errors:
             rep.diagnostic(str(err), span=str(err.span))
         return EXIT_INVALID
     except CKError as exc:
-        rep.record(kind="error", message=str(exc))
-        rep.text(str(exc), err=True)
+        rep.emit(str(exc), err=True, kind="error", message=str(exc))
         return EXIT_TRANSFORM
     except LangxError as exc:
         rep.diagnostic(str(exc))

@@ -34,6 +34,7 @@ from .ir import (
     TypeEq,
     Typing,
     Var,
+    context_holes,
     term_size,
     subterms,
 )
@@ -389,14 +390,6 @@ def _refill(path: list[tuple[Constructor, int]], filler: Term) -> Term:
         filler = Constructor(node.name, node.args[:hole_at] + (filler,)
                              + node.args[hole_at + 1:])
     return filler
-
-
-def context_holes(production: Constructor, context_name: str) -> list[int]:
-    """Positions of a context production's arguments that hold the hole: the
-    hole itself or a metavariable of the context category."""
-    return [i for i, a in enumerate(production.args)
-            if isinstance(a, Hole)
-            or (isinstance(a, Metavariable) and a.category == context_name)]
 
 
 def _context_table(spec: LanguageSpec) -> dict[tuple[str, int], list[tuple[int, list]]]:
@@ -805,14 +798,18 @@ def _restrict_expression(spec: LanguageSpec,
     return dataclasses.replace(spec, categories=categories)
 
 
+# Terms drawn from one grammar, full or narrowed, before the next is chosen.
+SWARM_CHUNK = 25
+
+
 def _restricted_specs(spec: LanguageSpec) -> dict[tuple[int, ...], LanguageSpec]:
     """Specs whose Expression grammar keeps only some productions, by their
     indices; iter_swarm_terms fills it as it draws them."""
     return {}
 
 
-def iter_swarm_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 7,
-                     chunk: int = 25) -> Iterator[Term]:
+def iter_swarm_terms(spec: LanguageSpec, seed: int = 0,
+                     max_size: int = 7) -> Iterator[Term]:
     """Random terms, alternating full-grammar and narrowed-grammar chunks.
 
     A uniform grammar walk almost never lines up several rare productions in
@@ -862,4 +859,4 @@ def iter_swarm_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 7,
                 break
         yield from islice(
             iter_random_terms(sub, rng.randrange(2 ** 32), max_size,
-                              min_budget=floor), chunk)
+                              min_budget=floor), SWARM_CHUNK)

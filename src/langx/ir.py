@@ -128,6 +128,14 @@ def metavariable_tokens(t: Term) -> Iterator[str]:
             yield s.token
 
 
+def context_holes(production: Constructor, context_name: str) -> list[int]:
+    """Positions of a context production's arguments that hold the hole: the
+    hole itself or a metavariable of the context category."""
+    return [i for i, a in enumerate(production.args)
+            if isinstance(a, Hole)
+            or (isinstance(a, Metavariable) and a.category == context_name)]
+
+
 # ---------------------------------------------------------------------------
 # formulas
 
@@ -254,12 +262,6 @@ class LanguageSpec:
     def category(self, name: str) -> Optional[GrammarCategory]:
         for cat in self.categories:
             if cat.name == name:
-                return cat
-        return None
-
-    def category_for_metavariable(self, metavar: str) -> Optional[GrammarCategory]:
-        for cat in self.categories:
-            if cat.metavariable == metavar:
                 return cat
         return None
 

@@ -36,6 +36,7 @@ from .ir import (
     Var,
     VARIANCE_MARKS,
     DEFAULT_VARIANCE,
+    context_holes,
     find_metavariable,
     formula_terms,
     is_variable,
@@ -709,7 +710,7 @@ def _validate(
         err(1, f"contexts directive names unknown category {spec.context_name!r}")
 
     # arity consistency and binder/constructor separation
-    arities: dict[str, int] = {}
+    arities = spec.constructor_arities()
     binder_arities: dict[str, int] = {}
 
     def walk(term: Term, line: int) -> None:
@@ -717,7 +718,7 @@ def _validate(
             if isinstance(s, Constructor):
                 if s.name in spec.binders:
                     err(line, f"{s.name!r} is declared as a binder but used without a bound variable")
-                a = arities.setdefault(s.name, len(s.args))
+                a = arities[s.name]
                 if a != len(s.args):
                     err(line, f"constructor {s.name!r} used with arities {a} and {len(s.args)}")
             elif isinstance(s, BinderApp):
@@ -733,8 +734,6 @@ def _validate(
         for f in (*rule.premises, rule.conclusion):
             for t in formula_terms(f):
                 walk(t, line)
-
-    declared = set(arities) | set(binder_arities)
 
     # holes live only in context-category productions
     ctx = spec.context_category
@@ -757,6 +756,12 @@ def _validate(
                 err(cat_spans.get(ctx.name, 1),
                     f"context production {render_term(p, spec)!r} "
                     f"must contain exactly one hole")
+            elif not isinstance(p, Constructor) or not context_holes(p, ctx.name):
+                # decompose and the derived machine look for the hole among
+                # an operator's direct arguments only
+                err(cat_spans.get(ctx.name, 1),
+                    f"context production {render_term(p, spec)!r} must be an "
+                    f"operator application with the hole as a direct argument")
 
     rule_names: set[str] = set()
     for rule in spec.rules:
@@ -809,8 +814,6 @@ def _validate(
                 for s in subterms(t):
                     if isinstance(s, Metavariable) and s.category != "Type":
                         err(line, f"rule {rule.name!r} uses {s.token!r} in a type position")
-                    if isinstance(s, Constructor) and s.name not in declared:
-                        err(line, f"constructor {s.name!r} is not declared in any grammar production")
             if isinstance(f, Typing) and len({v for v, _ in f.env.extensions}) != len(f.env.extensions):
                 err(line, f"rule {rule.name!r} repeats a variable in one environment")
             if isinstance(f, Join) and len(f.operands) < 2:

@@ -369,3 +369,96 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout == "stlc: valid\n"
+
+
+# -- structured output -------------------------------------------------------------
+
+OMEGA = "(app (lam x (app x x)) (lam x (app x x)))"
+NO_START = """\
+language nostart
+
+variables x
+
+grammar
+  Expression e ::= x | c | (f e e)
+  Value v ::= c
+  Context E ::= [.] | (f v E)
+
+rule r-f
+  --------------------------------
+  (f v1 v2) --> v1
+"""
+
+# Every way the CLI ends, as its exit code and argv; {tmp} is a directory
+# holding the files the structured_paths fixture writes.
+STRUCTURED_PATHS = {
+    "check": (0, ["check", fix("stlc.lang")]),
+    "add-subtyping": (0, ["add-subtyping", fix("references.lang"),
+                          "--with-relations"]),
+    "add-subtyping-to-file": (0, ["add-subtyping", fix("stlc.lang"),
+                                  "-o", "{tmp}/out.lang"]),
+    "derive-ck": (0, ["derive-ck", fix("stlc.lang")]),
+    "derive-ck-to-file": (0, ["derive-ck", fix("stlc.lang"),
+                              "-o", "{tmp}/out.lang"]),
+    "eval": (0, ["eval", fix("boollist.lang"), "--term-file", "{tmp}/term.txt",
+                 "--trace"]),
+    "eval-machine": (0, ["eval", fix("boollist.lang"), "(and t f)",
+                         "--machine", "ck", "--trace"]),
+    "compare": (0, ["compare", fix("boollist.lang"), "--count", "20"]),
+    "compare-disagreement": (5, ["compare", fix("boollist.lang"),
+                                 "--ck", "{tmp}/boollist.ck.bad.lang",
+                                 "--count", "50", "--fuel", "200"]),
+    "unreadable-spec": (1, ["check", fix("nope.lang")]),
+    "unreadable-term-file": (1, ["eval", fix("boollist.lang"),
+                                 "--term-file", "{tmp}/nope.txt"]),
+    "missing-term": (1, ["eval", fix("boollist.lang")]),
+    "spec-parse-error": (1, ["check", "{tmp}/bad.lang"]),
+    "nested-context": (1, ["eval", "{tmp}/nested.lang",
+                           "(unwrap (wrap (app (lam x B x) (lam x B x))))"]),
+    "term-parse-error": (1, ["eval", fix("boollist.lang"), "(nosuch t)"]),
+    "no-contexts": (1, ["derive-ck", fix("references.lang")]),
+    "no-contexts-compare": (1, ["compare", fix("references.lang"), "--count", "5"]),
+    "no-machine": (1, ["eval", fix("references.lang"), "ci", "--machine", "ck"]),
+    "ck-error": (2, ["derive-ck", "{tmp}/nostart.lang"]),
+    "subtyping-error": (2, ["add-subtyping", fix("app2.lang")]),
+    "stuck": (3, ["eval", fix("boollist.lang"), "(hd (app (lam x x) nil))",
+                  "--trace"]),
+    "stuck-machine": (3, ["eval", fix("boollist.lang"), "(hd nil)",
+                          "--machine", "ck"]),
+    "out-of-fuel": (4, ["eval", fix("boollist.lang"), OMEGA, "--fuel", "5",
+                        "--trace"]),
+    "fuel-0": (1, ["eval", fix("boollist.lang"), "(and t f)", "--fuel", "0"]),
+    "count-0": (1, ["compare", fix("boollist.lang"), "--count", "0"]),
+    "nested-too-deeply": (1, ["eval", fix("stlc_consts.lang"),
+                              "--term-file", "{tmp}/deep.txt"]),
+}
+
+
+@pytest.fixture
+def structured_paths(capsys, tmp_path):
+    mutated_machine(tmp_path, capsys)
+    (tmp_path / "term.txt").write_text("(and t f)\n")
+    (tmp_path / "bad.lang").write_text(
+        "language broken\n\ngrammar\n  Expression e ::= x | (f e\n")
+    (tmp_path / "nostart.lang").write_text(NO_START)
+    (tmp_path / "nested.lang").write_text(
+        (FIXTURES / "stlc.lang").read_text()
+        .replace("(app e e)", "(app e e) | (wrap e) | (unwrap e)")
+        .replace("(app v E)", "(app v E) | (unwrap (wrap E))"))
+    (tmp_path / "deep.txt").write_text(
+        "(app (lam x int x) " * 600 + "ci" + ")" * 600)
+    return tmp_path
+
+
+@pytest.mark.parametrize("exit_code,argv", STRUCTURED_PATHS.values(),
+                         ids=STRUCTURED_PATHS)
+def test_structured_mode_prints_only_records(capsys, structured_paths,
+                                             exit_code, argv):
+    argv = [a.format(tmp=structured_paths) for a in argv]
+    code, out, err = run(capsys, "--format", "structured", *argv)
+    assert code == exit_code
+    assert out
+    for line in out.splitlines():
+        record = json.loads(line)
+        assert isinstance(record, dict) and "kind" in record, line
+    assert err == ""

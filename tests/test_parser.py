@@ -195,6 +195,18 @@ def test_context_missing_hole_rejected():
     assert any("hole" in m.lower() or "context" in m.lower() for m in msgs)
 
 
+@pytest.mark.parametrize("production", ["(unwrap (wrap E))", "(lam x T E)"])
+def test_context_hole_must_be_a_direct_operator_argument(production):
+    # decompose and derive-ck find the hole among an operator's direct
+    # arguments only, so a nested hole or a binder context is refused
+    bad = MINIMAL.replace("Expression e ::= x | c",
+                          "Expression e ::= x | c | (wrap e) | (unwrap e)") \
+                 .replace("(app v E)", f"(app v E) | {production}")
+    msgs = errors_of(bad)
+    assert any(f"context production {production!r}" in m
+               and "hole as a direct argument" in m for m in msgs)
+
+
 def test_variance_unknown_mark_rejected():
     bad = MINIMAL + "\nvariance\n  lam : sideways co\n"
     assert errors_of(bad)
