@@ -114,6 +114,8 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise LangxError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise LangxError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from exc
 
 
 def _load_spec(path: str) -> LanguageSpec:

@@ -438,20 +438,92 @@ def step(t: Term, spec: LanguageSpec,
 
 def evaluate(t: Term, spec: LanguageSpec, fuel: int = 10000) -> tuple[Term, list[TraceStep]]:
     """Iterate step until a value; raises Stuck or OutOfFuel."""
+    return _run(t, fuel, lambda term, cats: is_value(term, spec, cats),
+                lambda term, cats: step(term, spec, cats), Stuck)
+
+
+def _run(state: Union[Term, MachineConfig], fuel: int, finished, advance,
+         stuck: type[EngineError]) -> tuple[Union[Term, MachineConfig], list[TraceStep]]:
+    """The fuel loop of both semantics: advance state one step at a time until
+    finished(state, cats) holds.  advance(state, cats) returns the step taken,
+    or None when no rule applies, which raises stuck(state, trace).
+
+    Both semantics are deterministic, so a run that meets a state it has
+    already been in loops forever.  The loop keeps one saved state, moved
+    forward whenever the step count is a power of two (Brent), and stops as
+    soon as the current state equals it: the OutOfFuel it raises then is the
+    one running the fuel out would raise, its trace padded with the loop's own
+    steps.
+    """
     trace: list[TraceStep] = []
-    current = t
+    saved, saved_at = state, 0
     for _ in range(fuel):
         cats: Categories = {}
-        if is_value(current, spec, cats):
-            return current, trace
-        ts = step(current, spec, cats)
-        if ts is None:
-            raise Stuck(current, trace)
-        trace.append(ts)
-        current = ts.after
-    if is_value(current, spec):
-        return current, trace
-    raise OutOfFuel(current, trace)
+        if finished(state, cats):
+            return state, trace
+        taken = advance(state, cats)
+        if taken is None:
+            raise stuck(state, trace)
+        trace.append(taken)
+        state = taken.after
+        steps = len(trace)
+        if _same_state(state, saved):
+            raise _looping(trace, steps - saved_at, fuel)
+        if steps & (steps - 1) == 0:
+            saved, saved_at = state, steps
+    if finished(state, {}):
+        return state, trace
+    raise OutOfFuel(state, trace)
+
+
+# A repeated state is only reported when at most this many node pairs show
+# it, so the check costs O(1) per step; a loop through bigger states runs its
+# fuel out instead.
+_REPEAT_PAIRS = 16
+
+
+def _same_state(a: Union[Term, MachineConfig], b: Union[Term, MachineConfig]) -> bool:
+    """Are a and b equal?  A breadth-first walk over node pairs that skips
+    identical pairs and gives up after _REPEAT_PAIRS others, so False means
+    only that equality was not shown.  It runs after every step, hence the
+    exact-class tests in place of a match statement."""
+    pairs = [(a, b)]
+    budget = _REPEAT_PAIRS
+    for x, y in pairs:   # the list grows while it is walked: breadth first
+        if x is y:
+            continue
+        budget -= 1
+        kind = type(x)
+        if budget < 0 or kind is not type(y):
+            return False
+        if kind is Constructor:
+            if x.name != y.name or len(x.args) != len(y.args):
+                return False
+            pairs.extend(zip(x.args, y.args))
+        elif kind is MachineConfig:
+            pairs.append((x.focus, y.focus))
+            pairs.append((x.continuation, y.continuation))
+        elif kind is Var:
+            if x.name != y.name:
+                return False
+        elif kind is BinderApp:
+            if (x.binder != y.binder or x.bound_var != y.bound_var
+                    or len(x.args) != len(y.args)):
+                return False
+            pairs.extend(zip(x.args, y.args))
+        else:
+            return False
+    return True
+
+
+def _looping(trace: list[TraceStep], period: int, fuel: int) -> OutOfFuel:
+    """The OutOfFuel of a run whose state after len(trace) steps equals its
+    state period steps earlier: from there on it repeats the last period
+    steps, so after fuel steps it is where those steps lead."""
+    loop = trace[-period:]
+    laps, rest = divmod(fuel - len(trace), period)
+    trace = trace + loop * laps + loop[:rest]
+    return OutOfFuel(trace[-1].after, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +586,8 @@ def _machine_rules_by_focus(
 
 def ck_eval(config: MachineConfig, spec: LanguageSpec,
             fuel: int = 10000) -> tuple[Term, list[TraceStep]]:
-    """Run MachineStep rules until the terminal ⟨value, mt⟩ configuration.
+    """Run MachineStep rules until the terminal ⟨value, mt⟩ configuration;
+    raises StuckMachine or OutOfFuel.
 
     Rule choice is split on whether the focus is a value: a value focus only
     consults rules whose focus pattern is value-shaped (order, computation,
@@ -522,14 +595,12 @@ def ck_eval(config: MachineConfig, spec: LanguageSpec,
     would re-enter the rebuilding rules of value formers forever.
     """
     value_rules, other_rules = spec.derived(_machine_rules_by_focus)
-    trace: list[TraceStep] = []
-    current = config
-    for _ in range(fuel):
-        cats: Categories = {}
+
+    def finished(current: MachineConfig, cats: Categories) -> bool:
+        return current.continuation == MT and is_value(current.focus, spec, cats)
+
+    def advance(current: MachineConfig, cats: Categories) -> Optional[TraceStep]:
         focus_is_value = is_value(current.focus, spec, cats)
-        if focus_is_value and current.continuation == MT:
-            return current.focus, trace
-        stepped = None
         for rule in (value_rules if focus_is_value else other_rules):
             lhs = rule.conclusion.lhs
             sigma: Substitution = {}
@@ -541,15 +612,11 @@ def ck_eval(config: MachineConfig, spec: LanguageSpec,
                 instantiate(rhs.focus, sigma, spec),
                 instantiate(rhs.continuation, sigma, spec),
             )
-            stepped = TraceStep(_machine_kind(rule.name), rule.name, current, after)
-            break
-        if stepped is None:
-            raise StuckMachine(current, trace)
-        trace.append(stepped)
-        current = stepped.after
-    if is_value(current.focus, spec) and current.continuation == MT:
-        return current.focus, trace
-    raise OutOfFuel(current, trace)
+            return TraceStep(_machine_kind(rule.name), rule.name, current, after)
+        return None
+
+    final, trace = _run(config, fuel, finished, advance, StuckMachine)
+    return final.focus, trace
 
 
 # ---------------------------------------------------------------------------

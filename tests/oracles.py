@@ -2,10 +2,24 @@
 
 from itertools import product
 
+from langx.engine import (
+    MT,
+    OutOfFuel,
+    Stuck,
+    StuckMachine,
+    TraceStep,
+    _machine_kind,
+    _machine_rules_by_focus,
+    _match,
+    instantiate,
+    is_value,
+    step,
+)
 from langx.ir import (
     BinderApp,
     Constructor,
     Hole,
+    MachineConfig,
     Metavariable,
     Var,
 )
@@ -36,6 +50,57 @@ def _generates(production, t, spec):
                 and len(t.args) == len(production.args)
                 and all(_generates(s, a, spec) for s, a in zip(production.args, t.args)))
     return False
+
+
+def oracle_evaluate(t, spec, fuel=10000):
+    """Small-step evaluation that takes every step its fuel allows."""
+    trace = []
+    current = t
+    for _ in range(fuel):
+        cats = {}
+        if is_value(current, spec, cats):
+            return current, trace
+        ts = step(current, spec, cats)
+        if ts is None:
+            raise Stuck(current, trace)
+        trace.append(ts)
+        current = ts.after
+    if is_value(current, spec):
+        return current, trace
+    raise OutOfFuel(current, trace)
+
+
+def oracle_ck_eval(config, spec, fuel=10000):
+    """Machine evaluation that takes every transition its fuel allows."""
+    value_rules, other_rules = spec.derived(_machine_rules_by_focus)
+    trace = []
+    current = config
+    for _ in range(fuel):
+        cats = {}
+        focus_is_value = is_value(current.focus, spec, cats)
+        if focus_is_value and current.continuation == MT:
+            return current.focus, trace
+        stepped = None
+        for rule in (value_rules if focus_is_value else other_rules):
+            lhs = rule.conclusion.lhs
+            sigma = {}
+            if not (_match(lhs.focus, current.focus, sigma, spec, cats)
+                    and _match(lhs.continuation, current.continuation, sigma, spec, cats)):
+                continue
+            rhs = rule.conclusion.rhs
+            after = MachineConfig(
+                instantiate(rhs.focus, sigma, spec),
+                instantiate(rhs.continuation, sigma, spec),
+            )
+            stepped = TraceStep(_machine_kind(rule.name), rule.name, current, after)
+            break
+        if stepped is None:
+            raise StuckMachine(current, trace)
+        trace.append(stepped)
+        current = stepped.after
+    if is_value(current.focus, spec) and current.continuation == MT:
+        return current.focus, trace
+    raise OutOfFuel(current, trace)
 
 
 def compositions(total, parts):

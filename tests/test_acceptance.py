@@ -5,12 +5,14 @@ checklist.  Golden outputs live in fixtures/golden/ and are compared byte
 for byte.
 """
 
+import hashlib
+import json
 import re
 import time
 
 import pytest
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, swapped_order_machine_text
 from langx import cli
 from langx.ck import derive_ck
 from langx.engine import check_subtype, typecheck, TypecheckError
@@ -188,14 +190,7 @@ def test_criterion_11_print_then_parse_is_the_identity():
 
 def test_criterion_12_compare_catches_a_machine_with_swapped_order_targets(
         capsys, tmp_path):
-    text = golden("langfunny.ck.lang")
-    retarget = {
-        "<e3 , (doublyApply_3 v1 v2 e4 k)>": "<e3 , (doublyApply_2 v1 v2 e4 k)>",
-        "<e4 , (doublyApply_4 v1 v2 v3 k)>": "<e4 , (doublyApply_3 v1 v2 v3 k)>",
-    }
-    for needle, replacement in retarget.items():
-        assert text.count(needle) == 1
-        text = text.replace(needle, replacement)
+    text = swapped_order_machine_text()
     parse_spec(text)  # still a valid machine spec, just miswired
     bad = tmp_path / "langfunny.ck.bad.lang"
     bad.write_text(text)
@@ -210,3 +205,20 @@ def test_criterion_12_compare_catches_a_machine_with_swapped_order_targets(
     assert found, captured.out
     assert int(found.group(1)) <= 10
     assert found.group(2).startswith("(doublyApply ")
+
+
+def test_criterion_12_structured_compare_output_is_pinned(capsys, tmp_path):
+    # The machine loops on the counterexample; the run that finds the
+    # repeated state must report exactly what running the fuel out reports.
+    bad = tmp_path / "langfunny.ck.bad.lang"
+    bad.write_text(swapped_order_machine_text())
+    code = cli.main(["--format", "structured", "compare",
+                     str(FIXTURES / "langfunny.lang"), "--ck", str(bad),
+                     "--count", "5000", "--max-size", "10", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert code == 5
+    counterexample = json.loads(out.splitlines()[-1])
+    assert counterexample["kind"] == "counterexample"
+    assert counterexample["term"] == "(doublyApply (lam x B c2) (lam x B c2) c2 c2)"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "9b4e3c37def121cb6ffefa24b694fd3cce77be38023cce1d08d8e9b8925b28a9"

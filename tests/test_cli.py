@@ -143,6 +143,16 @@ def test_eval_of_a_deeply_nested_term_ends_in_a_diagnostic(tmp_path, depth, mach
     assert "Traceback" not in result.stderr
 
 
+def test_non_utf8_input_ends_in_a_diagnostic(tmp_path):
+    spec = tmp_path / "bytes.lang"
+    spec.write_bytes(b"\xff\xfe")
+    result = subprocess.run([sys.executable, "-m", "langx", "check", str(spec)],
+                            capture_output=True, text=True)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr == f"cannot read {spec}: not UTF-8 at byte 0\n"
+
+
 @pytest.mark.parametrize("depth", [300, 450])
 def test_small_step_eval_of_a_deeply_nested_term_succeeds(tmp_path, depth):
     term = tmp_path / "deep.txt"
@@ -411,6 +421,9 @@ STRUCTURED_PATHS = {
     "unreadable-spec": (1, ["check", fix("nope.lang")]),
     "unreadable-term-file": (1, ["eval", fix("boollist.lang"),
                                  "--term-file", "{tmp}/nope.txt"]),
+    "non-utf8-spec": (1, ["check", "{tmp}/bytes.lang"]),
+    "non-utf8-term-file": (1, ["eval", fix("boollist.lang"),
+                               "--term-file", "{tmp}/bytes.lang"]),
     "missing-term": (1, ["eval", fix("boollist.lang")]),
     "spec-parse-error": (1, ["check", "{tmp}/bad.lang"]),
     "nested-context": (1, ["eval", "{tmp}/nested.lang",
@@ -441,6 +454,7 @@ def structured_paths(capsys, tmp_path):
     (tmp_path / "bad.lang").write_text(
         "language broken\n\ngrammar\n  Expression e ::= x | (f e\n")
     (tmp_path / "nostart.lang").write_text(NO_START)
+    (tmp_path / "bytes.lang").write_bytes(b"\xff\xfe")
     (tmp_path / "nested.lang").write_text(
         (FIXTURES / "stlc.lang").read_text()
         .replace("(app e e)", "(app e e) | (wrap e) | (unwrap e)")

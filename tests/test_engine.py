@@ -16,6 +16,7 @@ from langx.engine import (
     StuckMachine,
     TypecheckError,
     UnboundVariable,
+    _same_state,
     categories,
     check_subtype,
     ck_eval,
@@ -50,8 +51,14 @@ from langx.ir import (
 )
 from langx.parser import parse_spec, parse_term, render_term
 from langx.subtyping import add_subtyping
-from conftest import load
-from oracles import enumerate_closed_terms, enumerate_types, oracle_member
+from conftest import load, swapped_order_machine_text
+from oracles import (
+    enumerate_closed_terms,
+    enumerate_types,
+    oracle_ck_eval,
+    oracle_evaluate,
+    oracle_member,
+)
 
 
 def conc(text, spec):
@@ -311,6 +318,31 @@ def test_evaluate_stuck(boollist):
     assert info.value.trace == []
 
 
+def deep_equal(a, b):
+    """a == b for terms, configurations, traces and outcomes of any depth, with
+    an explicit stack where == takes Python frames per level.  Each pair of
+    objects is compared once, however often the two sides share it."""
+    pending = [(a, b)]
+    seen = set()
+    while pending:
+        x, y = pending.pop()
+        if x is y or (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, (tuple, list)):
+            if len(x) != len(y):
+                return False
+            pending.extend(zip(x, y))
+        elif dataclasses.is_dataclass(x):
+            pending.extend((getattr(x, f.name), getattr(y, f.name))
+                           for f in dataclasses.fields(x))
+        elif x != y:
+            return False
+    return True
+
+
 def identity_chain(depth):
     """(app (lam x int x) (app (lam x int x) ... ci)), depth applications."""
     t = Constructor("ci")
@@ -369,6 +401,73 @@ def test_machine_out_of_fuel(boollist):
     omega = conc("(app (lam x (app x x)) (lam x (app x x)))", boollist)
     with pytest.raises(OutOfFuel):
         ck_eval(MachineConfig(omega, MT), derived, fuel=10)
+
+
+OMEGA = "(app (lam x (app x x)) (lam x (app x x)))"
+# Every step rebuilds the states of this loop, so the equality walk finds no
+# identical subterms to skip, and they hold more node pairs than it compares:
+# the repeat is not seen.
+BIG_LOOP_HALF = "(lam x (app (lam x1 (app x x)) (cons t (cons f (cons t nil)))))"
+BIG_LOOP = f"(app {BIG_LOOP_HALF} {BIG_LOOP_HALF})"
+SHORT_RUN = "(app (lam x (if x t f)) (and f (hd (cons t nil))))"
+
+# name: spec, term (None for a 300-deep identity chain), semantics, and how
+# the run ends: it repeats a state, runs out of fuel unseen, or reaches a value
+RUNS = {
+    "omega": ("boollist", OMEGA, "smallstep", "repeats"),
+    "omega-machine": ("boollist", OMEGA, "ck", "repeats"),
+    "swapped-order-machine": ("langfunny", "(doublyApply (lam x B c2) (lam x B c2) c2 c2)",
+                              "swapped", "repeats"),
+    "big-loop": ("boollist", BIG_LOOP, "smallstep", "out-of-fuel"),
+    "big-loop-machine": ("boollist", BIG_LOOP, "ck", "out-of-fuel"),
+    "short-run": ("boollist", SHORT_RUN, "smallstep", "value"),
+    "short-run-machine": ("boollist", SHORT_RUN, "ck", "value"),
+    "identity-chain": ("stlc_consts", None, "smallstep", "value"),
+    "identity-chain-machine": ("stlc_consts", None, "ck", "value"),
+}
+
+
+@pytest.mark.parametrize("spec_name,text,semantics,ending", RUNS.values(), ids=RUNS)
+def test_runs_end_exactly_as_the_full_fuel_loop(spec_name, text, semantics, ending):
+    spec = load(spec_name)
+    term = identity_chain(300) if text is None else conc(text, spec)
+    # The last fuel is the budget compare gives that side.
+    if semantics == "smallstep":
+        runs, state, budget = (evaluate, oracle_evaluate), term, 10000
+    else:
+        spec = (parse_spec(swapped_order_machine_text()) if semantics == "swapped"
+                else derive_ck(spec))
+        runs, state, budget = (ck_eval, oracle_ck_eval), MachineConfig(term, MT), 3 * 10000
+    for fuel in [*range(1, 41), budget]:
+        fast, full = (cli._outcome(run, state, spec, fuel) for run in runs)
+        assert deep_equal(fast, full), fuel
+    # A run seen to repeat pads its trace with the loop's own steps.
+    kind, _, trace = fast
+    assert kind == ("value" if ending == "value" else "out-of-fuel")
+    assert (len({id(s) for s in trace}) < len(trace)) == (ending == "repeats")
+
+
+def test_same_state_shows_equality_only_within_its_pair_budget():
+    lam = BinderApp("lam", "x", (Var("x"),))
+    config = MachineConfig(Constructor("app", (lam, lam)), MT)
+    copy = MachineConfig(Constructor("app", (BinderApp("lam", "x", (Var("x"),)), lam)),
+                         Constructor("mt"))
+    assert _same_state(config, copy)
+    for other in (
+            MachineConfig(Constructor("app", (BinderApp("lam", "x", (Var("y"),)), lam)), MT),
+            MachineConfig(Constructor("app", (BinderApp("lam", "y", (Var("x"),)), lam)), MT),
+            MachineConfig(Constructor("app", (BinderApp("mu", "x", (Var("x"),)), lam)), MT),
+            MachineConfig(Constructor("app", (lam, lam, lam)), MT),
+            MachineConfig(Constructor("app", (lam, HOLE)), MT),
+            MachineConfig(Constructor("app", (lam, lam)), Constructor("mt", (lam,))),
+            Constructor("app", (lam, lam))):
+        assert not _same_state(config, other)
+        assert not _same_state(other, config)
+    # Equal, but only shown by walking more pairs than the budget allows.
+    assert not _same_state(identity_chain(20), identity_chain(20))
+    assert not _same_state(identity_chain(5000), identity_chain(5000))
+    chain = identity_chain(5000)
+    assert _same_state(chain, chain)
 
 
 def outcome_smallstep(t, spec, fuel):
