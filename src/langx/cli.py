@@ -251,12 +251,21 @@ def well_typed_terms(spec: LanguageSpec, count: int, seed: int,
         for _ in range(count):
             yield next(stream)
         return
+    # The stream repeats most of its draws, so each distinct draw's verdict
+    # is kept for the rest of this call.
+    verdicts: dict[Term, bool] = {}
     produced = 0
     for _ in range(max(200 * count, 10000)):
         term = next(stream)
-        try:
-            typecheck(term, spec)
-        except (TypecheckError, NoJoin):
+        typed = verdicts.get(term)
+        if typed is None:
+            try:
+                typecheck(term, spec)
+                typed = True
+            except (TypecheckError, NoJoin):
+                typed = False
+            verdicts[term] = typed
+        if not typed:
             continue
         yield term
         produced += 1
@@ -285,26 +294,36 @@ def cmd_compare(args, rep: Reporter) -> int:
     machine_spec = _load_spec(args.ck) if args.ck else _derive(spec, args.spec)
     machine_fuel = 3 * args.fuel
 
-    def outcomes(term: Term):
-        """(kind, value) of each side; the stopping state plays no part."""
-        return (_outcome(evaluate, term, spec, args.fuel)[:2],
-                _outcome(ck_eval, MachineConfig(term, MT), machine_spec, machine_fuel)[:2])
+    # Equal terms run and render alike, and most compared terms repeat an
+    # earlier one, so each distinct term's row is worked out once per call.
+    rows: dict[Term, tuple[bool, str, str, str]] = {}
+
+    def row(term: Term) -> tuple[bool, str, str, str]:
+        """Whether the sides agree on term, then the texts of term and of
+        each side's outcome; agreement compares (kind, value), the stopping
+        state plays no part."""
+        found = rows.get(term)
+        if found is None:
+            source = _outcome(evaluate, term, spec, args.fuel)[:2]
+            machine = _outcome(ck_eval, MachineConfig(term, MT), machine_spec,
+                               machine_fuel)[:2]
+            found = rows[term] = (outcomes_agree(source, machine),
+                                  render_term(term, spec),
+                                  _outcome_text(source, spec),
+                                  _outcome_text(machine, machine_spec))
+        return found
 
     def disagrees(term: Term) -> bool:
-        return not outcomes_agree(*outcomes(term))
+        return not row(term)[0]
 
     total = 0
     agreed = 0
     first_failure = None
     for index, term in enumerate(well_typed_terms(
             spec, args.count, args.seed, args.max_size)):
-        source, machine = outcomes(term)
-        ok = outcomes_agree(source, machine)
+        ok, shown, source_text, machine_text = row(term)
         total += 1
         agreed += ok
-        shown = render_term(term, spec)
-        source_text = _outcome_text(source, spec)
-        machine_text = _outcome_text(machine, machine_spec)
         rep.emit(None if ok else rep.style.bad(
                      f"disagreement on term {index}: {shown}\n"
                      f"  small-step: {source_text}\n"

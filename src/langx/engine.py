@@ -811,43 +811,48 @@ def iter_random_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 7,
             f"smallest closed term has {closed_sizes[expr.name]} nodes, above max size {max_size}")
     var_base = spec.variables[0] if spec.variables else "x"
 
-    def gen_cat(cat_name: str, budget: int, scope: tuple[str, ...], depth: int) -> Term:
+    # Each gen_* returns the term it builds with its size, so gen_slots
+    # need not measure the arguments it has just built.
+    def gen_cat(cat_name: str, budget: int, scope: tuple[str, ...],
+                depth: int) -> tuple[Term, int]:
         options = [p for p, size in productions[cat_name, not scope] if size <= budget]
         production = rng.choice(options)
         return gen_prod(production, budget, scope, depth)
 
-    def gen_prod(p: Term, budget: int, scope: tuple[str, ...], depth: int) -> Term:
+    def gen_prod(p: Term, budget: int, scope: tuple[str, ...],
+                 depth: int) -> tuple[Term, int]:
         match p:
             case Metavariable(_, _, cat_name):
                 return gen_cat(cat_name, budget, scope, depth)
             case Var(_):
-                return Var(rng.choice(scope))
+                return Var(rng.choice(scope)), 1
             case Constructor(name, slots):
-                return Constructor(name, gen_slots(slots, budget - 1, scope, depth))
+                args, size = gen_slots(slots, budget - 1, scope, depth)
+                return Constructor(name, args), 1 + size
             case BinderApp(binder, _, slots):
                 bound = f"{var_base}{depth}" if depth else var_base
-                inner = scope + (bound,)
-                return BinderApp(binder, bound,
-                                 gen_slots(slots, budget - 1, inner, depth + 1))
+                args, size = gen_slots(slots, budget - 1, scope + (bound,), depth + 1)
+                return BinderApp(binder, bound, args), 1 + size
             case _:
-                return p
+                return p, term_size(p)
 
-    def gen_slots(slots: tuple[Term, ...], budget: int,
-                  scope: tuple[str, ...], depth: int) -> tuple[Term, ...]:
+    def gen_slots(slots: tuple[Term, ...], budget: int, scope: tuple[str, ...],
+                  depth: int) -> tuple[tuple[Term, ...], int]:
         args = []
         remaining = budget
         mins = [_production_size(s, open_sizes, closed_sizes, not scope) for s in slots]
         for i, slot in enumerate(slots):
             reserve = sum(mins[i + 1:])
             give = rng.randint(mins[i], max(mins[i], remaining - reserve))
-            args.append(gen_prod(slot, give, scope, depth))
-            remaining -= term_size(args[-1])
-        return tuple(args)
+            arg, size = gen_prod(slot, give, scope, depth)
+            args.append(arg)
+            remaining -= size
+        return tuple(args), budget - remaining
 
     floor = max(closed_sizes[expr.name], min(min_budget, max_size))
     while True:
         budget = rng.randint(floor, max_size)
-        yield gen_cat(expr.name, budget, (), 0)
+        yield gen_cat(expr.name, budget, (), 0)[0]
 
 
 def random_terms(spec: LanguageSpec, count: int, seed: int = 0,

@@ -1,19 +1,31 @@
 """Brute-force reference implementations the fast code is checked against."""
 
+import json
 from itertools import product
 
+from langx.cli import (
+    _outcome,
+    _outcome_text,
+    outcomes_agree,
+    shrink_counterexample,
+)
 from langx.engine import (
     MT,
     OutOfFuel,
     Stuck,
     StuckMachine,
     TraceStep,
+    TypecheckError,
     _machine_kind,
     _machine_rules_by_focus,
     _match,
+    ck_eval,
+    evaluate,
     instantiate,
     is_value,
+    iter_swarm_terms,
     step,
+    typecheck,
 )
 from langx.ir import (
     BinderApp,
@@ -22,7 +34,10 @@ from langx.ir import (
     MachineConfig,
     Metavariable,
     Var,
+    term_size,
 )
+from langx.parser import render_term
+from langx.subtyping import NoJoin
 
 
 def oracle_member(t, category_name, spec):
@@ -102,6 +117,68 @@ def oracle_ck_eval(config, spec, fuel=10000):
         return current.focus, trace
     raise OutOfFuel(current, trace)
 
+
+
+def oracle_compare(spec, machine_spec, count, seed, max_size, fuel=10000):
+    """Exit code and structured stdout of `langx compare`, typechecking every
+    draw and running and rendering every compared term afresh."""
+    machine_fuel = 3 * fuel
+
+    def outcomes(term):
+        return (_outcome(evaluate, term, spec, fuel)[:2],
+                _outcome(ck_eval, MachineConfig(term, MT), machine_spec, machine_fuel)[:2])
+
+    def disagrees(term):
+        return not outcomes_agree(*outcomes(term))
+
+    def well_typed_terms():
+        stream = iter_swarm_terms(spec, seed=seed, max_size=max_size)
+        if not spec.typing_rules():
+            for _ in range(count):
+                yield next(stream)
+            return
+        produced = 0
+        for _ in range(max(200 * count, 10000)):
+            term = next(stream)
+            try:
+                typecheck(term, spec)
+            except (TypecheckError, NoJoin):
+                continue
+            yield term
+            produced += 1
+            if produced >= count:
+                return
+
+    records = []
+    total = 0
+    agreed = 0
+    first_failure = None
+    for index, term in enumerate(well_typed_terms()):
+        source, machine = outcomes(term)
+        ok = outcomes_agree(source, machine)
+        total += 1
+        agreed += ok
+        records.append({"kind": "compare", "index": index,
+                        "term": render_term(term, spec),
+                        "source": _outcome_text(source, spec),
+                        "machine": _outcome_text(machine, machine_spec),
+                        "agree": ok})
+        if not ok and first_failure is None:
+            first_failure = term
+    if total < count:
+        records.append({"kind": "diagnostic",
+                        "message": f"only {total} of the {count} requested terms "
+                                   f"typechecked within the attempt limit",
+                        "span": None})
+    records.append({"kind": "summary", "message": f"{agreed}/{total} agree",
+                    "agree": agreed, "total": total})
+    code = 0
+    if agreed < total:
+        minimal = shrink_counterexample(first_failure, disagrees)
+        records.append({"kind": "counterexample", "term": render_term(minimal, spec),
+                        "size": term_size(minimal)})
+        code = 5
+    return code, "".join(json.dumps(record) + "\n" for record in records)
 
 def compositions(total, parts):
     """All tuples of `parts` positive integers summing to `total`."""

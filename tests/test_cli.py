@@ -4,9 +4,11 @@ import sys
 
 import pytest
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, load, swapped_order_machine_text
 from langx import cli
+from langx.ck import derive_ck
 from langx.parser import parse_spec
+from oracles import oracle_compare
 
 
 def fix(name):
@@ -339,6 +341,77 @@ def test_compare_needs_contexts(capsys):
                          "--count", "5")
     assert code == 1
     assert "no evaluation-context category" in err
+
+
+def test_compare_works_on_each_distinct_term_once(capsys, monkeypatch):
+    received = {"typecheck": [], "evaluate": [], "ck_eval": []}
+
+    def counting(name, focus=lambda state: state):
+        original = getattr(cli, name)
+
+        def counted(state, *args, **kwargs):
+            received[name].append(focus(state))
+            return original(state, *args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+
+    counting("typecheck")
+    counting("evaluate")
+    counting("ck_eval", focus=lambda config: config.focus)
+    draws = []
+    stream = cli.iter_swarm_terms
+
+    def recorded_stream(*args, **kwargs):
+        for term in stream(*args, **kwargs):
+            draws.append(term)
+            yield term
+    monkeypatch.setattr(cli, "iter_swarm_terms", recorded_stream)
+
+    code, out, err = run(capsys, "--format", "structured", "compare",
+                         fix("langfunny.lang"), "--count", "1000",
+                         "--max-size", "10", "--seed", "0")
+    assert code == 0
+    assert len(set(draws)) < len(draws)
+    for name, terms in received.items():
+        assert terms, name
+        assert len(set(terms)) == len(terms), name
+    assert len(received["typecheck"]) == len(set(draws))
+
+
+def swapped_order_machine(tmp_path, capsys):
+    path = tmp_path / "langfunny.ck.bad.lang"
+    path.write_text(swapped_order_machine_text())
+    return path
+
+
+# The criterion-12 mutant at seed 4 disagrees on 5 records holding 4
+# distinct terms, so a disagreeing term repeats.  The boollist mutant's first
+# disagreement at seed 7, (if f t (and t f)), shrinks to (and t f).
+ORACLE_COMPARES = {
+    "langfunny-0": ("langfunny", None, 0),
+    "langfunny-1": ("langfunny", None, 1),
+    "langfunny-2": ("langfunny", None, 2),
+    "stlc_consts-0": ("stlc_consts", None, 0),
+    "swapped-order-4": ("langfunny", swapped_order_machine, 4),
+    "boollist-mutant-7": ("boollist", mutated_machine, 7),
+}
+
+
+@pytest.mark.parametrize("name,machine,seed", ORACLE_COMPARES.values(),
+                         ids=ORACLE_COMPARES)
+def test_compare_output_equals_the_memo_free_oracle(capsys, tmp_path, name,
+                                                    machine, seed):
+    spec = load(name)
+    argv = ["--format", "structured", "compare", fix(f"{name}.lang")]
+    if machine is None:
+        machine_spec = derive_ck(spec)
+    else:
+        path = machine(tmp_path, capsys)
+        argv += ["--ck", str(path)]
+        machine_spec = parse_spec(path.read_text(), filename=str(path))
+    code, out, err = run(capsys, *argv, "--count", "5000", "--max-size", "10",
+                         "--seed", str(seed))
+    assert (code, out) == oracle_compare(spec, machine_spec, 5000, seed, 10)
+    assert err == ""
 
 
 # -- global options ------------------------------------------------------------------
