@@ -15,8 +15,6 @@ from itertools import islice
 from typing import Iterator, Optional, Union
 
 from .ir import (
-    CONTRAVARIANT,
-    COVARIANT,
     HOLE,
     BinderApp,
     Constructor,
@@ -38,7 +36,7 @@ from .ir import (
     term_size,
     subterms,
 )
-from .subtyping import join_all
+from .subtyping import NoJoin, join_all, join_types
 
 Substitution = dict[str, Term]
 
@@ -584,38 +582,38 @@ def _machine_rules_by_focus(
     return value_rules, other_rules
 
 
-def ck_eval(config: MachineConfig, spec: LanguageSpec,
-            fuel: int = 10000) -> tuple[Term, list[TraceStep]]:
-    """Run MachineStep rules until the terminal ⟨value, mt⟩ configuration;
-    raises StuckMachine or OutOfFuel.
+def machine_step(config: MachineConfig, spec: LanguageSpec,
+                 cats: Optional[Categories] = None) -> Optional[TraceStep]:
+    """One machine transition from config, or None when no rule applies.
+    cats is the membership memo of config's subterms, shared with the caller.
 
     Rule choice is split on whether the focus is a value: a value focus only
     consults rules whose focus pattern is value-shaped (order, computation,
     plug), a non-value focus only the rest (start).  Plain first-match order
     would re-enter the rebuilding rules of value formers forever.
     """
+    cats = {} if cats is None else cats
     value_rules, other_rules = spec.derived(_machine_rules_by_focus)
+    for rule in (value_rules if is_value(config.focus, spec, cats) else other_rules):
+        lhs = rule.conclusion.lhs
+        sigma: Substitution = {}
+        if not (_match(lhs.focus, config.focus, sigma, spec, cats)
+                and _match(lhs.continuation, config.continuation, sigma, spec, cats)):
+            continue
+        rhs = rule.conclusion.rhs
+        after = MachineConfig(instantiate(rhs.focus, sigma, spec),
+                              instantiate(rhs.continuation, sigma, spec))
+        return TraceStep(_machine_kind(rule.name), rule.name, config, after)
+    return None
 
-    def finished(current: MachineConfig, cats: Categories) -> bool:
-        return current.continuation == MT and is_value(current.focus, spec, cats)
 
-    def advance(current: MachineConfig, cats: Categories) -> Optional[TraceStep]:
-        focus_is_value = is_value(current.focus, spec, cats)
-        for rule in (value_rules if focus_is_value else other_rules):
-            lhs = rule.conclusion.lhs
-            sigma: Substitution = {}
-            if not (_match(lhs.focus, current.focus, sigma, spec, cats)
-                    and _match(lhs.continuation, current.continuation, sigma, spec, cats)):
-                continue
-            rhs = rule.conclusion.rhs
-            after = MachineConfig(
-                instantiate(rhs.focus, sigma, spec),
-                instantiate(rhs.continuation, sigma, spec),
-            )
-            return TraceStep(_machine_kind(rule.name), rule.name, current, after)
-        return None
-
-    final, trace = _run(config, fuel, finished, advance, StuckMachine)
+def ck_eval(config: MachineConfig, spec: LanguageSpec,
+            fuel: int = 10000) -> tuple[Term, list[TraceStep]]:
+    """Iterate machine_step until the terminal ⟨value, mt⟩ configuration;
+    raises StuckMachine or OutOfFuel."""
+    final, trace = _run(config, fuel,
+                        lambda c, cats: c.continuation == MT and is_value(c.focus, spec, cats),
+                        lambda c, cats: machine_step(c, spec, cats), StuckMachine)
     return final.focus, trace
 
 
@@ -624,28 +622,12 @@ def ck_eval(config: MachineConfig, spec: LanguageSpec,
 
 
 def check_subtype(t1: Term, t2: Term, spec: LanguageSpec) -> bool:
-    """Reflexivity, transitively closed base axioms, and structural variance."""
-    if t1 == t2:
-        return True
-    if (isinstance(t1, Constructor) and isinstance(t2, Constructor)
-            and not t1.args and not t2.args):
-        return (t1.name, t2.name) in spec.base_subtype_closure()
-    if (isinstance(t1, Constructor) and isinstance(t2, Constructor)
-            and t1.name == t2.name and len(t1.args) == len(t2.args)):
-        marks = spec.variance.get(t1.name)
-        if marks is None or len(marks) != len(t1.args):
-            return False
-        for mark, a, b in zip(marks, t1.args, t2.args):
-            if mark == COVARIANT:
-                if not check_subtype(a, b, spec):
-                    return False
-            elif mark == CONTRAVARIANT:
-                if not check_subtype(b, a, spec):
-                    return False
-            elif a != b:
-                return False
-        return True
-    return False
+    """Reflexivity, transitively closed base axioms, and structural variance,
+    by the lattice law: t1 <: t2 exactly when t1 joined with t2 is t2."""
+    try:
+        return join_types(t1, t2, spec) == t2
+    except NoJoin:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -921,10 +903,10 @@ def iter_swarm_terms(spec: LanguageSpec, seed: int = 0,
                 if candidate is None:
                     candidate = restricted[kept] = _restrict_expression(
                         spec, tuple(productions[i] for i in kept))
-                try:
-                    next(iter_random_terms(candidate, rng.randrange(2 ** 32),
-                                           max_size))
-                except EngineError:
+                # One seed is taken per candidate, fit or not: the pinned
+                # swarm streams depend on it.
+                rng.randrange(2 ** 32)
+                if candidate.derived(_min_sizes)[1][expr.name] > max_size:
                     continue
                 sub = candidate
                 floor = rng.choice((max_size // 2, max_size))

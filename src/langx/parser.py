@@ -247,6 +247,8 @@ class _P:
                 and self.toks[self.i - 1].end == nxt.col
                 and self.toks[self.i - 1].line == nxt.line
             ):
+                if self.res.mode == _CONCRETE:
+                    raise self.fail("substitution not allowed in a concrete term")
                 self.next()
                 repl = self.term()
                 self.expect("SLASH")
@@ -735,13 +737,17 @@ def _validate(
             for t in formula_terms(f):
                 walk(t, line)
 
-    # holes live only in context-category productions
+    # holes live only in context-category productions; substitutions only
+    # on rule right-hand sides
     ctx = spec.context_category
     for cat in spec.categories:
-        if ctx is not None and cat.name == ctx.name:
-            continue
         for p in cat.productions:
-            if any(isinstance(s, Hole) for s in subterms(p)):
+            if any(isinstance(s, Subst) for s in subterms(p)):
+                err(cat_spans.get(cat.name, 1),
+                    f"production {render_term(p, spec)!r} contains a substitution; "
+                    f"substitutions belong on rule right-hand sides")
+            if (ctx is None or cat.name != ctx.name) \
+                    and any(isinstance(s, Hole) for s in subterms(p)):
                 err(cat_spans.get(cat.name, 1),
                     f"hole production outside the evaluation-context category {cat.name!r}")
     if ctx is not None:

@@ -28,6 +28,8 @@ from langx.engine import (
     typecheck,
 )
 from langx.ir import (
+    CONTRAVARIANT,
+    COVARIANT,
     BinderApp,
     Constructor,
     Hole,
@@ -117,6 +119,30 @@ def oracle_ck_eval(config, spec, fuel=10000):
         return current.focus, trace
     raise OutOfFuel(current, trace)
 
+
+def oracle_check_subtype(t1, t2, spec):
+    """Reflexivity, transitively closed base axioms, and structural variance."""
+    if t1 == t2:
+        return True
+    if (isinstance(t1, Constructor) and isinstance(t2, Constructor)
+            and not t1.args and not t2.args):
+        return (t1.name, t2.name) in spec.base_subtype_closure()
+    if (isinstance(t1, Constructor) and isinstance(t2, Constructor)
+            and t1.name == t2.name and len(t1.args) == len(t2.args)):
+        marks = spec.variance.get(t1.name)
+        if marks is None or len(marks) != len(t1.args):
+            return False
+        for mark, a, b in zip(marks, t1.args, t2.args):
+            if mark == COVARIANT:
+                if not oracle_check_subtype(a, b, spec):
+                    return False
+            elif mark == CONTRAVARIANT:
+                if not oracle_check_subtype(b, a, spec):
+                    return False
+            elif a != b:
+                return False
+        return True
+    return False
 
 
 def oracle_compare(spec, machine_spec, count, seed, max_size, fuel=10000):
@@ -290,8 +316,8 @@ def variance_by_substitution(term, path, spec, check_subtype):
     return "inv"
 
 
-def enumerate_closed_terms(spec, max_size):
-    """Every closed Expression term with at most `max_size` nodes.
+def enumerate_closed_terms(spec, max_size, category="Expression"):
+    """Every closed term of the category with at most `max_size` nodes.
 
     Bound variables are named by binder depth (x, x1, x2, ...) so terms are
     canonical; enumeration order is production order, then size splits.
@@ -335,8 +361,7 @@ def enumerate_closed_terms(spec, max_size):
             return out
         return []
 
-    expr = spec.expression_category.name
     terms = []
     for size in range(1, max_size + 1):
-        terms.extend(of_category(expr, size, (), 0))
+        terms.extend(of_category(category, size, (), 0))
     return terms

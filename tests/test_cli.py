@@ -502,6 +502,8 @@ STRUCTURED_PATHS = {
     "nested-context": (1, ["eval", "{tmp}/nested.lang",
                            "(unwrap (wrap (app (lam x B x) (lam x B x))))"]),
     "term-parse-error": (1, ["eval", fix("boollist.lang"), "(nosuch t)"]),
+    "term-substitution": (1, ["eval", fix("boollist.lang"), "t[t/x]"]),
+    "production-substitution": (1, ["check", "{tmp}/subst.lang"]),
     "no-contexts": (1, ["derive-ck", fix("references.lang")]),
     "no-contexts-compare": (1, ["compare", fix("references.lang"), "--count", "5"]),
     "no-machine": (1, ["eval", fix("references.lang"), "ci", "--machine", "ck"]),
@@ -527,6 +529,8 @@ def structured_paths(capsys, tmp_path):
     (tmp_path / "bad.lang").write_text(
         "language broken\n\ngrammar\n  Expression e ::= x | (f e\n")
     (tmp_path / "nostart.lang").write_text(NO_START)
+    (tmp_path / "subst.lang").write_text(
+        (FIXTURES / "stlc.lang").read_text().replace("(app e e)\n", "(app e e) | e[e/x]\n"))
     (tmp_path / "bytes.lang").write_bytes(b"\xff\xfe")
     (tmp_path / "nested.lang").write_text(
         (FIXTURES / "stlc.lang").read_text()

@@ -28,6 +28,7 @@ from langx.engine import (
     is_value_pattern,
     iter_random_terms,
     iter_swarm_terms,
+    machine_step,
     match_pattern,
     member,
     plug,
@@ -55,6 +56,7 @@ from conftest import load, swapped_order_machine_text
 from oracles import (
     enumerate_closed_terms,
     enumerate_types,
+    oracle_check_subtype,
     oracle_ck_eval,
     oracle_evaluate,
     oracle_member,
@@ -447,6 +449,49 @@ def test_runs_end_exactly_as_the_full_fuel_loop(spec_name, text, semantics, endi
     assert (len({id(s) for s in trace}) < len(trace)) == (ending == "repeats")
 
 
+def stepped(state, advance, finished):
+    """How a run ends and its trace, advancing state one transition at a
+    time until finished(state) holds or advance(state) returns None."""
+    trace = []
+    while not finished(state):
+        taken = advance(state)
+        if taken is None:
+            return "stuck", trace
+        trace.append(taken)
+        state = taken.after
+    return "value", trace
+
+
+# name: spec, term, and how both semantics end on it
+STEPPED = {
+    "short-run": ("boollist", SHORT_RUN, "value"),
+    "pair": ("langfunny", "(pair (app (lam x B x) c1) (doublyApply (lam x B x) "
+                          "(lam x B c2) c3 (pair c1 c2)))", "value"),
+    "stuck": ("boollist", "(hd nil)", "stuck"),
+}
+
+
+@pytest.mark.parametrize("spec_name,text,ending", STEPPED.values(), ids=STEPPED)
+def test_step_and_machine_step_take_the_runs_transitions_one_at_a_time(
+        spec_name, text, ending):
+    spec = load(spec_name)
+    machine = derive_ck(spec)
+    term = conc(text, spec)
+    config = MachineConfig(term, MT)
+    small = stepped(term, lambda t: step(t, spec), lambda t: is_value(t, spec))
+    big = stepped(config, lambda c: machine_step(c, machine),
+                  lambda c: c.continuation == MT and is_value(c.focus, machine))
+    assert small[0] == big[0] == ending
+    assert small == cli._outcome(evaluate, term, spec, 10000)[::2]
+    assert big == cli._outcome(ck_eval, config, machine, 10000)[::2]
+    if spec_name == "langfunny":
+        assert {s.kind for s in big[1]} == {
+            "machine-start", "machine-order", "machine-computation", "machine-plug"}
+    if ending == "stuck":
+        assert small[1] == []
+        assert [s.rule_name for s in big[1]] == ["hd-start"]
+
+
 def test_same_state_shows_equality_only_within_its_pair_budget():
     lam = BinderApp("lam", "x", (Var("x"),))
     config = MachineConfig(Constructor("app", (lam, lam)), MT)
@@ -508,6 +553,21 @@ def test_check_subtype_units(references):
     assert not check_subtype(ref(ii), ref(ff), references)
     assert check_subtype(arrow(ii, ff), arrow(ii, ff), references)
     assert not check_subtype(ii, Constructor("Bool"), references)
+
+
+def test_check_subtype_equals_the_variance_walk_on_all_small_types():
+    pairs = 0
+    for name in SPEC_FIXTURES:
+        spec = load(name)
+        if spec.type_category is None:
+            continue
+        types = enumerate_closed_terms(spec, 5, "Type")
+        for t1 in types:
+            for t2 in types:
+                assert check_subtype(t1, t2, spec) == oracle_check_subtype(t1, t2, spec), \
+                    (name, t1, t2)
+        pairs += len(types) ** 2
+    assert pairs == 96574
 
 
 def test_subtyping_is_a_partial_order(references):
@@ -702,10 +762,14 @@ def fingerprint(terms, spec):
     return digest.hexdigest()[:16]
 
 
-def test_seeded_term_streams_are_pinned(stlc_consts, langfunny):
+def test_seeded_term_streams_are_pinned(stlc, stlc_consts, langfunny):
     assert fingerprint(islice(iter_random_terms(stlc_consts, seed=0, max_size=9), 1000),
                        stlc_consts) == "0a6114130811bf70"
     assert fingerprint(islice(iter_swarm_terms(langfunny, seed=0, max_size=10), 1000),
                        langfunny) == "58d514590a24512a"
     assert fingerprint(cli.well_typed_terms(langfunny, 1000, 0, 10),
                        langfunny) == "d67d9ad44cc94597"
+    # stlc has no constant leaf, so some narrowed grammars have no closed
+    # term that fits and are drawn again.
+    assert fingerprint(islice(iter_swarm_terms(stlc, seed=0, max_size=10), 1000),
+                       stlc) == "d349436aaf0cb5ea"

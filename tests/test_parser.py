@@ -122,6 +122,13 @@ def test_parse_term_variables(stlc):
         parse_term("y", stlc, concrete=True)
 
 
+def test_parse_term_rejects_a_substitution_in_program_text():
+    spec = parse_spec(MINIMAL)
+    assert isinstance(parse_term("e[e/x]", spec), Subst)
+    with pytest.raises(SpecParseError, match="1:2: error: substitution"):
+        parse_term("c[c/x]", spec, concrete=True)
+
+
 def test_machine_config_formula(stlc):
     spec = parse_spec(print_spec(stlc))
     assert spec == stlc
@@ -187,6 +194,14 @@ def test_hole_outside_context_category_rejected():
                           "Expression e ::= x | c | [.]")
     msgs = errors_of(bad)
     assert any("hole" in m.lower() for m in msgs)
+
+
+def test_substitution_in_a_production_rejected():
+    # The term generator would yield such a production as it stands,
+    # metavariables and all.
+    bad = MINIMAL.replace("(app e e)\n", "(app e e) | e[e/x]\n")
+    assert any("production 'e[e/x]' contains a substitution" in m
+               for m in errors_of(bad))
 
 
 def test_context_missing_hole_rejected():
