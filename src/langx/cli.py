@@ -45,6 +45,7 @@ from .parser import (
     parse_spec,
     parse_term,
     print_spec,
+    render_state,
     render_term,
 )
 from .subtyping import (
@@ -166,17 +167,10 @@ def cmd_derive_ck(args, rep: Reporter) -> int:
     return EXIT_OK
 
 
-def _render_state(state, spec: LanguageSpec) -> str:
-    if isinstance(state, MachineConfig):
-        return (f"<{render_term(state.focus, spec)} , "
-                f"{render_term(state.continuation, spec)}>")
-    return render_term(state, spec)
-
-
 def _print_trace(trace, spec: LanguageSpec, rep: Reporter) -> None:
     for step in trace:
-        before = _render_state(step.before, spec)
-        after = _render_state(step.after, spec)
+        before = render_state(step.before, spec)
+        after = render_state(step.after, spec)
         label = rep.style.rule(f"[{step.kind}/{step.rule_name}]")
         rep.emit(f"{label} {before}  ~~>  {after}", kind=step.kind,
                  rule=step.rule_name, before=before, after=after)
@@ -205,17 +199,14 @@ def cmd_eval(args, rep: Reporter) -> int:
 
     if args.machine == "ck":
         if not spec.machine_rules():
-            if spec.context_category is None:
-                raise LangxError(
-                    "spec has no machine rules and no contexts to derive them from")
-            spec = derive_ck(spec)
+            spec = _derive(spec, args.spec)
         kind, result, trace = _outcome(ck_eval, MachineConfig(term, MT), spec, args.fuel)
     else:
         kind, result, trace = _outcome(evaluate, term, spec, args.fuel)
 
     if args.trace:
         _print_trace(trace, spec, rep)
-    shown = _render_state(result, spec)
+    shown = render_state(result, spec)
     if kind == "value":
         rep.emit(shown, kind=kind, message=shown)
         return EXIT_OK

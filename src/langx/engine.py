@@ -33,8 +33,10 @@ from .ir import (
     Typing,
     Var,
     context_holes,
-    term_size,
+    map_leaves,
     subterms,
+    term_head,
+    term_size,
 )
 from .subtyping import NoJoin, join_all, join_types
 
@@ -143,7 +145,7 @@ def _membership_table(spec: LanguageSpec) -> dict[tuple, tuple[
         for p in cat.productions:
             if isinstance(p, (Constructor, BinderApp, Var, Hole)):
                 slots = p.args if isinstance(p, (Constructor, BinderApp)) else ()
-                by_head.setdefault(_subject_head(p), {}).setdefault(
+                by_head.setdefault(term_head(p), {}).setdefault(
                     slots, set()).update(reached_by[cat.name])
     return {head: (frozenset().union(*entries.values()),
                    tuple((slots, frozenset(names)) for slots, names in entries.items()))
@@ -164,7 +166,7 @@ def _categories(t: Term, table: dict, cats: Categories) -> frozenset[str]:
     hit = cats.get(id(t))
     if hit is not None:
         return hit[1]
-    entry = table.get(_subject_head(t))
+    entry = table.get(term_head(t))
     if entry is None:
         return _NO_CATEGORIES
     if not getattr(t, "args", None):
@@ -175,7 +177,7 @@ def _categories(t: Term, table: dict, cats: Categories) -> frozenset[str]:
         pending = []
         for a in node.args:
             if getattr(a, "args", None) and id(a) not in cats:
-                child_entry = table.get(_subject_head(a))
+                child_entry = table.get(term_head(a))
                 if child_entry is None:
                     cats[id(a)] = (a, _NO_CATEGORIES)
                 else:
@@ -218,7 +220,7 @@ def member(t: Term, category_name: str, spec: LanguageSpec,
            cats: Optional[Categories] = None) -> bool:
     """Is t derivable from the named grammar category?"""
     table = spec.derived(_membership_table)
-    entry = table.get(_subject_head(t))
+    entry = table.get(term_head(t))
     if entry is None or category_name not in entry[0]:
         return False
     return category_name in _categories(t, table, {} if cats is None else cats)
@@ -405,14 +407,7 @@ def _context_table(spec: LanguageSpec) -> dict[tuple[str, int], list[tuple[int, 
 
 
 def plug(context: Term, filler: Term) -> Term:
-    match context:
-        case Hole():
-            return filler
-        case Constructor(name, args):
-            return Constructor(name, tuple(plug(a, filler) for a in args))
-        case BinderApp(binder, bound_var, args):
-            return BinderApp(binder, bound_var, tuple(plug(a, filler) for a in args))
-    return context
+    return map_leaves(context, lambda t: filler if isinstance(t, Hole) else t)
 
 
 # ---------------------------------------------------------------------------
@@ -634,23 +629,10 @@ def check_subtype(t1: Term, t2: Term, spec: LanguageSpec) -> bool:
 # typechecking
 
 
-def _subject_head(t: Term) -> tuple:
-    match t:
-        case Constructor(name, args):
-            return ("con", name, len(args))
-        case BinderApp(binder, _, args):
-            return ("bind", binder, len(args))
-        case Var(_):
-            return ("var",)
-        case Hole():
-            return ("hole",)
-    return ("any",)
-
-
 def _rules_by_head(spec: LanguageSpec) -> dict[tuple, InferenceRule]:
     table: dict[tuple, InferenceRule] = {}
     for rule in spec.typing_rules():
-        head = _subject_head(rule.conclusion.subject)
+        head = term_head(rule.conclusion.subject)
         if head in table:
             raise NotSyntaxDirected(str(head[1] if len(head) > 1 else head[0]))
         table[head] = rule
@@ -666,7 +648,7 @@ def typecheck(t: Term, spec: LanguageSpec,
         if t.name in env:
             return env[t.name]
         raise UnboundVariable(t.name)
-    rule = table.get(_subject_head(t))
+    rule = table.get(term_head(t))
     if rule is None:
         raise NoRuleApplies(t)
     assert isinstance(rule.conclusion, Typing)

@@ -97,29 +97,48 @@ HOLE = Hole()
 
 def term_size(t: Term) -> int:
     """Number of nodes in a term, annotation subterms included."""
-    match t:
-        case Constructor(_, args):
-            return 1 + sum(term_size(a) for a in args)
-        case BinderApp(_, _, args):
-            return 1 + sum(term_size(a) for a in args)
-        case Subst(target, repl, _):
-            return 1 + term_size(target) + term_size(repl)
-        case _:
-            return 1
+    return sum(1 for _ in subterms(t))
 
 
 def subterms(t: Term) -> Iterator[Term]:
-    """All subterms of t, t itself first, pre-order."""
-    yield t
+    """All subterms of t, t itself first, pre-order, on an explicit stack."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        yield s
+        if isinstance(s, (Constructor, BinderApp)):
+            stack.extend(reversed(s.args))
+        elif isinstance(s, Subst):
+            stack.append(s.replacement)
+            stack.append(s.target)
+
+
+def map_leaves(t: Term, leaf: Callable[[Term], Term]) -> Term:
+    """t rebuilt with leaf applied to each metavariable, variable and hole,
+    in pre-order."""
     match t:
-        case Constructor(_, args) | BinderApp(_, _, args):
-            for a in args:
-                yield from subterms(a)
-        case Subst(target, repl, _):
-            yield from subterms(target)
-            yield from subterms(repl)
-        case _:
-            pass
+        case Constructor(name, args):
+            return Constructor(name, tuple(map_leaves(a, leaf) for a in args))
+        case BinderApp(binder, bound_var, args):
+            return BinderApp(binder, bound_var, tuple(map_leaves(a, leaf) for a in args))
+        case Subst(target, repl, var):
+            return Subst(map_leaves(target, leaf), map_leaves(repl, leaf), var)
+    return leaf(t)
+
+
+def term_head(t: Term) -> tuple:
+    """The key of t's outermost node: constructor or binder name with its
+    arity, or the leaf kind.  Metavariables and substitutions share ("any",)."""
+    match t:
+        case Constructor(name, args):
+            return ("con", name, len(args))
+        case BinderApp(binder, _, args):
+            return ("bind", binder, len(args))
+        case Var(_):
+            return ("var",)
+        case Hole():
+            return ("hole",)
+    return ("any",)
 
 
 def metavariable_tokens(t: Term) -> Iterator[str]:
@@ -219,6 +238,26 @@ def formula_terms(f: Formula) -> Iterator[Term]:
         case Join(result, operands):
             yield result
             yield from operands
+
+
+def map_formula(f: Formula, fn: Callable[[Term], Term]) -> Formula:
+    """f rebuilt with fn applied to each term formula_terms yields, in its order."""
+    match f:
+        case Typing(env, subject, ty):
+            return Typing(EnvExpr(env.root, tuple((v, fn(t)) for v, t in env.extensions)),
+                          fn(subject), fn(ty))
+        case Reduction(lhs, rhs):
+            return Reduction(fn(lhs), fn(rhs))
+        case MachineStep(lhs, rhs):
+            return MachineStep(MachineConfig(fn(lhs.focus), fn(lhs.continuation)),
+                               MachineConfig(fn(rhs.focus), fn(rhs.continuation)))
+        case Subtype(sub, sup):
+            return Subtype(fn(sub), fn(sup))
+        case TypeEq(left, right):
+            return TypeEq(fn(left), fn(right))
+        case Join(result, operands):
+            return Join(fn(result), tuple(fn(o) for o in operands))
+    raise LangxError(f"cannot map {f!r}")
 
 
 def formula_metavariable_tokens(f: Formula) -> set[str]:

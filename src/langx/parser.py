@@ -41,6 +41,7 @@ from .ir import (
     formula_terms,
     is_variable,
     subterms,
+    term_head,
 )
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_'-]*")
@@ -274,6 +275,9 @@ class _P:
                 self.expect("RPAREN")
                 return self._apply(head, args)
             case "HOLE":
+                if self.res.mode == _CONCRETE:
+                    self.i -= 1
+                    raise self.fail("context hole not allowed in a concrete term")
                 return HOLE
             case "LBRACK":
                 items: list[Term] = []
@@ -453,7 +457,7 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
     variables: list[str] = []
     binders: dict[str, int] = {}
     context_name: str | None = None
-    cat_headers: list[tuple[str, str, list[tuple[int, str]], int]] = []
+    cat_headers: list[tuple[str, str, int, list[_Tok]]] = []
     variance_lines: list[tuple[int, str]] = []
     subtype_lines: list[tuple[int, str]] = []
     rule_blocks: list[_Block] = []
@@ -497,7 +501,7 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
                                 SourceSpan(filename, line_no, 1),
                                 "grammar line is '<Category> <metavar> ::= productions'",
                             ))
-                        cat_headers.append((toks[0].text, toks[1].text, [(line_no, text)], line_no))
+                        cat_headers.append((toks[0].text, toks[1].text, line_no, toks[3:]))
                     except _Fail as f:
                         errors.append(f.error)
             case "variance":
@@ -522,12 +526,10 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
     categories: list[GrammarCategory] = []
     cat_spans: dict[str, int] = {}
     res.mode = _PRODUCTION
-    for cat_name, metavar, lines, head_line in cat_headers:
-        line_no, text = lines[0]
+    for cat_name, metavar, line_no, toks in cat_headers:
         cat_spans[cat_name] = line_no
         prods: list[Term] = []
         try:
-            toks = _tokenize(text, filename, line_no)[3:]
             segments: list[list[_Tok]] = [[]]
             depth = 0
             for tok in toks:
@@ -847,25 +849,13 @@ def _validate(
             err(1, f"ill-formed subtype lattice: {a} and {b} form a cycle")
             break
 
-    # every value production has an expression-production skeleton
+    # every value production has an expression production with its head; a
+    # metavariable production, head ("any",), needs none
     value_cat, expr_cat = spec.value_category, spec.expression_category
     if value_cat is not None and expr_cat is not None:
-        def skeleton(t: Term):
-            match t:
-                case Constructor(n, args):
-                    return ("con", n, len(args))
-                case BinderApp(b, _, args):
-                    return ("bind", b, len(args))
-                case Var(_):
-                    return ("var",)
-                case Metavariable(_, _, cat):
-                    return ("mv",)
-                case _:
-                    return ("other",)
-        expr_skels = {skeleton(p) for p in expr_cat.productions}
-        expr_skels.add(("mv",))
+        expr_heads = {("any",)} | {term_head(p) for p in expr_cat.productions}
         for p in value_cat.productions:
-            if skeleton(p) not in expr_skels:
+            if term_head(p) not in expr_heads:
                 err(cat_spans.get(value_cat.name, 1),
                     f"value production {render_term(p, spec)} has no expression counterpart")
 
@@ -913,6 +903,14 @@ def render_env(env: EnvExpr, spec: LanguageSpec) -> str:
     return ", ".join(parts)
 
 
+def render_state(state: Term | MachineConfig, spec: LanguageSpec) -> str:
+    """A term, or a machine configuration as <focus , continuation>."""
+    if isinstance(state, MachineConfig):
+        return (f"<{render_term(state.focus, spec)} , "
+                f"{render_term(state.continuation, spec)}>")
+    return render_term(state, spec)
+
+
 def render_formula(f: Formula, spec: LanguageSpec) -> str:
     match f:
         case Typing(env, subject, ty):
@@ -920,11 +918,7 @@ def render_formula(f: Formula, spec: LanguageSpec) -> str:
         case Reduction(lhs, rhs):
             return f"{render_term(lhs, spec)} --> {render_term(rhs, spec)}"
         case MachineStep(lhs, rhs):
-            return (
-                f"<{render_term(lhs.focus, spec)} , {render_term(lhs.continuation, spec)}>"
-                f" --> "
-                f"<{render_term(rhs.focus, spec)} , {render_term(rhs.continuation, spec)}>"
-            )
+            return f"{render_state(lhs, spec)} --> {render_state(rhs, spec)}"
         case Subtype(sub, sup):
             return f"{render_term(sub, spec)} <: {render_term(sup, spec)}"
         case TypeEq(left, right):

@@ -13,22 +13,16 @@ from __future__ import annotations
 import functools
 
 from .ir import (
-    BinderApp,
     CONTRAVARIANT,
     COVARIANT,
     INVARIANT,
     Constructor,
-    EnvExpr,
     Formula,
     InferenceRule,
     Join,
     LangxError,
     LanguageSpec,
-    MachineConfig,
-    MachineStep,
     Metavariable,
-    Reduction,
-    Subst,
     Subtype,
     Term,
     TypeEq,
@@ -36,6 +30,8 @@ from .ir import (
     formula_metavariable_tokens,
     formula_terms,
     fresh,
+    map_formula,
+    map_leaves,
     subterms,
 )
 from .variance import Occurrence, collect_occurrences, output_type_metavariables
@@ -105,19 +101,19 @@ def split_equal_types(
 
     cursor = {token: 0 for token in varmap}
 
-    def rewrite(t: Term) -> Term:
-        match t:
-            case Metavariable() if t.token in varmap:
-                i = cursor[t.token]
-                cursor[t.token] = i + 1
-                return varmap[t.token][i]
-            case Constructor(name, args):
-                return Constructor(name, tuple(rewrite(a) for a in args))
-            case _:
-                return t
+    def split(t: Term) -> Term:
+        if not isinstance(t, Metavariable) or t.token not in varmap:
+            return t
+        i = cursor[t.token]
+        if i == len(varmap[t.token]):
+            raise LangxError(
+                f"{t.token!r} also occurs under a binder or a substitution in a "
+                f"premise output type, where it has no variance")
+        cursor[t.token] = i + 1
+        return varmap[t.token][i]
 
     new_premises = tuple(
-        Typing(p.env, p.subject, rewrite(p.ty)) if isinstance(p, Typing) else p
+        Typing(p.env, p.subject, map_leaves(p.ty, split)) if isinstance(p, Typing) else p
         for p in premises
     )
     return new_premises, varmap
@@ -127,43 +123,9 @@ def split_equal_types(
 # renaming helpers
 
 
-def rename_term(t: Term, mapping: dict[str, Metavariable]) -> Term:
-    match t:
-        case Metavariable():
-            return mapping.get(t.token, t)
-        case Constructor(name, args):
-            return Constructor(name, tuple(rename_term(a, mapping) for a in args))
-        case Subst(target, repl, var):
-            return Subst(rename_term(target, mapping), rename_term(repl, mapping), var)
-        case BinderApp(binder, bound_var, args):
-            return BinderApp(binder, bound_var,
-                             tuple(rename_term(a, mapping) for a in args))
-        case _:
-            return t
-
-
 def rename_formula(f: Formula, mapping: dict[str, Metavariable]) -> Formula:
-    def rt(t: Term) -> Term:
-        return rename_term(t, mapping)
-
-    match f:
-        case Typing(env, subject, ty):
-            new_env = EnvExpr(env.root, tuple((v, rt(t)) for v, t in env.extensions))
-            return Typing(new_env, rt(subject), rt(ty))
-        case Reduction(lhs, rhs):
-            return Reduction(rt(lhs), rt(rhs))
-        case MachineStep(lhs, rhs):
-            return MachineStep(
-                MachineConfig(rt(lhs.focus), rt(lhs.continuation)),
-                MachineConfig(rt(rhs.focus), rt(rhs.continuation)),
-            )
-        case Subtype(sub, sup):
-            return Subtype(rt(sub), rt(sup))
-        case TypeEq(left, right):
-            return TypeEq(rt(left), rt(right))
-        case Join(result, operands):
-            return Join(rt(result), tuple(rt(o) for o in operands))
-    raise LangxError(f"cannot rename {f!r}")
+    return map_formula(f, lambda t: map_leaves(
+        t, lambda s: mapping.get(s.token, s) if isinstance(s, Metavariable) else s))
 
 
 # ---------------------------------------------------------------------------

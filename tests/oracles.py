@@ -35,11 +35,25 @@ from langx.ir import (
     Hole,
     MachineConfig,
     Metavariable,
+    Subst,
     Var,
     term_size,
 )
 from langx.parser import render_term
 from langx.subtyping import NoJoin
+
+
+def oracle_term_size(t):
+    """Number of nodes in a term, annotation subterms included."""
+    match t:
+        case Constructor(_, args):
+            return 1 + sum(oracle_term_size(a) for a in args)
+        case BinderApp(_, _, args):
+            return 1 + sum(oracle_term_size(a) for a in args)
+        case Subst(target, repl, _):
+            return 1 + oracle_term_size(target) + oracle_term_size(repl)
+        case _:
+            return 1
 
 
 def oracle_member(t, category_name, spec):

@@ -343,6 +343,13 @@ def test_compare_needs_contexts(capsys):
     assert "no evaluation-context category" in err
 
 
+def test_eval_on_the_machine_needs_contexts(capsys):
+    code, out, err = run(capsys, "eval", fix("references.lang"), "ci",
+                         "--machine", "ck")
+    assert code == 1
+    assert "references.lang: no evaluation-context category" in err
+
+
 def test_compare_works_on_each_distinct_term_once(capsys, monkeypatch):
     received = {"typecheck": [], "evaluate": [], "ck_eval": []}
 
@@ -503,6 +510,7 @@ STRUCTURED_PATHS = {
                            "(unwrap (wrap (app (lam x B x) (lam x B x))))"]),
     "term-parse-error": (1, ["eval", fix("boollist.lang"), "(nosuch t)"]),
     "term-substitution": (1, ["eval", fix("boollist.lang"), "t[t/x]"]),
+    "term-hole": (1, ["eval", fix("boollist.lang"), "(hd [.])", "--machine", "ck"]),
     "production-substitution": (1, ["check", "{tmp}/subst.lang"]),
     "no-contexts": (1, ["derive-ck", fix("references.lang")]),
     "no-contexts-compare": (1, ["compare", fix("references.lang"), "--count", "5"]),

@@ -3,13 +3,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import langx
-from conftest import load
+from conftest import FIXTURES, GOLDEN, load
 from langx.ir import (
     BinderApp,
     Constructor,
     HOLE,
     Join,
+    MachineStep,
     Metavariable,
+    Reduction,
     Subst,
     Subtype,
     TypeEq,
@@ -18,13 +20,16 @@ from langx.ir import (
     UnknownMetavariable,
     Var,
     formula_metavariable_tokens,
+    formula_terms,
     fresh,
+    map_formula,
     metavariable_tokens,
     resolve_metavariable,
     subterms,
     term_size,
 )
 from langx.parser import parse_spec, print_spec
+from oracles import oracle_term_size
 
 T = Metavariable("T", None, "Type")
 e = Metavariable("e", None, "Expression")
@@ -174,6 +179,40 @@ terms = st.recursive(
 @given(terms)
 def test_subterms_count_matches_size_modulo_subst(t):
     assert len(list(subterms(t))) == term_size(t)
+
+
+@given(terms)
+def test_term_size_matches_the_recursive_oracle(t):
+    assert term_size(t) == oracle_term_size(t)
+
+
+def test_subterms_and_term_size_walk_a_5000_deep_chain():
+    # built directly: the parser would stop at its own depth limit first
+    depth = 5000
+    ident = BinderApp("lam", "x", (Constructor("int"), Var("x")))
+    t = Constructor("ci")
+    for _ in range(depth):
+        t = Constructor("app", (ident, t))
+    walked = list(subterms(t))
+    assert term_size(t) == len(walked) == 4 * depth + 1
+    assert walked[0] is t and walked[1] is ident
+    assert walked[4] is t.args[1]
+
+
+def test_map_formula_rebuilds_the_terms_formula_terms_yields():
+    def wrap(t):
+        return Constructor("wrap", (t,))
+
+    kinds = set()
+    for path in (*sorted(FIXTURES.glob("*.lang")), *sorted(GOLDEN.glob("*.lang"))):
+        spec = parse_spec(path.read_text(), filename=path.name)
+        for rule in spec.rules:
+            for f in (*rule.premises, rule.conclusion):
+                kinds.add(type(f))
+                assert map_formula(f, lambda t: t) == f
+                assert list(formula_terms(map_formula(f, wrap))) == \
+                    [wrap(t) for t in formula_terms(f)]
+    assert kinds == {Typing, Reduction, MachineStep, Subtype, TypeEq, Join}
 
 
 @given(terms)

@@ -1,8 +1,11 @@
 import pytest
 
+from langx.engine import MT
 from langx.ir import (
+    HOLE,
     BinderApp,
     Constructor,
+    MachineConfig,
     Metavariable,
     Reduction,
     Subst,
@@ -15,6 +18,7 @@ from langx.parser import (
     parse_term,
     print_spec,
     render_formula,
+    render_state,
     render_term,
 )
 from conftest import FIXTURES, GOLDEN
@@ -127,6 +131,20 @@ def test_parse_term_rejects_a_substitution_in_program_text():
     assert isinstance(parse_term("e[e/x]", spec), Subst)
     with pytest.raises(SpecParseError, match="1:2: error: substitution"):
         parse_term("c[c/x]", spec, concrete=True)
+
+
+def test_parse_term_rejects_a_context_hole_in_program_text():
+    spec = parse_spec(MINIMAL)
+    assert parse_term("(app [.] c)", spec) == Constructor("app", (HOLE, Constructor("c")))
+    for text, col in (("[.]", 1), ("(app [.] c)", 6)):
+        with pytest.raises(SpecParseError, match=f"1:{col}: error: context hole"):
+            parse_term(text, spec, concrete=True)
+
+
+def test_render_state_shows_a_term_or_a_configuration(boollist):
+    t = parse_term("(hd nil)", boollist, concrete=True)
+    assert render_state(t, boollist) == "(hd nil)"
+    assert render_state(MachineConfig(t, MT), boollist) == "<(hd nil) , mt>"
 
 
 def test_machine_config_formula(stlc):

@@ -2,7 +2,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from langx.ir import Constructor, Metavariable, Typing, formula_metavariable_tokens
+from langx.ir import (
+    BinderApp,
+    Constructor,
+    LangxError,
+    Metavariable,
+    Typing,
+    formula_metavariable_tokens,
+)
 from langx.parser import parse_spec, parse_term, print_spec, render_formula
 from langx.subtyping import (
     MULTIPLE_CONTRAVARIANT,
@@ -51,6 +58,17 @@ def test_split_counts_against_original_names():
     out, varmap = split_equal_types(premises)
     assert [mv.token for mv in varmap["T"]] == ["T2", "T3"]
     assert out[2].ty == T1
+
+
+def test_split_refuses_a_repeated_metavariable_under_a_binder():
+    # Occurrences are counted through constructors only, where variance is
+    # defined; one more under a binder would be left unrelated.
+    T1 = Metavariable("T", "1", "Type")
+    e = Metavariable("e", None, "Expression")
+    premises = (Typing("G", e, BinderApp("all", "X", (T1,))),
+                Typing("G", e, T1), Typing("G", e, T1))
+    with pytest.raises(LangxError, match="'T1' also occurs under a binder"):
+        split_equal_types(premises)
 
 
 def test_split_leaves_single_occurrences_alone(stlc):
