@@ -168,12 +168,17 @@ def cmd_derive_ck(args, rep: Reporter) -> int:
 
 
 def _print_trace(trace, spec: LanguageSpec, rep: Reporter) -> None:
+    # A step usually starts from the state the step before it ended in, so
+    # that state is rendered once; a padded looping trace may start a step
+    # elsewhere, and then its state is rendered afresh.
+    previous, shown = None, ""
     for step in trace:
-        before = render_state(step.before, spec)
+        before = shown if step.before is previous else render_state(step.before, spec)
         after = render_state(step.after, spec)
         label = rep.style.rule(f"[{step.kind}/{step.rule_name}]")
         rep.emit(f"{label} {before}  ~~>  {after}", kind=step.kind,
                  rule=step.rule_name, before=before, after=after)
+        previous, shown = step.after, after
 
 
 def _outcome(run, state, spec: LanguageSpec, fuel: int):
@@ -196,6 +201,10 @@ def cmd_eval(args, rep: Reporter) -> int:
     if source is None:
         raise LangxError("eval needs a term argument or --term-file")
     term = parse_term(source, spec, concrete=True)
+    free = sorted(free_vars(term))
+    if free:
+        noun = "variable" if len(free) == 1 else "variables"
+        raise LangxError(f"eval needs a closed term; free {noun}: {', '.join(free)}")
 
     if args.machine == "ck":
         if not spec.machine_rules():

@@ -12,7 +12,7 @@ import dataclasses
 import random
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 from .ir import (
     HOLE,
@@ -284,17 +284,27 @@ def _match(pattern: Term, subject: Term, sigma: Substitution,
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    match t:
-        case Var(name):
-            return frozenset((name,))
-        case Constructor(_, args):
-            return frozenset().union(*(free_vars(a) for a in args)) if args else frozenset()
-        case BinderApp(_, bound_var, args):
-            inner = frozenset().union(*(free_vars(a) for a in args)) if args else frozenset()
-            return inner - {bound_var}
-        case Subst(target, repl, var):
-            return (free_vars(target) - {var}) | free_vars(repl)
-    return frozenset()
+    """The variables of t not bound above their occurrence, found on an
+    explicit stack, so t may be nested to any depth."""
+    free: set[str] = set()
+    stack: list[tuple[Term, frozenset[str]]] = [(t, frozenset())]
+    while stack:
+        node, bound = stack.pop()
+        kind = type(node)
+        if kind is Constructor:
+            for a in node.args:
+                stack.append((a, bound))
+        elif kind is Var:
+            if node.name not in bound:
+                free.add(node.name)
+        elif kind is BinderApp:
+            inner = bound | {node.bound_var}
+            for a in node.args:
+                stack.append((a, inner))
+        elif kind is Subst:
+            stack.append((node.target, bound | {node.var}))
+            stack.append((node.replacement, bound))
+    return frozenset(free)
 
 
 def substitute(t: Term, var: str, replacement: Term) -> Term:
@@ -746,14 +756,80 @@ def _min_sizes(spec: LanguageSpec) -> tuple[dict[str, int], dict[str, int]]:
     return open_sizes, closed_sizes
 
 
-def _production_sizes(
-        spec: LanguageSpec) -> dict[tuple[str, bool], tuple[tuple[Term, int], ...]]:
-    """Per (category, closed): each production but the hole, with its smallest size."""
-    open_sizes, closed_sizes = spec.derived(_min_sizes)
-    return {(cat.name, closed): tuple(
-                (p, _production_size(p, open_sizes, closed_sizes, closed))
-                for p in cat.productions if not isinstance(p, Hole))
-            for cat in spec.categories for closed in (False, True)}
+class _Choice:
+    """A category in a generation plan, for closed or open terms: its
+    productions with their smallest sizes, and per budget the ones that fit,
+    each row filled the first time that budget is drawn."""
+
+    __slots__ = ("sized", "rows")
+
+    def __init__(self):
+        self.sized: tuple[tuple[_Node, int], ...] = ()
+        self.rows: dict[int, tuple[_Node, ...]] = {}
+
+    def fitting(self, budget: int) -> tuple[_Node, ...]:
+        row = self.rows[budget] = tuple(p for p, size in self.sized if size <= budget)
+        return row
+
+
+class _Build:
+    """A constructor or binder production in a generation plan, with each
+    slot's plan, smallest size, and the reserve the slots after it need."""
+
+    __slots__ = ("production", "slots")
+
+    def __init__(self, production: Union[Constructor, BinderApp],
+                 slots: tuple[tuple[_Node, int, int], ...]):
+        self.production = production
+        self.slots = slots
+
+
+# For annotations only: typing caches a Union with its members, and a cached
+# class would keep its whole module alive after the module is imported again.
+if TYPE_CHECKING:
+    _Node = Union[int, _Build, Var, tuple[Term, int]]
+
+
+class _GenerationPlan:
+    """How iter_random_terms draws from one spec's grammar.  A production
+    compiles to a _Build, a Var, a (term, size) pair drawn as it is, or, for
+    a metavariable, the index of its category's _Choice in choices; a
+    category is compiled when first reached.
+
+    Indices in place of references keep a recursive grammar's plan free of
+    reference cycles, so it is freed with its spec by reference counting,
+    not by a later run of the cycle collector.
+    """
+
+    def __init__(self, spec: LanguageSpec):
+        self.categories = {cat.name: cat for cat in spec.categories}
+        self.sizes = spec.derived(_min_sizes)
+        self.choices: list[_Choice] = []
+        self.indices: dict[tuple[str, bool], int] = {}
+
+    def choice(self, cat_name: str, closed: bool) -> int:
+        index = self.indices.get((cat_name, closed))
+        if index is None:
+            # Indexed before it is filled: a recursive grammar reaches it again.
+            index = self.indices[cat_name, closed] = len(self.choices)
+            choice = _Choice()
+            self.choices.append(choice)
+            choice.sized = tuple(
+                (self.compile(p, closed), _production_size(p, *self.sizes, closed))
+                for p in self.categories[cat_name].productions if not isinstance(p, Hole))
+        return index
+
+    def compile(self, p: Term, closed: bool) -> _Node:
+        if isinstance(p, Metavariable):
+            return self.choice(p.category, closed)
+        if isinstance(p, Var):
+            return p
+        if isinstance(p, BinderApp) or (isinstance(p, Constructor) and p.args):
+            closed = closed and isinstance(p, Constructor)
+            mins = [_production_size(s, *self.sizes, closed) for s in p.args]
+            return _Build(p, tuple((self.compile(s, closed), low, sum(mins[i + 1:]))
+                                   for i, (s, low) in enumerate(zip(p.args, mins))))
+        return p, term_size(p)   # a nullary constructor or a hole, drawn as it is
 
 
 def iter_random_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 7,
@@ -765,8 +841,7 @@ def iter_random_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 7,
     the low end of the per-term size draw, biasing toward larger terms.
     """
     rng = random.Random(seed)
-    open_sizes, closed_sizes = spec.derived(_min_sizes)
-    productions = spec.derived(_production_sizes)
+    closed_sizes = spec.derived(_min_sizes)[1]
     expr = spec.expression_category
     if expr is None:
         raise EngineError("spec has no Expression category to generate terms for")
@@ -774,49 +849,46 @@ def iter_random_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 7,
         raise EngineError(
             f"smallest closed term has {closed_sizes[expr.name]} nodes, above max size {max_size}")
     var_base = spec.variables[0] if spec.variables else "x"
+    choose, randint = rng.choice, rng.randint
 
-    # Each gen_* returns the term it builds with its size, so gen_slots
-    # need not measure the arguments it has just built.
-    def gen_cat(cat_name: str, budget: int, scope: tuple[str, ...],
-                depth: int) -> tuple[Term, int]:
-        options = [p for p, size in productions[cat_name, not scope] if size <= budget]
-        production = rng.choice(options)
-        return gen_prod(production, budget, scope, depth)
-
-    def gen_prod(p: Term, budget: int, scope: tuple[str, ...],
-                 depth: int) -> tuple[Term, int]:
-        match p:
-            case Metavariable(_, _, cat_name):
-                return gen_cat(cat_name, budget, scope, depth)
-            case Var(_):
-                return Var(rng.choice(scope)), 1
-            case Constructor(name, slots):
-                args, size = gen_slots(slots, budget - 1, scope, depth)
-                return Constructor(name, args), 1 + size
-            case BinderApp(binder, _, slots):
+    # gen returns the term it builds with its size, so a _Build need not
+    # measure the arguments it has just built.  It runs once per node drawn,
+    # hence the exact-class tests in place of a match statement.
+    def gen(node: _Node, budget: int, scope: tuple[str, ...],
+            depth: int) -> tuple[Term, int]:
+        kind = type(node)
+        if kind is int:
+            choice = choices[node]
+            options = choice.rows.get(budget)
+            if options is None:
+                options = choice.fitting(budget)
+            return gen(choose(options), budget, scope, depth)
+        if kind is _Build:
+            production = node.production
+            binds = type(production) is BinderApp
+            if binds:
                 bound = f"{var_base}{depth}" if depth else var_base
-                args, size = gen_slots(slots, budget - 1, scope + (bound,), depth + 1)
-                return BinderApp(binder, bound, args), 1 + size
-            case _:
-                return p, term_size(p)
+                scope, depth = scope + (bound,), depth + 1
+            args = []
+            remaining = budget - 1
+            for slot, low, reserve in node.slots:
+                arg, size = gen(slot, randint(low, max(low, remaining - reserve)),
+                                scope, depth)
+                args.append(arg)
+                remaining -= size
+            if binds:
+                return BinderApp(production.binder, bound, tuple(args)), budget - remaining
+            return Constructor(production.name, tuple(args)), budget - remaining
+        if kind is Var:
+            return Var(choose(scope)), 1
+        return node   # a leaf's (term, size) pair
 
-    def gen_slots(slots: tuple[Term, ...], budget: int, scope: tuple[str, ...],
-                  depth: int) -> tuple[tuple[Term, ...], int]:
-        args = []
-        remaining = budget
-        mins = [_production_size(s, open_sizes, closed_sizes, not scope) for s in slots]
-        for i, slot in enumerate(slots):
-            reserve = sum(mins[i + 1:])
-            give = rng.randint(mins[i], max(mins[i], remaining - reserve))
-            arg, size = gen_prod(slot, give, scope, depth)
-            args.append(arg)
-            remaining -= size
-        return tuple(args), budget - remaining
-
+    plan = spec.derived(_GenerationPlan)
+    root, choices = plan.choice(expr.name, True), plan.choices
     floor = max(closed_sizes[expr.name], min(min_budget, max_size))
     while True:
-        budget = rng.randint(floor, max_size)
-        yield gen_cat(expr.name, budget, (), 0)[0]
+        budget = randint(floor, max_size)
+        yield gen(root, budget, (), 0)[0]
 
 
 def random_terms(spec: LanguageSpec, count: int, seed: int = 0,

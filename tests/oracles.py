@@ -1,7 +1,9 @@
 """Brute-force reference implementations the fast code is checked against."""
 
 import json
+import random
 from itertools import product
+from typing import Iterator
 
 from langx.cli import (
     _outcome,
@@ -11,6 +13,7 @@ from langx.cli import (
 )
 from langx.engine import (
     MT,
+    EngineError,
     OutOfFuel,
     Stuck,
     StuckMachine,
@@ -19,6 +22,8 @@ from langx.engine import (
     _machine_kind,
     _machine_rules_by_focus,
     _match,
+    _min_sizes,
+    _production_size,
     ck_eval,
     evaluate,
     instantiate,
@@ -33,13 +38,15 @@ from langx.ir import (
     BinderApp,
     Constructor,
     Hole,
+    LanguageSpec,
     MachineConfig,
     Metavariable,
     Subst,
+    Term,
     Var,
     term_size,
 )
-from langx.parser import render_term
+from langx.parser import render_state, render_term
 from langx.subtyping import NoJoin
 
 
@@ -132,6 +139,92 @@ def oracle_ck_eval(config, spec, fuel=10000):
     if is_value(current.focus, spec) and current.continuation == MT:
         return current.focus, trace
     raise OutOfFuel(current, trace)
+
+
+# The generator as it was before it read a compiled generation plan: every
+# draw filters its category's productions by budget and sizes each slot.
+
+def _production_sizes(
+        spec: LanguageSpec) -> dict[tuple[str, bool], tuple[tuple[Term, int], ...]]:
+    """Per (category, closed): each production but the hole, with its smallest size."""
+    open_sizes, closed_sizes = spec.derived(_min_sizes)
+    return {(cat.name, closed): tuple(
+                (p, _production_size(p, open_sizes, closed_sizes, closed))
+                for p in cat.productions if not isinstance(p, Hole))
+            for cat in spec.categories for closed in (False, True)}
+
+
+def oracle_iter_random_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 7,
+                             min_budget: int = 0) -> Iterator[Term]:
+    """Endless stream of random closed Expression terms of size <= max_size.
+
+    The stream is deterministic in (seed, max_size) and prefix-stable, so a
+    caller that filters it still sees reproducible terms.  min_budget lifts
+    the low end of the per-term size draw, biasing toward larger terms.
+    """
+    rng = random.Random(seed)
+    open_sizes, closed_sizes = spec.derived(_min_sizes)
+    productions = spec.derived(_production_sizes)
+    expr = spec.expression_category
+    if expr is None:
+        raise EngineError("spec has no Expression category to generate terms for")
+    if closed_sizes[expr.name] > max_size:
+        raise EngineError(
+            f"smallest closed term has {closed_sizes[expr.name]} nodes, above max size {max_size}")
+    var_base = spec.variables[0] if spec.variables else "x"
+
+    # Each gen_* returns the term it builds with its size, so gen_slots
+    # need not measure the arguments it has just built.
+    def gen_cat(cat_name: str, budget: int, scope: tuple[str, ...],
+                depth: int) -> tuple[Term, int]:
+        options = [p for p, size in productions[cat_name, not scope] if size <= budget]
+        production = rng.choice(options)
+        return gen_prod(production, budget, scope, depth)
+
+    def gen_prod(p: Term, budget: int, scope: tuple[str, ...],
+                 depth: int) -> tuple[Term, int]:
+        match p:
+            case Metavariable(_, _, cat_name):
+                return gen_cat(cat_name, budget, scope, depth)
+            case Var(_):
+                return Var(rng.choice(scope)), 1
+            case Constructor(name, slots):
+                args, size = gen_slots(slots, budget - 1, scope, depth)
+                return Constructor(name, args), 1 + size
+            case BinderApp(binder, _, slots):
+                bound = f"{var_base}{depth}" if depth else var_base
+                args, size = gen_slots(slots, budget - 1, scope + (bound,), depth + 1)
+                return BinderApp(binder, bound, args), 1 + size
+            case _:
+                return p, term_size(p)
+
+    def gen_slots(slots: tuple[Term, ...], budget: int, scope: tuple[str, ...],
+                  depth: int) -> tuple[tuple[Term, ...], int]:
+        args = []
+        remaining = budget
+        mins = [_production_size(s, open_sizes, closed_sizes, not scope) for s in slots]
+        for i, slot in enumerate(slots):
+            reserve = sum(mins[i + 1:])
+            give = rng.randint(mins[i], max(mins[i], remaining - reserve))
+            arg, size = gen_prod(slot, give, scope, depth)
+            args.append(arg)
+            remaining -= size
+        return tuple(args), budget - remaining
+
+    floor = max(closed_sizes[expr.name], min(min_budget, max_size))
+    while True:
+        budget = rng.randint(floor, max_size)
+        yield gen_cat(expr.name, budget, (), 0)[0]
+
+
+def oracle_print_trace(trace, spec, rep):
+    """cli._print_trace rendering both states of every step."""
+    for step in trace:
+        before = render_state(step.before, spec)
+        after = render_state(step.after, spec)
+        label = rep.style.rule(f"[{step.kind}/{step.rule_name}]")
+        rep.emit(f"{label} {before}  ~~>  {after}", kind=step.kind,
+                 rule=step.rule_name, before=before, after=after)
 
 
 def oracle_check_subtype(t1, t2, spec):

@@ -7,8 +7,9 @@ import pytest
 from conftest import FIXTURES, GOLDEN, load, swapped_order_machine_text
 from langx import cli
 from langx.ck import derive_ck
-from langx.parser import parse_spec
-from oracles import oracle_compare
+from langx.engine import evaluate
+from langx.parser import parse_spec, parse_term
+from oracles import oracle_compare, oracle_print_trace
 
 
 def fix(name):
@@ -165,6 +166,68 @@ def test_small_step_eval_of_a_deeply_nested_term_succeeds(tmp_path, depth):
         capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ci\n"
+
+
+@pytest.mark.parametrize("machine", ["smallstep", "ck"])
+@pytest.mark.parametrize("spec,term,message", [
+    ("stlc.lang", "(app x (lam x B x))", "free variable: x"),
+    ("references.lang", "x", "free variable: x"),
+    ("stlc.lang", "(app x1 (lam x B x2))", "free variables: x1, x2"),
+])
+def test_eval_of_an_open_term_names_its_free_variables(capsys, machine, spec, term,
+                                                       message):
+    code, out, err = run(capsys, "eval", fix(spec), term, "--machine", machine)
+    assert (code, out) == (1, "")
+    assert err == f"eval needs a closed term; {message}\n"
+    code, out, err = run(capsys, "--format", "structured", "eval", fix(spec), term,
+                         "--machine", machine)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"kind": "diagnostic", "span": None,
+                               "message": f"eval needs a closed term; {message}"}
+
+
+def test_eval_of_a_deep_open_term_names_its_free_variable(tmp_path):
+    term = tmp_path / "deep.txt"
+    term.write_text("(app (lam x int x) " * 450 + "x" + ")" * 450)
+    result = subprocess.run(
+        [sys.executable, "-m", "langx", "eval", fix("stlc_consts.lang"),
+         "--term-file", str(term), "--machine", "ck"],
+        capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == "eval needs a closed term; free variable: x\n"
+
+
+@pytest.mark.parametrize("structured", [False, True])
+@pytest.mark.parametrize("machine", ["smallstep", "ck"])
+@pytest.mark.parametrize("spec,term,fuel", [
+    ("stlc_consts.lang", "(app (lam x int x) " * 80 + "ci" + ")" * 80, "10000"),
+    # Stopped at its first repeated state and padded to its fuel with the
+    # loop's own steps, so a step may start from a state the step before it
+    # did not end in.
+    ("boollist.lang", "(app (lam x (app x x)) (lam x (app x x)))", "40"),
+])
+def test_eval_trace_equals_rendering_every_state(capsys, monkeypatch, structured,
+                                                 machine, spec, term, fuel):
+    argv = [*(["--format", "structured"] if structured else []), "eval", fix(spec),
+            term, "--machine", machine, "--fuel", fuel, "--trace"]
+    shown = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_print_trace", oracle_print_trace)
+    assert shown == run(capsys, *argv)
+    assert shown[1].count("\n") >= 40
+
+
+def test_trace_printer_renders_a_step_that_starts_elsewhere(capsys, boollist):
+    # Runs never make such a trace: a looping run's padding starts a step
+    # from a state equal, though not identical, to the last one shown.
+    trace = []
+    for text in ("(and t f)", "(and (and t t) f)"):
+        trace += evaluate(parse_term(text, boollist, concrete=True), boollist)[1]
+    rep = cli.Reporter(False, cli.Style())
+    cli._print_trace(trace, boollist, rep)
+    shown = capsys.readouterr()
+    oracle_print_trace(trace, boollist, rep)
+    assert shown == capsys.readouterr()
+    assert shown.out.count("\n") == len(trace) == 3
 
 
 def test_eval_without_term(capsys):

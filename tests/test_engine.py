@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import hashlib
+import weakref
 from itertools import islice
 
 import pytest
 
-from langx import cli
+from langx import cli, engine
 from langx.ck import derive_ck
 from langx.engine import (
     MT,
@@ -59,6 +61,7 @@ from oracles import (
     oracle_check_subtype,
     oracle_ck_eval,
     oracle_evaluate,
+    oracle_iter_random_terms,
     oracle_member,
 )
 
@@ -251,6 +254,14 @@ def test_free_vars_of_substitution_term():
     t = Subst(Var("x"), Var("y"), "x")
     assert free_vars(t) == {"y"}
     assert free_vars(BinderApp("lam", "x", (Var("x"), Var("z")))) == {"z"}
+
+
+def test_free_vars_walks_a_5000_deep_term():
+    t = Var("y")
+    for _ in range(5000):
+        t = BinderApp("lam", "x", (Constructor("B"), Constructor("app", (Var("x"), t))))
+    assert free_vars(t) == {"y"}
+    assert free_vars(Subst(t, Var("z"), "y")) == {"z"}
 
 
 # -- decomposition ---------------------------------------------------------------
@@ -773,3 +784,61 @@ def test_seeded_term_streams_are_pinned(stlc, stlc_consts, langfunny):
     # term that fits and are drawn again.
     assert fingerprint(islice(iter_swarm_terms(stlc, seed=0, max_size=10), 1000),
                        stlc) == "d349436aaf0cb5ea"
+
+
+def _draws(generate, spec, *args):
+    """The first 100 terms generate yields, or the message of its error."""
+    try:
+        return list(islice(generate(spec, *args), 100))
+    except EngineError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "name", ["app2", "boollist", "langfunny", "references", "stlc", "stlc_consts"])
+def test_generator_draws_what_the_per_draw_sizing_oracle_draws(name):
+    spec = load(name)
+    for seed in (0, 1, 1001):
+        for max_size in range(4, 13):
+            for min_budget in (0, 6, 12):
+                args = (seed, max_size, min_budget)
+                assert _draws(iter_random_terms, spec, *args) \
+                    == _draws(oracle_iter_random_terms, spec, *args), args
+
+
+def test_generation_sizes_productions_once_per_spec(monkeypatch):
+    calls = 0
+    sized = engine._production_size
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return sized(*args)
+
+    monkeypatch.setattr(engine, "_production_size", counted)
+    counts = []
+    for draws in (1000, 10000):
+        calls = 0
+        spec = load("langfunny")
+        for _ in islice(iter_random_terms(spec, seed=0, max_size=10), draws):
+            pass
+        counts.append(calls)
+    assert counts[0] == counts[1] > 0
+
+
+def test_generation_plans_are_freed_with_their_specs():
+    # A compare makes about 140 narrowed specs; a plan in a reference cycle
+    # would outlive them until the cycle collector ran.
+    gc.disable()
+    try:
+        spec = load("langfunny")
+        for _ in islice(iter_swarm_terms(spec, seed=0, max_size=10), 500):
+            pass
+        specs = [spec, *spec.derived(engine._restricted_specs).values()]
+        plans = [weakref.ref(s.__dict__[engine._GenerationPlan]) for s in specs
+                 if engine._GenerationPlan in s.__dict__]
+        assert len(plans) > 1
+        del spec, specs
+        assert all(plan() is None for plan in plans)
+    finally:
+        gc.enable()
