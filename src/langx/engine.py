@@ -8,7 +8,6 @@ discharges premises left to right under one growing substitution.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass
 from itertools import islice
@@ -18,7 +17,6 @@ from .ir import (
     HOLE,
     BinderApp,
     Constructor,
-    GrammarCategory,
     Hole,
     InferenceRule,
     Join,
@@ -737,23 +735,56 @@ def _production_size(p: Term, open_sizes: dict[str, int],
     return 1
 
 
-def _min_sizes(spec: LanguageSpec) -> tuple[dict[str, int], dict[str, int]]:
-    """Smallest term size per category, with and without variables in scope."""
-    open_sizes = {cat.name: _BIG for cat in spec.categories}
-    closed_sizes = {cat.name: _BIG for cat in spec.categories}
-
+def _size_fixpoint(grammar: list[tuple[str, tuple[Term, ...]]],
+                   open_sizes: dict[str, int], closed_sizes: dict[str, int]) -> None:
+    """Lower both tables, in place, to the smallest term sizes of grammar's
+    categories, given by name and productions; entries of categories outside
+    grammar are read as they stand."""
     changed = True
     while changed:
         changed = False
-        for cat in spec.categories:
+        for name, productions in grammar:
             for table, closed in ((open_sizes, False), (closed_sizes, True)):
                 best = min((_production_size(p, open_sizes, closed_sizes, closed)
-                            for p in cat.productions if not isinstance(p, Hole)),
+                            for p in productions if not isinstance(p, Hole)),
                            default=_BIG)
-                if best < table[cat.name]:
-                    table[cat.name] = best
+                if best < table[name]:
+                    table[name] = best
                     changed = True
+
+
+def _min_sizes(spec: LanguageSpec) -> tuple[dict[str, int], dict[str, int]]:
+    """Smallest term size per category, with and without variables in scope."""
+    open_sizes = {cat.name: _BIG for cat in spec.categories}
+    closed_sizes = dict(open_sizes)
+    _size_fixpoint([(cat.name, cat.productions) for cat in spec.categories],
+                   open_sizes, closed_sizes)
     return open_sizes, closed_sizes
+
+
+def _expression_cycle(spec: LanguageSpec) -> tuple[str, ...]:
+    """The categories a draw from Expression reaches that reach Expression
+    in turn, Expression included: the ones whose sizes and choices depend on
+    which Expression productions a swarm mask keeps."""
+    expr = spec.expression_category
+    if expr is None:
+        return ()
+    refs = {cat.name: {s.category for p in cat.productions for s in subterms(p)
+                       if isinstance(s, Metavariable)}
+            for cat in spec.categories}
+
+    def reach(start: str) -> set[str]:
+        seen, stack = {start}, [start]
+        while stack:
+            for name in refs.get(stack.pop(), ()):
+                if name not in seen:
+                    seen.add(name)
+                    stack.append(name)
+        return seen
+
+    drawn = reach(expr.name)
+    return tuple(cat.name for cat in spec.categories
+                 if cat.name in drawn and expr.name in reach(cat.name))
 
 
 class _Choice:
@@ -788,13 +819,17 @@ class _Build:
 # class would keep its whole module alive after the module is imported again.
 if TYPE_CHECKING:
     _Node = Union[int, _Build, Var, tuple[Term, int]]
+    # The Expression productions a swarm grammar keeps, by index; None keeps all.
+    _Mask = Optional[tuple[int, ...]]
 
 
 class _GenerationPlan:
-    """How iter_random_terms draws from one spec's grammar.  A production
-    compiles to a _Build, a Var, a (term, size) pair drawn as it is, or, for
-    a metavariable, the index of its category's _Choice in choices; a
-    category is compiled when first reached.
+    """How one spec's grammar is drawn from, whole or with Expression
+    narrowed by a mask.  A production compiles to a _Build, a Var, a (term,
+    size) pair drawn as it is, or, for a metavariable, the index of its
+    category's _Choice in choices; a category is compiled when first
+    reached.  A mask has its own sizes and choices only for the categories
+    of the Expression cycle; the others share the unmasked ones.
 
     Indices in place of references keep a recursive grammar's plan free of
     reference cycles, so it is freed with its spec by reference counting,
@@ -803,33 +838,126 @@ class _GenerationPlan:
 
     def __init__(self, spec: LanguageSpec):
         self.categories = {cat.name: cat for cat in spec.categories}
-        self.sizes = spec.derived(_min_sizes)
+        self.expression = spec.expression_category
+        self.var_base = spec.variables[0] if spec.variables else "x"
+        self.cycle = _expression_cycle(spec)
+        self.size_tables: dict[_Mask, tuple[dict[str, int], dict[str, int]]] = {
+            None: spec.derived(_min_sizes)}
         self.choices: list[_Choice] = []
-        self.indices: dict[tuple[str, bool], int] = {}
+        self.indices: dict[tuple[str, bool, _Mask], int] = {}
 
-    def choice(self, cat_name: str, closed: bool) -> int:
-        index = self.indices.get((cat_name, closed))
+    def productions(self, cat_name: str, kept: _Mask) -> tuple[Term, ...]:
+        productions = self.categories[cat_name].productions
+        if kept is None or cat_name != self.expression.name:
+            return productions
+        return tuple(productions[i] for i in kept)
+
+    def sizes(self, kept: _Mask) -> tuple[dict[str, int], dict[str, int]]:
+        """Smallest open and closed sizes per category under the mask."""
+        sizes = self.size_tables.get(kept)
+        if sizes is None:
+            sizes = self.size_tables[kept] = self.size_mask(kept)
+        return sizes
+
+    def size_mask(self, kept: _Mask) -> tuple[dict[str, int], dict[str, int]]:
+        # Only the cycle's sizes depend on the mask: refit them, the rest fixed.
+        open_sizes, closed_sizes = (dict(table) for table in self.size_tables[None])
+        for name in self.cycle:
+            open_sizes[name] = closed_sizes[name] = _BIG
+        _size_fixpoint([(name, self.productions(name, kept)) for name in self.cycle],
+                       open_sizes, closed_sizes)
+        return open_sizes, closed_sizes
+
+    def choice(self, cat_name: str, closed: bool, kept: _Mask) -> int:
+        if cat_name not in self.cycle:
+            kept = None
+        index = self.indices.get((cat_name, closed, kept))
         if index is None:
             # Indexed before it is filled: a recursive grammar reaches it again.
-            index = self.indices[cat_name, closed] = len(self.choices)
+            index = self.indices[cat_name, closed, kept] = len(self.choices)
             choice = _Choice()
             self.choices.append(choice)
+            sizes = self.sizes(kept)
             choice.sized = tuple(
-                (self.compile(p, closed), _production_size(p, *self.sizes, closed))
-                for p in self.categories[cat_name].productions if not isinstance(p, Hole))
+                (self.compile(p, closed, kept), _production_size(p, *sizes, closed))
+                for p in self.productions(cat_name, kept) if not isinstance(p, Hole))
         return index
 
-    def compile(self, p: Term, closed: bool) -> _Node:
+    def compile(self, p: Term, closed: bool, kept: _Mask) -> _Node:
         if isinstance(p, Metavariable):
-            return self.choice(p.category, closed)
+            return self.choice(p.category, closed, kept)
         if isinstance(p, Var):
             return p
         if isinstance(p, BinderApp) or (isinstance(p, Constructor) and p.args):
             closed = closed and isinstance(p, Constructor)
-            mins = [_production_size(s, *self.sizes, closed) for s in p.args]
-            return _Build(p, tuple((self.compile(s, closed), low, sum(mins[i + 1:]))
+            mins = [_production_size(s, *self.sizes(kept), closed) for s in p.args]
+            return _Build(p, tuple((self.compile(s, closed, kept), low, sum(mins[i + 1:]))
                                    for i, (s, low) in enumerate(zip(p.args, mins))))
         return p, term_size(p)   # a nullary constructor or a hole, drawn as it is
+
+
+def _draw(plan: _GenerationPlan, kept: _Mask, seed: int, max_size: int,
+          min_budget: int) -> Iterator[Term]:
+    """Endless stream of random closed Expression terms of size <= max_size
+    from plan's grammar, with Expression narrowed by kept."""
+    expr = plan.expression
+    if expr is None:
+        raise EngineError("spec has no Expression category to generate terms for")
+    smallest = plan.sizes(kept)[1][expr.name]
+    if smallest > max_size:
+        raise EngineError(
+            f"smallest closed term has {smallest} nodes, above max size {max_size}")
+    getrandbits = random.Random(seed).getrandbits
+    var_base = plan.var_base
+
+    # Random.choice and Random.randint come down to this draw in
+    # Random._randbelow; making it here skips their call layers and keeps
+    # the stream.  n must be positive: a row a draw reaches is never empty,
+    # as each slot's budget is at least the slot's smallest size.
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    # gen returns the term it builds with its size, so a _Build need not
+    # measure the arguments it has just built.  It runs once per node drawn,
+    # hence the exact-class tests in place of a match statement.
+    def gen(node: _Node, budget: int, scope: tuple[str, ...],
+            depth: int) -> tuple[Term, int]:
+        while type(node) is int:
+            choice = choices[node]
+            options = choice.rows.get(budget)
+            if options is None:
+                options = choice.fitting(budget)
+            node = options[below(len(options))]
+        kind = type(node)
+        if kind is _Build:
+            production = node.production
+            binds = type(production) is BinderApp
+            if binds:
+                bound = f"{var_base}{depth}" if depth else var_base
+                scope, depth = scope + (bound,), depth + 1
+            args = []
+            remaining = budget - 1
+            for slot, low, reserve in node.slots:
+                # A width-1 draw still takes its random bits, as randint does.
+                arg, size = gen(slot, low + below(max(0, remaining - reserve - low) + 1),
+                                scope, depth)
+                args.append(arg)
+                remaining -= size
+            if binds:
+                return BinderApp(production.binder, bound, tuple(args)), budget - remaining
+            return Constructor(production.name, tuple(args)), budget - remaining
+        if kind is Var:
+            return Var(scope[below(len(scope))]), 1
+        return node   # a leaf's (term, size) pair
+
+    root, choices = plan.choice(expr.name, True, kept), plan.choices
+    floor = max(smallest, min(min_budget, max_size))
+    while True:
+        yield gen(root, floor + below(max_size - floor + 1), (), 0)[0]
 
 
 def iter_random_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 7,
@@ -840,55 +968,7 @@ def iter_random_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 7,
     caller that filters it still sees reproducible terms.  min_budget lifts
     the low end of the per-term size draw, biasing toward larger terms.
     """
-    rng = random.Random(seed)
-    closed_sizes = spec.derived(_min_sizes)[1]
-    expr = spec.expression_category
-    if expr is None:
-        raise EngineError("spec has no Expression category to generate terms for")
-    if closed_sizes[expr.name] > max_size:
-        raise EngineError(
-            f"smallest closed term has {closed_sizes[expr.name]} nodes, above max size {max_size}")
-    var_base = spec.variables[0] if spec.variables else "x"
-    choose, randint = rng.choice, rng.randint
-
-    # gen returns the term it builds with its size, so a _Build need not
-    # measure the arguments it has just built.  It runs once per node drawn,
-    # hence the exact-class tests in place of a match statement.
-    def gen(node: _Node, budget: int, scope: tuple[str, ...],
-            depth: int) -> tuple[Term, int]:
-        kind = type(node)
-        if kind is int:
-            choice = choices[node]
-            options = choice.rows.get(budget)
-            if options is None:
-                options = choice.fitting(budget)
-            return gen(choose(options), budget, scope, depth)
-        if kind is _Build:
-            production = node.production
-            binds = type(production) is BinderApp
-            if binds:
-                bound = f"{var_base}{depth}" if depth else var_base
-                scope, depth = scope + (bound,), depth + 1
-            args = []
-            remaining = budget - 1
-            for slot, low, reserve in node.slots:
-                arg, size = gen(slot, randint(low, max(low, remaining - reserve)),
-                                scope, depth)
-                args.append(arg)
-                remaining -= size
-            if binds:
-                return BinderApp(production.binder, bound, tuple(args)), budget - remaining
-            return Constructor(production.name, tuple(args)), budget - remaining
-        if kind is Var:
-            return Var(choose(scope)), 1
-        return node   # a leaf's (term, size) pair
-
-    plan = spec.derived(_GenerationPlan)
-    root, choices = plan.choice(expr.name, True), plan.choices
-    floor = max(closed_sizes[expr.name], min(min_budget, max_size))
-    while True:
-        budget = randint(floor, max_size)
-        yield gen(root, budget, (), 0)[0]
+    return _draw(spec.derived(_GenerationPlan), None, seed, max_size, min_budget)
 
 
 def random_terms(spec: LanguageSpec, count: int, seed: int = 0,
@@ -897,23 +977,8 @@ def random_terms(spec: LanguageSpec, count: int, seed: int = 0,
     return list(islice(iter_random_terms(spec, seed, max_size), count))
 
 
-def _restrict_expression(spec: LanguageSpec,
-                         keep: tuple[Term, ...]) -> LanguageSpec:
-    expr = spec.expression_category
-    categories = tuple(
-        GrammarCategory(c.name, c.metavariable, keep) if c.name == expr.name else c
-        for c in spec.categories)
-    return dataclasses.replace(spec, categories=categories)
-
-
 # Terms drawn from one grammar, full or narrowed, before the next is chosen.
 SWARM_CHUNK = 25
-
-
-def _restricted_specs(spec: LanguageSpec) -> dict[tuple[int, ...], LanguageSpec]:
-    """Specs whose Expression grammar keeps only some productions, by their
-    indices; iter_swarm_terms fills it as it draws them."""
-    return {}
 
 
 def iter_swarm_terms(spec: LanguageSpec, seed: int = 0,
@@ -925,21 +990,22 @@ def iter_swarm_terms(spec: LanguageSpec, seed: int = 0,
     one focus operator, the binder productions, one leaf constant, and little
     else, with the size draw lifted toward the ceiling so the focus operator
     and its arguments fit.  Deterministic in the seed, and grammar-directed:
-    only the production subset and size distribution vary per chunk.
+    only the production subset and size distribution vary per chunk.  A
+    narrowed grammar is a mask over the spec's one generation plan.
     """
     rng = random.Random(seed)
     expr = spec.expression_category
     if expr is None:
         raise EngineError("spec has no Expression category to generate terms for")
+    plan = spec.derived(_GenerationPlan)
     productions = expr.productions
-    restricted = spec.derived(_restricted_specs)
     leaf_idx = [i for i, p in enumerate(productions)
                 if isinstance(p, Constructor) and not p.args]
     focus_idx = [i for i, p in enumerate(productions)
                  if (isinstance(p, Constructor) and p.args)
                  or isinstance(p, BinderApp)]
     while True:
-        sub = spec
+        kept = None
         floor = 0
         if focus_idx and len(productions) > 2 and rng.random() < 0.5:
             for _ in range(32):
@@ -952,19 +1018,14 @@ def iter_swarm_terms(spec: LanguageSpec, seed: int = 0,
                             keep.add(i)
                     elif rng.random() < 0.15:
                         keep.add(i)
-                kept = tuple(sorted(keep))
-                candidate = restricted.get(kept)
-                if candidate is None:
-                    candidate = restricted[kept] = _restrict_expression(
-                        spec, tuple(productions[i] for i in kept))
+                candidate = tuple(sorted(keep))
                 # One seed is taken per candidate, fit or not: the pinned
                 # swarm streams depend on it.
                 rng.randrange(2 ** 32)
-                if candidate.derived(_min_sizes)[1][expr.name] > max_size:
+                if plan.sizes(candidate)[1][expr.name] > max_size:
                     continue
-                sub = candidate
+                kept = candidate
                 floor = rng.choice((max_size // 2, max_size))
                 break
-        yield from islice(
-            iter_random_terms(sub, rng.randrange(2 ** 32), max_size,
-                              min_budget=floor), SWARM_CHUNK)
+        yield from islice(_draw(plan, kept, rng.randrange(2 ** 32), max_size, floor),
+                          SWARM_CHUNK)

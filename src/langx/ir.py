@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 COVARIANT = "co"
 CONTRAVARIANT = "contra"
@@ -91,7 +91,9 @@ class Subst:
     var: str
 
 
-Term = Union[Metavariable, Var, Constructor, BinderApp, Hole, Subst]
+# PEP 604 unions, not typing.Union: typing caches a Union with its member
+# classes, which would keep every re-imported copy of this module alive.
+Term = Metavariable | Var | Constructor | BinderApp | Hole | Subst
 HOLE = Hole()
 
 
@@ -210,7 +212,7 @@ class Join:
     operands: tuple[Term, ...]
 
 
-Formula = Union[Typing, Reduction, MachineStep, Subtype, TypeEq, Join]
+Formula = Typing | Reduction | MachineStep | Subtype | TypeEq | Join
 
 
 def formula_terms(f: Formula) -> Iterator[Term]:

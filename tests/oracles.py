@@ -1,8 +1,9 @@
 """Brute-force reference implementations the fast code is checked against."""
 
+import dataclasses
 import json
 import random
-from itertools import product
+from itertools import islice, product
 from typing import Iterator
 
 from langx.cli import (
@@ -37,6 +38,7 @@ from langx.ir import (
     COVARIANT,
     BinderApp,
     Constructor,
+    GrammarCategory,
     Hole,
     LanguageSpec,
     MachineConfig,
@@ -215,6 +217,51 @@ def oracle_iter_random_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 
     while True:
         budget = rng.randint(floor, max_size)
         yield gen_cat(expr.name, budget, (), 0)[0]
+
+
+def oracle_iter_swarm_terms(spec: LanguageSpec, seed: int = 0,
+                            max_size: int = 7) -> Iterator[Term]:
+    """engine.iter_swarm_terms as it was before narrowed grammars became masks
+    over one generation plan: each candidate is a spec of its own, with the
+    Expression productions it keeps, sized whole and drawn from through
+    oracle_iter_random_terms."""
+    rng = random.Random(seed)
+    expr = spec.expression_category
+    if expr is None:
+        raise EngineError("spec has no Expression category to generate terms for")
+    productions = expr.productions
+    leaf_idx = [i for i, p in enumerate(productions)
+                if isinstance(p, Constructor) and not p.args]
+    focus_idx = [i for i, p in enumerate(productions)
+                 if (isinstance(p, Constructor) and p.args)
+                 or isinstance(p, BinderApp)]
+    while True:
+        sub = spec
+        floor = 0
+        if focus_idx and len(productions) > 2 and rng.random() < 0.5:
+            for _ in range(32):
+                keep = {rng.choice(focus_idx)}
+                if leaf_idx:
+                    keep.add(rng.choice(leaf_idx))
+                for i, p in enumerate(productions):
+                    if isinstance(p, BinderApp):
+                        if rng.random() < 0.75:
+                            keep.add(i)
+                    elif rng.random() < 0.15:
+                        keep.add(i)
+                kept = tuple(productions[i] for i in sorted(keep))
+                candidate = dataclasses.replace(spec, categories=tuple(
+                    GrammarCategory(c.name, c.metavariable, kept) if c.name == expr.name
+                    else c for c in spec.categories))
+                rng.randrange(2 ** 32)
+                if candidate.derived(_min_sizes)[1][expr.name] > max_size:
+                    continue
+                sub = candidate
+                floor = rng.choice((max_size // 2, max_size))
+                break
+        yield from islice(
+            oracle_iter_random_terms(sub, rng.randrange(2 ** 32), max_size,
+                                     min_budget=floor), 25)
 
 
 def oracle_print_trace(trace, spec, rep):

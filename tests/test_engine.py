@@ -62,6 +62,7 @@ from oracles import (
     oracle_ck_eval,
     oracle_evaluate,
     oracle_iter_random_terms,
+    oracle_iter_swarm_terms,
     oracle_member,
 )
 
@@ -806,6 +807,77 @@ def test_generator_draws_what_the_per_draw_sizing_oracle_draws(name):
                     == _draws(oracle_iter_random_terms, spec, *args), args
 
 
+@pytest.mark.parametrize(
+    "name", ["app2", "boollist", "langfunny", "references", "stlc", "stlc_consts"])
+def test_swarm_draws_what_the_restricted_spec_oracle_draws(name):
+    # The oracle narrows a grammar by building a spec and draws through
+    # Random.choice and Random.randint, so this pins both the masks and the
+    # plan's own uniform draw against the standard library.
+    spec = load(name)
+    for seed in (0, 1, 1001):
+        for max_size in range(4, 13):
+            args = (seed, max_size)
+            assert _draws(iter_swarm_terms, spec, *args) \
+                == _draws(oracle_iter_swarm_terms, spec, *args), args
+
+
+# Expression reaches Value and Value reaches Expression, so a mask over
+# Expression changes Value's sizes and choices too.
+CYCLIC_VALUES = """language cyclic
+
+variables x
+
+grammar
+  Type T ::= B | (arrow T T)
+  Expression e ::= x | v | (lam x T e) | (box e) | (app e e) | (fst e)
+  Value v ::= (lam x T e) | (box v)
+
+binder lam 1
+"""
+
+
+def test_swarm_masks_every_category_of_the_expression_cycle():
+    spec = parse_spec(CYCLIC_VALUES, filename="cyclic.lang")
+    for seed in (0, 1, 1001):
+        for max_size in range(4, 13):
+            args = (seed, max_size)
+            assert _draws(iter_swarm_terms, spec, *args) \
+                == _draws(oracle_iter_swarm_terms, spec, *args), args
+    plan = spec.derived(engine._GenerationPlan)
+    assert plan.cycle == ("Expression", "Value")
+    assert any(cat == "Value" and kept is not None for cat, _, kept in plan.indices)
+    assert all(kept is None for cat, _, kept in plan.indices if cat == "Type")
+
+
+def test_swarm_sizes_each_mask_once(monkeypatch):
+    calls = 0
+    sized = engine._production_size
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return sized(*args)
+
+    masks = []
+    size_mask = engine._GenerationPlan.size_mask
+
+    def fitted(plan, kept):
+        masks.append(kept)
+        return size_mask(plan, kept)
+
+    monkeypatch.setattr(engine, "_production_size", counted)
+    monkeypatch.setattr(engine._GenerationPlan, "size_mask", fitted)
+    spec = load("langfunny")
+    for _ in islice(iter_swarm_terms(spec, seed=0, max_size=10), 10000):
+        pass
+    plan = spec.derived(engine._GenerationPlan)
+    assert plan.cycle == ("Expression",)
+    assert len(masks) == len(set(masks)) > 100
+    assert set(masks) == set(plan.size_tables) - {None}
+    # Sizing a new spec per narrowed grammar made 48,987 calls.
+    assert calls <= 12000
+
+
 def test_generation_sizes_productions_once_per_spec(monkeypatch):
     calls = 0
     sized = engine._production_size
@@ -827,18 +899,19 @@ def test_generation_sizes_productions_once_per_spec(monkeypatch):
 
 
 def test_generation_plans_are_freed_with_their_specs():
-    # A compare makes about 140 narrowed specs; a plan in a reference cycle
-    # would outlive them until the cycle collector ran.
+    # A compare draws about 140 narrowed grammars, all masks over the spec's
+    # one plan; a plan in a reference cycle would outlive its spec until the
+    # cycle collector ran.
     gc.disable()
     try:
         spec = load("langfunny")
         for _ in islice(iter_swarm_terms(spec, seed=0, max_size=10), 500):
             pass
-        specs = [spec, *spec.derived(engine._restricted_specs).values()]
-        plans = [weakref.ref(s.__dict__[engine._GenerationPlan]) for s in specs
-                 if engine._GenerationPlan in s.__dict__]
-        assert len(plans) > 1
-        del spec, specs
-        assert all(plan() is None for plan in plans)
+        plan = spec.__dict__[engine._GenerationPlan]
+        assert any(cat == "Expression" and kept is not None
+                   for cat, _, kept in plan.indices)
+        plan = weakref.ref(plan)
+        del spec
+        assert plan() is None
     finally:
         gc.enable()

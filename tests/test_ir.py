@@ -1,3 +1,9 @@
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -245,3 +251,28 @@ def test_public_names_stay_exported():
     assert len(PUBLIC_NAMES) == 75
     assert set(PUBLIC_NAMES) <= set(langx.__all__)
     assert all(hasattr(langx, name) for name in PUBLIC_NAMES)
+
+
+# Re-imports langx 15 times, as a benchmark set-up does, and counts the
+# LanguageSpec classes still alive.  It runs in a subprocess, so the
+# re-imports never replace the classes the rest of the suite uses.
+REIMPORT = textwrap.dedent("""
+    import gc, importlib, sys
+    for _ in range(15):
+        for name in [n for n in sys.modules if n == "langx" or n.startswith("langx.")]:
+            del sys.modules[name]
+        importlib.import_module("langx")
+    gc.collect()
+    print(sum(1 for o in gc.get_objects()
+              if isinstance(o, type) and o.__name__ == "LanguageSpec"))
+""")
+
+
+def test_reimported_modules_are_freed():
+    # A module-level typing.Union is cached with its member classes, and so
+    # would keep every re-imported copy of langx.ir alive.
+    src = str(pathlib.Path(langx.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", REIMPORT], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "1"
