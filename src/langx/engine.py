@@ -217,11 +217,21 @@ def _slot_derives(slot: Term, t: Term, table: dict, cats: Categories) -> bool:
 def member(t: Term, category_name: str, spec: LanguageSpec,
            cats: Optional[Categories] = None) -> bool:
     """Is t derivable from the named grammar category?"""
-    table = spec.derived(_membership_table)
+    return _member(t, category_name, spec.derived(_membership_table),
+                   {} if cats is None else cats)
+
+
+def _member(t: Term, name: Optional[str], table: dict, cats: Categories) -> bool:
+    """member on a resolved table: the memo first, then the head's
+    categories, and a walk of t only when neither settles it.  A name of
+    None derives nothing."""
+    hit = cats.get(id(t))
+    if hit is not None:
+        return name in hit[1]
     entry = table.get(term_head(t))
-    if entry is None or category_name not in entry[0]:
+    if entry is None or name not in entry[0]:
         return False
-    return category_name in _categories(t, table, {} if cats is None else cats)
+    return name in _categories(t, table, cats)
 
 
 def is_value(t: Term, spec: LanguageSpec, cats: Optional[Categories] = None) -> bool:
@@ -378,11 +388,15 @@ def _focus_path(t: Term, spec: LanguageSpec,
     it descends into, and the focus it reaches."""
     contexts = spec.derived(_context_table)
     table = spec.derived(_membership_table)
+    value = spec.value_category.name if spec.value_category is not None else None
     path: list[tuple[Constructor, int]] = []
     while isinstance(t, Constructor):
         for hole_at, others in contexts.get((t.name, len(t.args)), ()):
-            if all(_slot_derives(slot, t.args[i], table, cats) for i, slot in others) \
-                    and not is_value(t.args[hole_at], spec, cats):
+            # Both tests are pure, so their order leaves the path as it is.
+            # The hole's goes first: when the hole holds a value, the other
+            # slots, however big, are not walked.
+            if not _member(t.args[hole_at], value, table, cats) \
+                    and all(_slot_derives(slot, t.args[i], table, cats) for i, slot in others):
                 path.append((t, hole_at))
                 t = t.args[hole_at]
                 break
@@ -447,7 +461,8 @@ def _run(state: Union[Term, MachineConfig], fuel: int, finished, advance,
          stuck: type[EngineError]) -> tuple[Union[Term, MachineConfig], list[TraceStep]]:
     """The fuel loop of both semantics: advance state one step at a time until
     finished(state, cats) holds.  advance(state, cats) returns the step taken,
-    or None when no rule applies, which raises stuck(state, trace).
+    or None when no rule applies, which raises stuck(state, trace).  cats is
+    the run's one membership memo, shared by every call.
 
     Both semantics are deterministic, so a run that meets a state it has
     already been in loops forever.  The loop keeps one saved state, moved
@@ -458,8 +473,11 @@ def _run(state: Union[Term, MachineConfig], fuel: int, finished, advance,
     """
     trace: list[TraceStep] = []
     saved, saved_at = state, 0
+    # One membership memo for the whole run: terms are immutable, so a
+    # subterm a step shares with the state before it keeps its categories.
+    # Every node it keeps is in the trace already.
+    cats: Categories = {}
     for _ in range(fuel):
-        cats: Categories = {}
         if finished(state, cats):
             return state, trace
         taken = advance(state, cats)
@@ -472,7 +490,7 @@ def _run(state: Union[Term, MachineConfig], fuel: int, finished, advance,
             raise _looping(trace, steps - saved_at, fuel)
         if steps & (steps - 1) == 0:
             saved, saved_at = state, steps
-    if finished(state, {}):
+    if finished(state, cats):
         return state, trace
     raise OutOfFuel(state, trace)
 
@@ -956,8 +974,13 @@ def _draw(plan: _GenerationPlan, kept: _Mask, seed: int, max_size: int,
 
     root, choices = plan.choice(expr.name, True, kept), plan.choices
     floor = max(smallest, min(min_budget, max_size))
-    while True:
-        yield gen(root, floor + below(max_size - floor + 1), (), 0)[0]
+    try:
+        while True:
+            yield gen(root, floor + below(max_size - floor + 1), (), 0)[0]
+    finally:
+        # gen reaches itself through its closure; breaking that cycle here
+        # lets a closed stream free its Random by reference counting.
+        gen = None
 
 
 def iter_random_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 7,

@@ -36,6 +36,7 @@ from langx.engine import (
 from langx.ir import (
     CONTRAVARIANT,
     COVARIANT,
+    HOLE,
     BinderApp,
     Constructor,
     GrammarCategory,
@@ -46,6 +47,7 @@ from langx.ir import (
     Subst,
     Term,
     Var,
+    context_holes,
     term_size,
 )
 from langx.parser import render_state, render_term
@@ -65,31 +67,81 @@ def oracle_term_size(t):
             return 1
 
 
-def oracle_member(t, category_name, spec):
+def oracle_member(t, category_name, spec, memo=None):
     """Top-down grammar membership: re-derive t from each production of the
-    category, recursing once per level of t."""
+    category, recursing once per level of t.  A memo dict, when given, keeps
+    each answer by node identity and category, with its node.
+
+    Plain loops in place of any() and all() keep the recursion in Python
+    frames, which sys.setrecursionlimit governs on every supported Python:
+    a deep term's recursion through those builtins meets the interpreter's
+    fixed C recursion limit on 3.12."""
+    if memo is not None and (id(t), category_name) in memo:
+        return memo[id(t), category_name][1]
     cat = spec.category(category_name)
-    if cat is None:
-        return False
-    return any(_generates(p, t, spec) for p in cat.productions)
+    found = False
+    for p in cat.productions if cat is not None else ():
+        if _generates(p, t, spec, memo):
+            found = True
+            break
+    if memo is not None:
+        memo[id(t), category_name] = (t, found)
+    return found
 
 
-def _generates(production, t, spec):
+def _generates(production, t, spec, memo=None):
     if isinstance(production, Metavariable):
-        return oracle_member(t, production.category, spec)
+        return oracle_member(t, production.category, spec, memo)
     if isinstance(production, Var):
         return isinstance(t, Var)
     if isinstance(production, Hole):
         return isinstance(t, Hole)
     if isinstance(production, Constructor):
-        return (isinstance(t, Constructor) and t.name == production.name
-                and len(t.args) == len(production.args)
-                and all(_generates(s, a, spec) for s, a in zip(production.args, t.args)))
-    if isinstance(production, BinderApp):
-        return (isinstance(t, BinderApp) and t.binder == production.binder
-                and len(t.args) == len(production.args)
-                and all(_generates(s, a, spec) for s, a in zip(production.args, t.args)))
-    return False
+        same_head = isinstance(t, Constructor) and t.name == production.name
+    elif isinstance(production, BinderApp):
+        same_head = isinstance(t, BinderApp) and t.binder == production.binder
+    else:
+        return False
+    if not same_head or len(t.args) != len(production.args):
+        return False
+    for s, a in zip(production.args, t.args):
+        if not _generates(s, a, spec, memo):
+            return False
+    return True
+
+
+def oracle_decompose(t, spec):
+    """engine.decompose as it was before it tested the hole first: at each
+    node, descend by the first context production of its operator whose
+    other slots derive their arguments and whose hole argument is not a
+    value, every test by oracle_member with a fresh memo."""
+    ctx = spec.context_category
+    value = spec.value_category
+    memo = {}
+    path = []
+    while isinstance(t, Constructor):
+        for prod in ctx.productions if ctx is not None else ():
+            if not (isinstance(prod, Constructor) and prod.name == t.name
+                    and len(prod.args) == len(t.args)):
+                continue
+            holes = context_holes(prod, ctx.name)
+            if not holes:
+                continue
+            hole_at = holes[0]
+            if all(_generates(s, a, spec, memo)
+                   for i, (s, a) in enumerate(zip(prod.args, t.args)) if i != hole_at) \
+                    and not (value is not None
+                             and oracle_member(t.args[hole_at], value.name, spec, memo)):
+                path.append((t, hole_at))
+                t = t.args[hole_at]
+                break
+        else:
+            break
+    context = HOLE
+    for node, hole_at in reversed(path):
+        context = Constructor(node.name,
+                              node.args[:hole_at] + (context,) + node.args[hole_at + 1:])
+    return context, t
 
 
 def oracle_evaluate(t, spec, fuel=10000):

@@ -1,6 +1,8 @@
 import dataclasses
 import gc
 import hashlib
+import random
+import sys
 import weakref
 from itertools import islice
 
@@ -60,6 +62,7 @@ from oracles import (
     enumerate_types,
     oracle_check_subtype,
     oracle_ck_eval,
+    oracle_decompose,
     oracle_evaluate,
     oracle_iter_random_terms,
     oracle_iter_swarm_terms,
@@ -287,6 +290,19 @@ def test_plug_inverts_decompose_on_random_terms(boollist):
         assert plug(context, redex) == t
 
 
+CONTEXT_FIXTURES = ("stlc", "stlc_consts", "langfunny", "boollist")
+
+
+@pytest.mark.parametrize("name", CONTEXT_FIXTURES)
+def test_decompose_equals_the_slots_first_oracle_on_generated_terms(name):
+    spec = load(name)
+    assert spec.context_category is not None
+    for seed in (0, 1):
+        for t in islice(iter_swarm_terms(spec, seed=seed, max_size=10), 300):
+            for s in subterms(t):
+                assert decompose(s, spec) == oracle_decompose(s, spec), s
+
+
 # -- small-step evaluation ------------------------------------------------------
 
 def test_step_uses_first_matching_rule():
@@ -459,6 +475,93 @@ def test_runs_end_exactly_as_the_full_fuel_loop(spec_name, text, semantics, endi
     kind, _, trace = fast
     assert kind == ("value" if ending == "value" else "out-of-fuel")
     assert (len({id(s) for s in trace}) < len(trace)) == (ending == "repeats")
+
+
+@pytest.mark.parametrize("spec_name,text,semantics,ending", RUNS.values(), ids=RUNS)
+def test_decompose_equals_the_slots_first_oracle_on_every_state_of_a_run(
+        spec_name, text, semantics, ending):
+    spec = load(spec_name)
+    term = identity_chain(300) if text is None else conc(text, spec)
+    if semantics == "smallstep":
+        _, _, trace = cli._outcome(evaluate, term, spec, 10000)
+        states = [term] + [ts.after for ts in trace]
+    else:
+        machine = (parse_spec(swapped_order_machine_text()) if semantics == "swapped"
+                   else derive_ck(spec))
+        _, _, trace = cli._outcome(ck_eval, MachineConfig(term, MT), machine, 3 * 10000)
+        # A machine state's focus is a term of the source language.
+        states = [term] + [ts.after.focus for ts in trace]
+    # Hashing, and the oracle's membership, recurse a few frames per level
+    # of a state.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10000))
+    try:
+        for s in dict.fromkeys(states):   # a loop's states, once each
+            assert deep_equal(decompose(s, spec), oracle_decompose(s, spec))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("name", CONTEXT_FIXTURES)
+def test_runs_equal_the_per_step_memo_oracles_on_well_typed_terms(name):
+    spec = load(name)
+    machine = derive_ck(spec)
+    for term in cli.well_typed_terms(spec, 200, 0, 10):
+        assert deep_equal(cli._outcome(evaluate, term, spec, 300),
+                          cli._outcome(oracle_evaluate, term, spec, 300)), term
+        config = MachineConfig(term, MT)
+        assert deep_equal(cli._outcome(ck_eval, config, machine, 900),
+                          cli._outcome(oracle_ck_eval, config, machine, 900)), term
+
+
+def counted_categories(monkeypatch):
+    """A one-item list counting the calls of engine._categories from now on."""
+    calls = [0]
+    walk = engine._categories
+
+    def counted(*args):
+        calls[0] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(engine, "_categories", counted)
+    return calls
+
+
+def test_a_run_categorises_its_focus_path_not_the_whole_term(monkeypatch, stlc_consts):
+    calls = counted_categories(monkeypatch)
+    value, trace = evaluate(identity_chain(200), stlc_consts)
+    assert value == Constructor("ci") and len(trace) == 200
+    # A memo per step, and the other slots tested before the hole, made
+    # 200,401 calls.
+    assert calls[0] <= 25000
+
+
+def and_beside_a_list(n):
+    """(and A BIG): A a 50-deep left-nested and chain, BIG a list of n values."""
+    chain = Constructor("t")
+    for _ in range(50):
+        chain = Constructor("and", (chain, Constructor("t")))
+    big = Constructor("nil")
+    for _ in range(n):
+        big = Constructor("cons", (Constructor("t"), big))
+    return Constructor("and", (chain, big))
+
+
+def test_a_run_walks_a_subterm_off_its_focus_path_once(monkeypatch, boollist):
+    calls = counted_categories(monkeypatch)
+    runs, walks = {}, {}
+    for n in (100, 1600):
+        term = and_beside_a_list(n)
+        calls[0] = 0
+        categories(term.args[1], boollist)
+        walks[n] = calls[0]
+        calls[0] = 0
+        value, trace = evaluate(term, boollist)
+        assert value is term.args[1] and len(trace) == 51
+        runs[n] = calls[0]
+    # The 1,500 more list nodes cost one walk of them: 10,500 calls, seven
+    # per node.  A memo per step walked them once per step, 546,000 calls.
+    assert 0 < runs[1600] - runs[100] <= walks[1600] - walks[100]
 
 
 def stepped(state, advance, finished):
@@ -896,6 +999,32 @@ def test_generation_sizes_productions_once_per_spec(monkeypatch):
             pass
         counts.append(calls)
     assert counts[0] == counts[1] > 0
+
+
+def test_a_closed_stream_frees_its_random_without_the_collector(monkeypatch):
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(engine.random, "Random", Recorded)
+    spec = load("langfunny")
+    gc.disable()
+    try:
+        stream = iter_swarm_terms(spec, seed=0, max_size=10)
+        for _ in islice(stream, 2500):
+            pass
+        drawing = sum(r() is not None for r in made)
+        del stream
+        closed = sum(r() is not None for r in made)
+    finally:
+        gc.enable()
+    # The swarm's own Random and the open chunk's; each of the other 99
+    # chunks' stayed in a reference cycle until the collector ran.
+    assert len(made) == 101
+    assert (drawing, closed) == (2, 0)
 
 
 def test_generation_plans_are_freed_with_their_specs():
