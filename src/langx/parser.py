@@ -199,6 +199,24 @@ class _Resolver:
             ("a declared constructor", "a variable", "a metavariable"),
         ))
 
+    def operator(self, tok: _Tok) -> None:
+        """Refuse a production's constructor or binder name that is a
+        metavariable or variable token: every rule would read the
+        constructor for the metavariable, and the printed spec could not
+        tell them apart."""
+        t = tok.text
+        if find_metavariable(t, self.categories) is not None:
+            token = "metavariable"
+        elif is_variable(t, self.variables):
+            token = "variable"
+        else:
+            return
+        role = "binder" if t in self.binders else "constructor"
+        raise _Fail(ParseError(
+            SourceSpan(self.filename, tok.line, tok.col),
+            f"{role} name {t!r} is a {token} token",
+        ))
+
 
 class _P:
     """Cursor over one line's tokens."""
@@ -269,6 +287,8 @@ class _P:
         match tok.kind:
             case "LPAREN":
                 head = self.expect("IDENT")
+                if self.res.mode == _PRODUCTION:
+                    self.res.operator(head)
                 args: list[Term] = []
                 while self.peek() is not None and self.peek().kind != "RPAREN":
                     args.append(self.term())

@@ -1,4 +1,9 @@
+import hashlib
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from langx.engine import MT
 from langx.ir import (
@@ -294,3 +299,97 @@ def test_print_canonical_section_order(langfunny):
                 if line and not line[0].isspace()]
     assert keywords == ["language", "variables", "grammar", "binder",
                         "variance"] + ["rule"] * len(langfunny.rules)
+
+
+# ---------------------------------------------------------------------------
+# constructor names, and mutated specs
+
+
+STLC_TEXT = (FIXTURES / "stlc.lang").read_text()
+STLC_EXPRESSIONS = "  Expression e ::= x | (lam x T e) | (app e e)\n"
+
+
+def stlc_with_production(production):
+    assert STLC_TEXT.count(STLC_EXPRESSIONS) == 1
+    return STLC_TEXT.replace(STLC_EXPRESSIONS,
+                             STLC_EXPRESSIONS[:-1] + f" | {production}\n")
+
+
+@pytest.mark.parametrize("production,message", [
+    ("(T)", "constructor name 'T' is a metavariable token"),
+    ("(e)", "constructor name 'e' is a metavariable token"),
+    ("(x)", "constructor name 'x' is a variable token"),
+    ("(T e)", "constructor name 'T' is a metavariable token"),
+])
+def test_a_constructor_named_by_a_metavariable_or_variable_token_is_refused(
+        production, message):
+    # A nullary constructor T would shadow the Type metavariable in every
+    # rule, and the printed production would read back as the metavariable.
+    with pytest.raises(SpecParseError) as info:
+        parse_spec(stlc_with_production(production), "stlc.lang")
+    column = len(STLC_EXPRESSIONS.rstrip()) + len(" | (") + 1
+    assert [str(e) for e in info.value.errors] == [
+        f"stlc.lang:7:{column}: error: {message}"]
+
+
+def test_a_binder_named_by_a_metavariable_token_is_refused():
+    bad = MINIMAL.replace("binder lam 1", "binder lam 1\nbinder e 1") \
+                 .replace("(app e e)", "(app e e) | (e x T e)")
+    assert any("binder name 'e' is a metavariable token" in m for m in errors_of(bad))
+
+
+SPEC_FILES = sorted(FIXTURES.glob("*.lang")) + sorted(GOLDEN.glob("*.lang"))
+SPEC_TEXTS = [path.read_text() for path in SPEC_FILES]
+INSERTED_TOKENS = (
+    "(", ")", "[", "]", "[.]", "|", "::=", "-->", "<:", "|-", "\\/", ",", ":",
+    "=", "/", "<", ">", "e", "v", "T", "E", "x", "x1", "lam", "app", "nil",
+    "rule", "grammar", "variance", "co", " ", "\n", "\t", "#", "-" * 32, "?",
+)
+
+
+def mutate(text, rng):
+    """text with one mutation: some characters deleted, a token inserted, or
+    a line duplicated."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        start = rng.randrange(len(text))
+        return text[:start] + text[start + rng.randint(1, 8):]
+    if kind == 1:
+        at = rng.randrange(len(text) + 1)
+        return text[:at] + rng.choice(INSERTED_TOKENS) + text[at:]
+    lines = text.split("\n")
+    at = rng.randrange(len(lines))
+    return "\n".join(lines[:at + 1] + lines[at:])
+
+
+def parse_outcome(text):
+    """The diagnostics of a spec text, or its printed form if it parses."""
+    try:
+        return print_spec(parse_spec(text, "mutant.lang"))
+    except SpecParseError as e:
+        return str(e)
+
+
+def test_diagnostics_of_mutated_specs_are_unchanged():
+    # Pins every diagnostic, its span and their order, and every printed
+    # spec, across 1,000 mutants of the fixtures and goldens.
+    rng = random.Random(13)
+    digest = hashlib.sha256()
+    outcomes = {"parsed": 0, "refused": 0}
+    for _ in range(1000):
+        out = parse_outcome(mutate(rng.choice(SPEC_TEXTS), rng))
+        outcomes["refused" if "error:" in out else "parsed"] += 1
+        digest.update(out.encode() + b"\0")
+    assert min(outcomes.values()) > 100
+    assert digest.hexdigest() == "484506947fd775e42622239a804d4e3e8850e0dd7263e64f96aa50a371928e24"
+
+
+@settings(deadline=None)
+@given(st.builds(mutate, st.sampled_from(SPEC_TEXTS), st.randoms(use_true_random=False)))
+@example(stlc_with_production("(T)"))
+def test_a_mutated_spec_is_refused_or_reads_back_from_its_print(text):
+    try:
+        spec = parse_spec(text)
+    except SpecParseError:
+        return
+    assert parse_spec(print_spec(spec)) == spec
