@@ -45,6 +45,7 @@ from .ir import (
 )
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_'-]*")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 RULE_SEPARATOR = "-" * 32
 
@@ -93,59 +94,55 @@ class _Fail(Exception):
 # ---------------------------------------------------------------------------
 # tokens
 
+# One alternative per token, longest first where one text prefixes another.
+# Whitespace matches nothing, so finditer steps over it; any other character
+# no token starts with is caught by the last group.
 _TOKEN_RE = re.compile(
-    r"""(?P<WS>\s+)
-      | (?P<HOLE>\[\.\])
-      | (?P<COLONCOLONEQ>::=)
-      | (?P<ARROW>-->)
-      | (?P<SUBTYPE><:)
-      | (?P<TURNSTILE>\|-)
-      | (?P<JOIN>\\/)
-      | (?P<IDENT>[A-Za-z_][A-Za-z0-9_']*)
-      | (?P<LPAREN>\()
-      | (?P<RPAREN>\))
-      | (?P<LBRACK>\[)
-      | (?P<RBRACK>\])
-      | (?P<LANGLE><)
-      | (?P<RANGLE>>)
-      | (?P<COMMA>,)
-      | (?P<SLASH>/)
-      | (?P<PIPE>\|)
-      | (?P<COLON>:)
-      | (?P<EQ>=)
+    r"""[A-Za-z_][A-Za-z0-9_']*
+      | \[\.\] | ::= | --> | <: | \|- | \\/
+      | [()\[\]<>,/|:=]
+      | (\S)
     """,
     re.VERBOSE,
 )
 
+_PUNCTUATION = {
+    "[.]": "HOLE", "::=": "COLONCOLONEQ", "-->": "ARROW", "<:": "SUBTYPE",
+    "|-": "TURNSTILE", "\\/": "JOIN", "(": "LPAREN", ")": "RPAREN",
+    "[": "LBRACK", "]": "RBRACK", "<": "LANGLE", ">": "RANGLE", ",": "COMMA",
+    "/": "SLASH", "|": "PIPE", ":": "COLON", "=": "EQ",
+}
 
-@dataclass(frozen=True)
+_END = "END"
+
+
 class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int      # 1-based
-    end: int      # column just past the token
+    __slots__ = ("kind", "text", "col", "end")
+
+    def __init__(self, kind: str, text: str, col: int, end: int):
+        self.kind = kind
+        self.text = text
+        self.col = col      # 1-based
+        self.end = end      # column just past the token
 
 
 def _tokenize(text: str, filename: str, line_no: int) -> list[_Tok]:
     toks: list[_Tok] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
+    for m in _TOKEN_RE.finditer(text):
+        start, end = m.span()
+        if m.lastindex:
             raise _Fail(ParseError(
-                SourceSpan(filename, line_no, pos + 1),
-                f"unexpected character {text[pos]!r}",
+                SourceSpan(filename, line_no, start + 1),
+                f"unexpected character {text[start]!r}",
             ))
-        if m.lastgroup != "WS":
-            toks.append(_Tok(m.lastgroup, m.group(), line_no, m.start() + 1, m.end() + 1))
-        pos = m.end()
+        t = m.group()
+        toks.append(_Tok(_PUNCTUATION.get(t, "IDENT"), t, start + 1, end + 1))
     return toks
 
 
 def _is_separator(line: str) -> bool:
     s = line.strip()
-    return len(s) >= 3 and set(s) == {"-"}
+    return len(s) >= 3 and not s.strip("-")
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +153,11 @@ _PRODUCTION, _RULE, _CONCRETE = "production", "rule", "concrete"
 
 @dataclass
 class _Resolver:
-    """Token resolution context shared by the term parser."""
+    """Token resolution context shared by the term parser.
+
+    Each distinct token text is resolved once per mode; the leaf it stands
+    for is kept in `leaves`.  A failed resolution raises and keeps nothing.
+    """
 
     filename: str
     categories: list[tuple[str, str]]            # (name, metavariable)
@@ -164,8 +165,17 @@ class _Resolver:
     binders: dict[str, int]
     constructors: dict[str, int]                 # name -> arity, grows in production mode
     mode: str = _RULE
+    leaves: dict[tuple[str, str], Term] = field(default_factory=dict)
+    operators: set[str] = field(default_factory=set)   # production heads found sound
 
-    def atom(self, tok: _Tok) -> Term:
+    def atom(self, tok: _Tok, line: int) -> Term:
+        key = (self.mode, tok.text)
+        leaf = self.leaves.get(key)
+        if leaf is None:
+            leaf = self.leaves[key] = self._resolve(tok, line)
+        return leaf
+
+    def _resolve(self, tok: _Tok, line: int) -> Term:
         t = tok.text
         if self.mode == _PRODUCTION:
             mv = find_metavariable(t, self.categories)
@@ -173,6 +183,7 @@ class _Resolver:
                 return mv
             if is_variable(t, self.variables):
                 return Var(t)
+            # the first occurrence: later ones find the leaf in the memo
             self.constructors.setdefault(t, 0)
             return Constructor(t)
         if self.mode == _CONCRETE:
@@ -182,7 +193,7 @@ class _Resolver:
                 return Constructor(t)
             if find_metavariable(t, self.categories) is not None:
                 raise _Fail(ParseError(
-                    SourceSpan(self.filename, tok.line, tok.col),
+                    SourceSpan(self.filename, line, tok.col),
                     f"metavariable {t!r} not allowed in a concrete term",
                 ))
         else:
@@ -194,103 +205,102 @@ class _Resolver:
             if mv is not None:
                 return mv
         raise _Fail(ParseError(
-            SourceSpan(self.filename, tok.line, tok.col),
+            SourceSpan(self.filename, line, tok.col),
             f"cannot resolve token {t!r}",
             ("a declared constructor", "a variable", "a metavariable"),
         ))
 
-    def operator(self, tok: _Tok) -> None:
+    def operator(self, tok: _Tok, line: int) -> None:
         """Refuse a production's constructor or binder name that is a
         metavariable or variable token: every rule would read the
         constructor for the metavariable, and the printed spec could not
         tell them apart."""
         t = tok.text
+        if t in self.operators:
+            return
         if find_metavariable(t, self.categories) is not None:
             token = "metavariable"
         elif is_variable(t, self.variables):
             token = "variable"
         else:
+            self.operators.add(t)
             return
         role = "binder" if t in self.binders else "constructor"
         raise _Fail(ParseError(
-            SourceSpan(self.filename, tok.line, tok.col),
+            SourceSpan(self.filename, line, tok.col),
             f"{role} name {t!r} is a {token} token",
         ))
 
 
 class _P:
-    """Cursor over one line's tokens."""
+    """Cursor over one line's tokens, which it ends with an END token at the
+    column just past the last one."""
 
     def __init__(self, toks: list[_Tok], filename: str, line: int, res: _Resolver):
-        self.toks = toks
+        end = toks[-1].end if toks else 1
+        self.toks = [*toks, _Tok(_END, "", end, end)]
         self.i = 0
         self.filename = filename
         self.line = line
         self.res = res
 
-    def peek(self) -> _Tok | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
     def next(self) -> _Tok:
-        tok = self.peek()
-        if tok is None:
+        tok = self.toks[self.i]
+        if tok.kind == _END:
             raise self.fail("unexpected end of line")
         self.i += 1
         return tok
 
     def expect(self, kind: str) -> _Tok:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
+        tok = self.toks[self.i]
+        if tok.kind != kind:
             raise self.fail(f"expected {kind}", (kind,))
-        return self.next()
+        self.i += 1
+        return tok
 
     def fail(self, message: str, expected: tuple[str, ...] = ()) -> _Fail:
-        tok = self.peek()
-        col = tok.col if tok else (self.toks[-1].end if self.toks else 1)
-        return _Fail(ParseError(SourceSpan(self.filename, self.line, col), message, expected))
+        return self.fail_at(self.toks[self.i], message, expected)
+
+    def fail_at(self, tok: _Tok, message: str, expected: tuple[str, ...] = ()) -> _Fail:
+        return _Fail(ParseError(SourceSpan(self.filename, self.line, tok.col), message, expected))
 
     def done(self) -> None:
-        if self.peek() is not None:
+        if self.toks[self.i].kind != _END:
             raise self.fail("trailing tokens after formula")
 
     # -- terms ---------------------------------------------------------------
 
     def term(self) -> Term:
         t = self.primary()
+        toks = self.toks
         while True:
-            nxt = self.peek()
-            if (
-                nxt is not None
-                and nxt.kind == "LBRACK"
-                and self.i > 0
-                and self.toks[self.i - 1].end == nxt.col
-                and self.toks[self.i - 1].line == nxt.line
-            ):
-                if self.res.mode == _CONCRETE:
-                    raise self.fail("substitution not allowed in a concrete term")
-                self.next()
-                repl = self.term()
-                self.expect("SLASH")
-                var = self.expect("IDENT")
-                if not is_variable(var.text, self.res.variables):
-                    raise _Fail(ParseError(
-                        SourceSpan(self.filename, var.line, var.col),
-                        f"substitution variable {var.text!r} is not a declared variable token",
-                    ))
-                self.expect("RBRACK")
-                t = Subst(t, repl, var.text)
-            else:
+            nxt = toks[self.i]
+            if nxt.kind != "LBRACK" or toks[self.i - 1].end != nxt.col:
                 return t
+            if self.res.mode == _CONCRETE:
+                raise self.fail("substitution not allowed in a concrete term")
+            self.i += 1
+            repl = self.term()
+            self.expect("SLASH")
+            var = self.expect("IDENT")
+            if not is_variable(var.text, self.res.variables):
+                raise self.fail_at(
+                    var, f"substitution variable {var.text!r} is not a declared variable token")
+            self.expect("RBRACK")
+            t = Subst(t, repl, var.text)
 
     def primary(self) -> Term:
         tok = self.next()
+        toks = self.toks
         match tok.kind:
+            case "IDENT":
+                return self.res.atom(tok, self.line)
             case "LPAREN":
                 head = self.expect("IDENT")
                 if self.res.mode == _PRODUCTION:
-                    self.res.operator(head)
+                    self.res.operator(head, self.line)
                 args: list[Term] = []
-                while self.peek() is not None and self.peek().kind != "RPAREN":
+                while toks[self.i].kind not in ("RPAREN", _END):
                     args.append(self.term())
                 self.expect("RPAREN")
                 return self._apply(head, args)
@@ -301,18 +311,16 @@ class _P:
                 return HOLE
             case "LBRACK":
                 items: list[Term] = []
-                if self.peek() is not None and self.peek().kind != "RBRACK":
+                if toks[self.i].kind not in ("RBRACK", _END):
                     items.append(self.term())
-                    while self.peek() is not None and self.peek().kind == "COMMA":
-                        self.next()
+                    while toks[self.i].kind == "COMMA":
+                        self.i += 1
                         items.append(self.term())
                 self.expect("RBRACK")
                 chain: Term = Constructor("nil")
                 for item in reversed(items):
                     chain = Constructor("cons", (item, chain))
                 return chain
-            case "IDENT":
-                return self.res.atom(tok)
             case _:
                 self.i -= 1
                 raise self.fail(f"unexpected token {tok.text!r}", ("a term",))
@@ -322,32 +330,24 @@ class _P:
         if name in self.res.binders:
             pos = self.res.binders[name]
             if pos > len(args):
-                raise _Fail(ParseError(
-                    SourceSpan(self.filename, head.line, head.col),
-                    f"binder {name!r} needs a bound variable at position {pos}",
-                ))
+                raise self.fail_at(head, f"binder {name!r} needs a bound variable at position {pos}")
             bound = args[pos - 1]
             if not isinstance(bound, Var):
-                raise _Fail(ParseError(
-                    SourceSpan(self.filename, head.line, head.col),
-                    f"argument {pos} of binder {name!r} must be a variable",
-                ))
+                raise self.fail_at(head, f"argument {pos} of binder {name!r} must be a variable")
             rest = tuple(a for i, a in enumerate(args) if i != pos - 1)
             return BinderApp(name, bound.name, rest)
         if self.res.mode == _PRODUCTION:
             self.res.constructors.setdefault(name, len(args))
         elif name not in self.res.constructors:
-            raise _Fail(ParseError(
-                SourceSpan(self.filename, head.line, head.col),
-                f"constructor {name!r} is not declared in any grammar production",
-            ))
+            raise self.fail_at(
+                head, f"constructor {name!r} is not declared in any grammar production")
         return Constructor(name, tuple(args))
 
     # -- formulas ------------------------------------------------------------
 
     def formula(self) -> Formula:
         kinds = self._toplevel_kinds()
-        if self.toks and self.toks[0].kind == "LANGLE":
+        if self.toks[0].kind == "LANGLE":
             lhs = self.config()
             self.expect("ARROW")
             rhs = self.config()
@@ -377,8 +377,8 @@ class _P:
             left = self.term()
             self.expect("EQ")
             operands = [self.term()]
-            while self.peek() is not None and self.peek().kind == "JOIN":
-                self.next()
+            while self.toks[self.i].kind == "JOIN":
+                self.i += 1
                 operands.append(self.term())
             self.done()
             if len(operands) == 1:
@@ -409,14 +409,13 @@ class _P:
     def env_expr(self) -> EnvExpr:
         root = self.expect("IDENT").text
         extensions: list[tuple[str, Term]] = []
-        while self.peek() is not None and self.peek().kind == "COMMA":
-            self.next()
+        while self.toks[self.i].kind == "COMMA":
+            self.i += 1
             var = self.expect("IDENT")
             if not is_variable(var.text, self.res.variables):
-                raise _Fail(ParseError(
-                    SourceSpan(self.filename, var.line, var.col),
-                    f"environment extension variable {var.text!r} is not a declared variable token",
-                ))
+                raise self.fail_at(
+                    var, f"environment extension variable {var.text!r} "
+                         f"is not a declared variable token")
             self.expect("COLON")
             extensions.append((var.text, self.term()))
         return EnvExpr(root, tuple(extensions))
@@ -437,8 +436,8 @@ class _Block:
 def _split_blocks(source: str, filename: str, errors: list[ParseError]) -> list[_Block]:
     blocks: list[_Block] = []
     for i, raw in enumerate(source.split("\n"), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.partition("#")[0].rstrip()
+        if not line:
             continue
         if line[0] in " \t":
             if not blocks:
@@ -482,12 +481,11 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
     subtype_lines: list[tuple[int, str]] = []
     rule_blocks: list[_Block] = []
 
-    ident = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
     for b in blocks[1:]:
         match b.keyword:
             case "variables":
                 for word in b.args:
-                    if not ident.fullmatch(word):
+                    if not _IDENT_RE.fullmatch(word):
                         errors.append(ParseError(
                             SourceSpan(filename, b.head_line, 1),
                             f"variable token {word!r} is not an identifier",
@@ -495,7 +493,7 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
                     else:
                         variables.append(word)
             case "binder":
-                if (len(b.args) != 2 or not ident.fullmatch(b.args[0])
+                if (len(b.args) != 2 or not _IDENT_RE.fullmatch(b.args[0])
                         or not b.args[1].isdigit() or int(b.args[1]) < 1):
                     errors.append(ParseError(
                         SourceSpan(filename, b.head_line, 1),
@@ -504,7 +502,7 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
                 else:
                     binders[b.args[0]] = int(b.args[1])
             case "contexts":
-                if len(b.args) != 1 or not ident.fullmatch(b.args[0]):
+                if len(b.args) != 1 or not _IDENT_RE.fullmatch(b.args[0]):
                     errors.append(ParseError(
                         SourceSpan(filename, b.head_line, 1),
                         "contexts directive takes one category name",
@@ -649,9 +647,11 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
         except _Fail as f:
             errors.append(f.error)
 
+    nodes = _list_nodes(categories, rules)
+
     # Type constructors the rules use without a variance line take the usual
     # variance when their arity agrees; _validate reports the others.
-    type_ctors = _type_constructors(rules)
+    type_ctors = _type_constructors(rules, nodes)
     for ctor in type_ctors:
         default = DEFAULT_VARIANCE.get(ctor)
         if ctor not in variance and default is not None \
@@ -668,7 +668,7 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
         binders=binders,
         context_name=context_name,
     )
-    _validate(spec, filename, cat_spans, rule_spans, type_ctors, errors)
+    _validate(spec, filename, cat_spans, rule_spans, nodes, type_ctors, errors)
     if errors:
         raise SpecParseError(errors)
     return spec
@@ -693,14 +693,29 @@ def _type_position_terms(f: Formula):
             return
 
 
-def _type_constructors(rules: list[InferenceRule]) -> dict[str, str]:
+def _list_nodes(categories: list[GrammarCategory],
+                rules: list[InferenceRule]) -> dict[int, list[Term]]:
+    """The nodes of each production and formula term, in pre-order, keyed by
+    the term's id.  The checks read these lists and walk no term again."""
+    terms = [p for cat in categories for p in cat.productions]
+    terms += [t for rule in rules for f in (*rule.premises, rule.conclusion)
+              for t in formula_terms(f)]
+    nodes: dict[int, list[Term]] = {}
+    for t in terms:
+        if id(t) not in nodes:
+            nodes[id(t)] = list(subterms(t))
+    return nodes
+
+
+def _type_constructors(rules: list[InferenceRule],
+                       nodes: dict[int, list[Term]]) -> dict[str, str]:
     """Constructors with arguments in the rules' type positions, in order of
     first use, each with the name of the last rule that uses it."""
     used: dict[str, str] = {}
     for rule in rules:
         for f in (*rule.premises, rule.conclusion):
             for t in _type_position_terms(f):
-                for s in subterms(t):
+                for s in nodes[id(t)]:
                     if isinstance(s, Constructor) and s.args:
                         used[s.name] = rule.name
     return used
@@ -711,6 +726,7 @@ def _validate(
     filename: str,
     cat_spans: dict[str, int],
     rule_spans: dict[str, int],
+    nodes: dict[int, list[Term]],
     type_ctors: dict[str, str],
     errors: list[ParseError],
 ) -> None:
@@ -738,7 +754,7 @@ def _validate(
     binder_arities: dict[str, int] = {}
 
     def walk(term: Term, line: int) -> None:
-        for s in subterms(term):
+        for s in nodes[id(term)]:
             if isinstance(s, Constructor):
                 if s.name in spec.binders:
                     err(line, f"{s.name!r} is declared as a binder but used without a bound variable")
@@ -764,12 +780,12 @@ def _validate(
     ctx = spec.context_category
     for cat in spec.categories:
         for p in cat.productions:
-            if any(isinstance(s, Subst) for s in subterms(p)):
+            if any(isinstance(s, Subst) for s in nodes[id(p)]):
                 err(cat_spans.get(cat.name, 1),
                     f"production {render_term(p, spec)!r} contains a substitution; "
                     f"substitutions belong on rule right-hand sides")
             if (ctx is None or cat.name != ctx.name) \
-                    and any(isinstance(s, Hole) for s in subterms(p)):
+                    and any(isinstance(s, Hole) for s in nodes[id(p)]):
                 err(cat_spans.get(cat.name, 1),
                     f"hole production outside the evaluation-context category {cat.name!r}")
     if ctx is not None:
@@ -777,7 +793,7 @@ def _validate(
             if isinstance(p, Hole):
                 continue
             holes = sum(
-                1 for s in subterms(p)
+                1 for s in nodes[id(p)]
                 if isinstance(s, Hole)
                 or (isinstance(s, Metavariable) and s.category == ctx.name))
             if holes != 1:
@@ -800,7 +816,7 @@ def _validate(
 
         for f in (*rule.premises, rule.conclusion):
             for t in formula_terms(f):
-                for s in subterms(t):
+                for s in nodes[id(t)]:
                     if isinstance(s, Hole):
                         err(line, f"rule {rule.name!r} mentions a context hole")
 
@@ -818,7 +834,7 @@ def _validate(
             lhs_mvs: list[str] = []
             lhs_bound: list[str] = []
             for t in lhs_terms:
-                for s in subterms(t):
+                for s in nodes[id(t)]:
                     if isinstance(s, Metavariable):
                         lhs_mvs.append(s.token)
                     elif isinstance(s, BinderApp):
@@ -830,7 +846,7 @@ def _validate(
             if dupes:
                 err(line, f"rule {rule.name!r} repeats {sorted(dupes)} in its pattern")
             for t in rhs_terms:
-                for s in subterms(t):
+                for s in nodes[id(t)]:
                     if isinstance(s, Metavariable) and s.token not in lhs_mvs:
                         err(line, f"rule {rule.name!r} uses {s.token!r} on the right only")
                     if isinstance(s, Subst) and s.var not in lhs_bound:
@@ -839,7 +855,7 @@ def _validate(
         # type positions carry type-category metavariables only
         for f in (*rule.premises, rule.conclusion):
             for t in _type_position_terms(f):
-                for s in subterms(t):
+                for s in nodes[id(t)]:
                     if isinstance(s, Metavariable) and s.category != "Type":
                         err(line, f"rule {rule.name!r} uses {s.token!r} in a type position")
             if isinstance(f, Typing) and len({v for v, _ in f.env.extensions}) != len(f.env.extensions):

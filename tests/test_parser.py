@@ -1,10 +1,13 @@
+import collections
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from langx import ir, parser
 from langx.engine import MT
 from langx.ir import (
     HOLE,
@@ -16,6 +19,7 @@ from langx.ir import (
     Subst,
     Typing,
     Var,
+    formula_terms,
 )
 from langx.parser import (
     SpecParseError,
@@ -393,3 +397,48 @@ def test_a_mutated_spec_is_refused_or_reads_back_from_its_print(text):
     except SpecParseError:
         return
     assert parse_spec(print_spec(spec)) == spec
+
+
+# ---------------------------------------------------------------------------
+# work done once per parse
+
+
+LANGFUNNY_CK = (GOLDEN / "langfunny.ck.lang").read_text()
+
+
+def test_each_distinct_identifier_is_resolved_at_most_twice(monkeypatch):
+    # once as a production leaf or name, once as a rule leaf
+    identifiers = {
+        word for line in LANGFUNNY_CK.splitlines() if line[:1].isspace()
+        for word in re.findall(r"[A-Za-z_][A-Za-z0-9_']*", line.split("#")[0])}
+    assert len(identifiers) == 47
+    resolved = collections.Counter()
+    real = parser.find_metavariable
+
+    def counting(token, categories):
+        resolved[token] += 1
+        return real(token, categories)
+
+    monkeypatch.setattr(parser, "find_metavariable", counting)
+    parse_spec(LANGFUNNY_CK)
+    assert set(resolved) <= identifiers
+    assert max(resolved.values()) <= 2
+
+
+def test_the_parser_walks_each_term_of_a_spec_at_most_once(monkeypatch):
+    # ir's constructor_arities table, kept on the spec for later users,
+    # is not the parser's walk
+    walked = []
+    real = ir.subterms
+
+    def counting(t):
+        walked.append(t)
+        return real(t)
+
+    monkeypatch.setattr(parser, "subterms", counting)
+    spec = parse_spec(LANGFUNNY_CK)
+    terms = [p for cat in spec.categories for p in cat.productions]
+    terms += [t for rule in spec.rules for f in (*rule.premises, rule.conclusion)
+              for t in formula_terms(f)]
+    assert len(terms) == 128
+    assert len({id(t) for t in walked}) == len(walked) <= len(terms)
