@@ -118,15 +118,9 @@ Categories = dict[int, tuple[Term, frozenset[str]]]
 _NO_CATEGORIES: frozenset[str] = frozenset()
 
 
-def _membership_table(spec: LanguageSpec) -> dict[tuple, tuple[
-        frozenset[str], tuple[tuple[tuple[Term, ...], frozenset[str]], ...]]]:
-    """Non-unit productions by the head of the node they derive.
-
-    Each head maps to every category that derives some node with that head,
-    and to its productions' distinct slot tuples, each with every category
-    that reaches such a production directly or through unit productions
-    (Expression ::= v).
-    """
+def _unit_closure(spec: LanguageSpec) -> dict[str, frozenset[str]]:
+    """Per category, every category that reaches it through unit productions
+    (Expression ::= v), itself included: the ones that derive all its terms."""
     reached_by = {cat.name: {cat.name} for cat in spec.categories}
     changed = True
     while changed:
@@ -138,6 +132,18 @@ def _membership_table(spec: LanguageSpec) -> dict[tuple, tuple[
                     if not reached_by[cat.name] <= below:
                         below |= reached_by[cat.name]
                         changed = True
+    return {name: frozenset(names) for name, names in reached_by.items()}
+
+
+def _membership_table(spec: LanguageSpec) -> dict[tuple, tuple[
+        frozenset[str], tuple[tuple[tuple[Term, ...], frozenset[str]], ...]]]:
+    """Non-unit productions by the head of the node they derive.
+
+    Each head maps to every category that derives some node with that head,
+    and to its productions' distinct slot tuples, each with every category
+    that reaches such a production directly or through unit productions.
+    """
+    reached_by = spec.derived(_unit_closure)
     by_head: dict[tuple, dict[tuple[Term, ...], set[str]]] = {}
     for cat in spec.categories:
         for p in cat.productions:
@@ -550,30 +556,15 @@ def _looping(trace: list[TraceStep], period: int, fuel: int) -> OutOfFuel:
 
 
 def is_value_pattern(pattern: Term, spec: LanguageSpec) -> bool:
-    """Does every instance of this pattern lie in the Value category?"""
+    """Does every instance of this pattern lie in the Value category?  The
+    membership walk, with each metavariable standing for any term of its
+    category, so in every category its category reaches by unit productions."""
     value = spec.value_category
-    if value is None:
-        return False
-    match pattern:
-        case Metavariable(_, _, cat_name):
-            return cat_name == value.name
-        case Constructor(name, args):
-            for prod in value.productions:
-                if (isinstance(prod, Constructor) and prod.name == name
-                        and len(prod.args) == len(args)):
-                    return all(is_value_pattern(a, spec) or _ground_value(a, spec)
-                               for a in args)
-            return False
-        case BinderApp(binder, _, args):
-            return any(isinstance(p, BinderApp) and p.binder == binder
-                       and len(p.args) == len(args)
-                       for p in value.productions)
-    return False
-
-
-def _ground_value(pattern: Term, spec: LanguageSpec) -> bool:
-    return not any(isinstance(s, Metavariable) for s in subterms(pattern)) \
-        and is_value(pattern, spec)
+    closure = spec.derived(_unit_closure)
+    cats: Categories = {id(s): (s, closure.get(s.category, _NO_CATEGORIES))
+                        for s in subterms(pattern) if isinstance(s, Metavariable)}
+    return _member(pattern, value.name if value is not None else None,
+                   spec.derived(_membership_table), cats)
 
 
 _TRACE_KINDS = (("-order-", "machine-order"), ("-comp-", "machine-computation"))

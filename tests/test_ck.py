@@ -2,6 +2,8 @@ import dataclasses
 
 import pytest
 
+from conftest import load
+from langx import cli
 from langx.ck import (
     AmbiguousStart,
     BadContext,
@@ -15,7 +17,7 @@ from langx.ck import (
     generate_continuation_grammar,
     generate_start_rule,
 )
-from langx.engine import MT, ck_eval, evaluate, is_value_pattern
+from langx.engine import MT, ck_eval, evaluate, is_value, is_value_pattern
 from langx.ir import (
     Constructor,
     GrammarCategory,
@@ -26,6 +28,7 @@ from langx.ir import (
     Typing,
 )
 from langx.parser import parse_spec, parse_term, print_spec, render_formula
+from oracles import enumerate_closed_terms
 
 
 def machine_names(spec):
@@ -216,6 +219,54 @@ grammar
 """)
     derived = derive_ck(spec)
     assert machine_names(derived) == ["h-start"]
+
+
+# Values include numbers through a unit production, so a number pattern is a
+# value although no Value production names its head.
+NUMS = """\
+language nums
+
+variables x
+
+grammar
+  Type T ::= N | (arrow T T)
+  Number n ::= zero | (succ n)
+  Value v ::= n | (lam x T e)
+  Expression e ::= x | zero | (succ e) | (pred e) | (lam x T e) | (app e e)
+  Context E ::= [.] | (pred E) | (app E e) | (app v E)
+
+binder lam 1
+
+rule pred-succ
+  --------------------------------
+  (pred (succ n1)) --> n1
+
+rule pred-zero
+  --------------------------------
+  (pred zero) --> zero
+
+rule beta
+  --------------------------------
+  (app (lam x T e) v) --> e[v/x]
+"""
+
+
+def test_value_patterns_are_values_by_the_grammar(capsys, tmp_path):
+    nums = parse_spec(NUMS)
+    for spec, size in [(nums, 7), *((load(name), 5) for name in
+                                    ("stlc", "stlc_consts", "langfunny", "boollist"))]:
+        for cat in spec.categories:
+            for g in enumerate_closed_terms(spec, size, cat.name):
+                assert is_value_pattern(g, spec) == is_value(g, spec), g
+    assert machine_names(derive_ck(nums)) == [
+        "pred-start", "pred-comp-1", "pred-comp-2",
+        "app-start", "app-order-1", "app-comp-1"]
+    path = tmp_path / "nums.lang"
+    path.write_text(NUMS)
+    code = cli.main(["compare", str(path), "--count", "2000", "--max-size", "8"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.endswith("2000/2000 agree\n")
 
 
 # -- rejected inputs -----------------------------------------------------------
