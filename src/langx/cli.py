@@ -7,8 +7,9 @@ Subcommands:
   eval           run one term under the small-step or machine semantics
   compare        run random well-typed terms under both semantics and diff
 
-Exit codes: 0 success, 1 parse/validation error or input nested too deeply,
-2 transformation error, 3 stuck term, 4 out of fuel, 5 semantics disagreement.
+Exit codes: 0 success, 1 parse/validation error, unreadable input, unwritable
+output or input nested too deeply, 2 transformation error, 3 stuck term,
+4 out of fuel, 5 semantics disagreement.
 """
 
 from __future__ import annotations
@@ -132,8 +133,11 @@ def _derive(spec: LanguageSpec, path: str) -> LanguageSpec:
 
 def _write_output(text: str, path: Optional[str], rep: Reporter) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise LangxError(f"cannot write {path}: {exc.strerror}") from exc
         rep.emit(None, kind="written", message=path)
     else:
         rep.emit(text.removesuffix("\n"), kind="spec", message=text)
@@ -196,6 +200,8 @@ def _outcome(run, state, spec: LanguageSpec, fuel: int):
 
 
 def cmd_eval(args, rep: Reporter) -> int:
+    if args.term is not None and args.term_file:
+        raise LangxError("eval takes a term argument or --term-file, not both")
     spec = _load_spec(args.spec)
     source = _read(args.term_file) if args.term_file else args.term
     if source is None:
@@ -378,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a closed term")
     p_eval.add_argument("spec")
     p_eval.add_argument("term", nargs="?",
-                        help="term text; omit when using --term-file")
+                        help="term text; give this or --term-file, not both")
     p_eval.add_argument("--term-file", help="read the term from a file")
     p_eval.add_argument("--machine", choices=("smallstep", "ck"),
                         default="smallstep")

@@ -146,6 +146,22 @@ def test_eval_of_a_deeply_nested_term_ends_in_a_diagnostic(tmp_path, depth, mach
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["derive-ck", fix("stlc.lang"), "-o", "{tmp}"], "cannot write {tmp}: Is a directory"),
+    (["add-subtyping", fix("stlc.lang"), "-o", "{tmp}/nodir/out.lang"],
+     "cannot write {tmp}/nodir/out.lang: No such file or directory"),
+    (["eval", fix("boollist.lang"), "(and t f)", "--term-file", "{tmp}/term.txt"],
+     "eval takes a term argument or --term-file, not both"),
+], ids=["output-directory", "output-missing-parent", "term-and-term-file"])
+def test_bad_output_and_term_arguments_end_in_a_diagnostic(tmp_path, argv, message):
+    (tmp_path / "term.txt").write_text("(and t f)\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "langx", *(a.format(tmp=tmp_path) for a in argv)],
+        capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == message.format(tmp=tmp_path) + "\n"
+
+
 def test_non_utf8_input_ends_in_a_diagnostic(tmp_path):
     spec = tmp_path / "bytes.lang"
     spec.write_bytes(b"\xff\xfe")
@@ -568,6 +584,11 @@ STRUCTURED_PATHS = {
     "non-utf8-term-file": (1, ["eval", fix("boollist.lang"),
                                "--term-file", "{tmp}/bytes.lang"]),
     "missing-term": (1, ["eval", fix("boollist.lang")]),
+    "term-and-term-file": (1, ["eval", fix("boollist.lang"), "(and t f)",
+                               "--term-file", "{tmp}/term.txt"]),
+    "unwritable-output-directory": (1, ["derive-ck", fix("stlc.lang"), "-o", "{tmp}"]),
+    "unwritable-output-missing-parent": (1, ["add-subtyping", fix("stlc.lang"),
+                                             "-o", "{tmp}/nodir/out.lang"]),
     "spec-parse-error": (1, ["check", "{tmp}/bad.lang"]),
     "nested-context": (1, ["eval", "{tmp}/nested.lang",
                            "(unwrap (wrap (app (lam x B x) (lam x B x))))"]),
