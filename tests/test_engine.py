@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import hashlib
 import random
@@ -18,6 +19,7 @@ from langx.engine import (
     OutOfFuel,
     Stuck,
     StuckMachine,
+    SubtypeFailure,
     TypecheckError,
     UnboundVariable,
     _same_state,
@@ -348,6 +350,14 @@ def test_evaluate_stuck(boollist):
     assert info.value.trace == []
 
 
+@functools.cache
+def field_names(kind):
+    """The field names of a dataclass, or None for any other class."""
+    if not dataclasses.is_dataclass(kind):
+        return None
+    return tuple(f.name for f in dataclasses.fields(kind))
+
+
 def deep_equal(a, b):
     """a == b for terms, configurations, traces and outcomes of any depth, with
     an explicit stack where == takes Python frames per level.  Each pair of
@@ -365,9 +375,8 @@ def deep_equal(a, b):
             if len(x) != len(y):
                 return False
             pending.extend(zip(x, y))
-        elif dataclasses.is_dataclass(x):
-            pending.extend((getattr(x, f.name), getattr(y, f.name))
-                           for f in dataclasses.fields(x))
+        elif (names := field_names(type(x))) is not None:
+            pending.extend((getattr(x, name), getattr(y, name)) for name in names)
         elif x != y:
             return False
     return True
@@ -433,6 +442,64 @@ def test_machine_out_of_fuel(boollist):
         ck_eval(MachineConfig(omega, MT), derived, fuel=10)
 
 
+# id-app's left-hand side names the bound variable, and wrap-lam's right-hand
+# side builds a binder around it, so matching and instantiation meet object
+# variables and binders in rule patterns.
+WRAPPER = """\
+language wrapper
+
+variables x
+
+grammar
+  Type T ::= int | (arrow T T)
+  Expression e ::= x | ci | (lam x T e) | (app e e) | (wrap e)
+  Value v ::= ci | (lam x T e)
+  Context E ::= [.] | (app E e) | (app v E) | (wrap E)
+
+binder lam 1
+
+rule id-app
+  --------------------------------
+  (app (lam x T x) v) --> v
+
+rule beta
+  --------------------------------
+  (app (lam x T e) v) --> e[v/x]
+
+rule wrap-lam
+  --------------------------------
+  (wrap (lam x T e)) --> (lam x T (app (lam x T e) x))
+
+rule wrap-ci
+  --------------------------------
+  (wrap ci) --> ci
+"""
+
+
+@pytest.mark.parametrize("text,small_rules,machine_rules", [
+    ("(app (lam x1 int x1) ci)", ["id-app"],
+     ["app-start", "app-order-1", "app-comp-1"]),
+    ("(app (wrap (lam x int x)) ci)", ["wrap-lam", "beta", "id-app"],
+     ["app-start", "wrap-start", "wrap-comp-1", "app-order-1", "app-comp-2",
+      "app-start", "app-order-1", "app-comp-1"]),
+    ("(wrap (app (lam x1 int x1) ci))", ["id-app", "wrap-ci"],
+     ["wrap-start", "app-start", "app-order-1", "app-comp-1", "wrap-comp-2"]),
+])
+def test_rule_patterns_with_variables_and_binders(text, small_rules, machine_rules):
+    spec = parse_spec(WRAPPER)
+    term = conc(text, spec)
+    value, trace = evaluate(term, spec)
+    assert (value, [s.rule_name for s in trace]) == (Constructor("ci"), small_rules)
+    value, trace = ck_eval(MachineConfig(term, MT), derive_ck(spec))
+    assert (value, [s.rule_name for s in trace]) == (Constructor("ci"), machine_rules)
+
+
+def test_wrapping_rebuilds_the_lambda_around_its_own_bound_variable():
+    spec = parse_spec(WRAPPER)
+    _, trace = evaluate(conc("(app (wrap (lam x1 int x1)) ci)", spec), spec)
+    assert trace[0].after == conc("(app (lam x1 int (app (lam x1 int x1) x1)) ci)", spec)
+
+
 OMEGA = "(app (lam x (app x x)) (lam x (app x x)))"
 # Every step rebuilds the states of this loop, so the equality walk finds no
 # identical subterms to skip, and they hold more node pairs than it compares:
@@ -457,20 +524,39 @@ RUNS = {
 }
 
 
-@pytest.mark.parametrize("spec_name,text,semantics,ending", RUNS.values(), ids=RUNS)
-def test_runs_end_exactly_as_the_full_fuel_loop(spec_name, text, semantics, ending):
+@functools.cache
+def full_fuel_run(spec_name, text, semantics):
+    """A RUNS case as (source spec, the spec it runs on, the fast run, start
+    state, budget, the oracle's outcome at the budget).  The budget is the
+    one compare gives that side."""
     spec = load(spec_name)
     term = identity_chain(300) if text is None else conc(text, spec)
-    # The last fuel is the budget compare gives that side.
     if semantics == "smallstep":
-        runs, state, budget = (evaluate, oracle_evaluate), term, 10000
-    else:
-        spec = (parse_spec(swapped_order_machine_text()) if semantics == "swapped"
-                else derive_ck(spec))
-        runs, state, budget = (ck_eval, oracle_ck_eval), MachineConfig(term, MT), 3 * 10000
+        return spec, spec, evaluate, term, 10000, cli._outcome(oracle_evaluate, term, spec, 10000)
+    machine = (parse_spec(swapped_order_machine_text()) if semantics == "swapped"
+               else derive_ck(spec))
+    config = MachineConfig(term, MT)
+    return (spec, machine, ck_eval, config, 3 * 10000,
+            cli._outcome(oracle_ck_eval, config, machine, 3 * 10000))
+
+
+def outcome_at(full, fuel):
+    """The outcome the oracle gives with this fuel, read off its outcome full
+    at a fuel no smaller: the full run up to the fuel-th step.  A run that
+    ends after exactly fuel steps without a value is out of fuel there, even
+    when it would be stuck with more."""
+    kind, _, trace = full
+    if fuel > len(trace) or (fuel == len(trace) and kind == "value"):
+        return full
+    return "out-of-fuel", trace[fuel - 1].after, trace[:fuel]
+
+
+@pytest.mark.parametrize("spec_name,text,semantics,ending", RUNS.values(), ids=RUNS)
+def test_runs_end_exactly_as_the_full_fuel_loop(spec_name, text, semantics, ending):
+    _, spec, run, state, budget, full = full_fuel_run(spec_name, text, semantics)
     for fuel in [*range(1, 41), budget]:
-        fast, full = (cli._outcome(run, state, spec, fuel) for run in runs)
-        assert deep_equal(fast, full), fuel
+        fast = cli._outcome(run, state, spec, fuel)
+        assert deep_equal(fast, outcome_at(full, fuel)), fuel
     # A run seen to repeat pads its trace with the loop's own steps.
     kind, _, trace = fast
     assert kind == ("value" if ending == "value" else "out-of-fuel")
@@ -480,17 +566,12 @@ def test_runs_end_exactly_as_the_full_fuel_loop(spec_name, text, semantics, endi
 @pytest.mark.parametrize("spec_name,text,semantics,ending", RUNS.values(), ids=RUNS)
 def test_decompose_equals_the_slots_first_oracle_on_every_state_of_a_run(
         spec_name, text, semantics, ending):
-    spec = load(spec_name)
-    term = identity_chain(300) if text is None else conc(text, spec)
+    spec, _, _, state, _, (_, _, trace) = full_fuel_run(spec_name, text, semantics)
     if semantics == "smallstep":
-        _, _, trace = cli._outcome(evaluate, term, spec, 10000)
-        states = [term] + [ts.after for ts in trace]
+        states = [state] + [ts.after for ts in trace]
     else:
-        machine = (parse_spec(swapped_order_machine_text()) if semantics == "swapped"
-                   else derive_ck(spec))
-        _, _, trace = cli._outcome(ck_eval, MachineConfig(term, MT), machine, 3 * 10000)
         # A machine state's focus is a term of the source language.
-        states = [term] + [ts.after.focus for ts in trace]
+        states = [state.focus] + [ts.after.focus for ts in trace]
     # Hashing, and the oracle's membership, recurse a few frames per level
     # of a state.
     limit = sys.getrecursionlimit()
@@ -739,6 +820,77 @@ def test_transformed_conditional_joins_branch_types(references):
     with pytest.raises(TypecheckError):
         typecheck(t, references)
     assert typecheck(t, wide) == Constructor("float")
+
+
+def test_transformed_assignment_keeps_the_reference_type_invariant(references):
+    # Ref is invariant, so add-subtyping gives t-assign T1 = T2, not T2 <: T1.
+    wide = add_subtyping(references)
+    ref_int = conc("(lam x (Ref int) (assign x ci))", references)
+    assert typecheck(ref_int, wide) == conc("(arrow (Ref int) unitType)", references)
+    with pytest.raises(SubtypeFailure) as info:
+        typecheck(conc("(lam x (Ref float) (assign x ci))", references), wide)
+    assert (info.value.t1, info.value.t2) == (Constructor("float"), Constructor("int"))
+
+
+PREMISES = """\
+language premises
+
+variables x
+
+grammar
+  Type T ::= int | float
+  Expression e ::= x | ci | cf | (left e) | (right e) | (both e e) | (run e)
+
+subtype-base
+  int <: float
+
+rule t-ci
+  --------------------------------
+  G |- ci : int
+
+rule t-cf
+  --------------------------------
+  G |- cf : float
+
+rule t-left
+  G |- e : T1
+  T2 = T1
+  --------------------------------
+  G |- (left e) : T2
+
+rule t-right
+  G |- e : T1
+  T1 = T2
+  --------------------------------
+  G |- (right e) : T2
+
+rule t-both
+  G |- e1 : T1
+  G |- e2 : T2
+  T1 = T1 \\/ T2
+  --------------------------------
+  G |- (both e1 e2) : T1
+
+rule t-run
+  e --> e'
+  --------------------------------
+  G |- (run e) : int
+"""
+
+
+def test_typecheck_discharges_equality_join_and_unsupported_premises():
+    spec = parse_spec(PREMISES)
+    # An equality binds whichever side the rule has not bound yet.
+    assert typecheck(conc("(left ci)", spec), spec) == Constructor("int")
+    assert typecheck(conc("(right cf)", spec), spec) == Constructor("float")
+    # A join whose result is bound already must equal it.
+    assert typecheck(conc("(both cf ci)", spec), spec) == Constructor("float")
+    with pytest.raises(SubtypeFailure) as info:
+        typecheck(conc("(both ci cf)", spec), spec)
+    assert (info.value.t1, info.value.t2) == (Constructor("int"), Constructor("float"))
+    # A step premise has no meaning to the checker.
+    with pytest.raises(TypecheckError, match="rule 't-run' has an unsupported premise"):
+        typecheck(conc("(run ci)", spec), spec)
 
 
 def test_two_rules_for_one_head_rejected():
