@@ -509,7 +509,8 @@ BIG_LOOP = f"(app {BIG_LOOP_HALF} {BIG_LOOP_HALF})"
 SHORT_RUN = "(app (lam x (if x t f)) (and f (hd (cons t nil))))"
 
 # name: spec, term (None for a 300-deep identity chain), semantics, and how
-# the run ends: it repeats a state, runs out of fuel unseen, or reaches a value
+# the run ends: it repeats a state, runs out of fuel unseen, reaches a value,
+# or gets stuck
 RUNS = {
     "omega": ("boollist", OMEGA, "smallstep", "repeats"),
     "omega-machine": ("boollist", OMEGA, "ck", "repeats"),
@@ -521,6 +522,8 @@ RUNS = {
     "short-run-machine": ("boollist", SHORT_RUN, "ck", "value"),
     "identity-chain": ("stlc_consts", None, "smallstep", "value"),
     "identity-chain-machine": ("stlc_consts", None, "ck", "value"),
+    "stuck-run": ("boollist", "(hd (app (lam x x) nil))", "smallstep", "stuck"),
+    "stuck-run-machine": ("boollist", "(hd (app (lam x x) nil))", "ck", "stuck"),
 }
 
 
@@ -559,7 +562,7 @@ def test_runs_end_exactly_as_the_full_fuel_loop(spec_name, text, semantics, endi
         assert deep_equal(fast, outcome_at(full, fuel)), fuel
     # A run seen to repeat pads its trace with the loop's own steps.
     kind, _, trace = fast
-    assert kind == ("value" if ending == "value" else "out-of-fuel")
+    assert kind == (ending if ending in ("value", "stuck") else "out-of-fuel")
     assert (len({id(s) for s in trace}) < len(trace)) == (ending == "repeats")
 
 
