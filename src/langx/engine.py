@@ -558,7 +558,8 @@ def _looping(trace: list[TraceStep], period: int, fuel: int) -> OutOfFuel:
 def is_value_pattern(pattern: Term, spec: LanguageSpec) -> bool:
     """Does every instance of this pattern lie in the Value category?  The
     membership walk, with each metavariable standing for any term of its
-    category, so in every category its category reaches by unit productions."""
+    category: a member of every category that reaches its own through unit
+    productions."""
     value = spec.value_category
     closure = spec.derived(_unit_closure)
     cats: Categories = {id(s): (s, closure.get(s.category, _NO_CATEGORIES))
