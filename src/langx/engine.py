@@ -473,9 +473,9 @@ def _run(state: Union[Term, MachineConfig], fuel: int, finished, advance,
     Both semantics are deterministic, so a run that meets a state it has
     already been in loops forever.  The loop keeps one saved state, moved
     forward whenever the step count is a power of two (Brent), and stops as
-    soon as the current state equals it: the OutOfFuel it raises then is the
-    one running the fuel out would raise, its trace padded with the loop's own
-    steps.
+    soon as the current state equals it, an identity test on interned terms:
+    the OutOfFuel it raises then is the one running the fuel out would raise,
+    its trace padded with the loop's own steps.
     """
     trace: list[TraceStep] = []
     saved, saved_at = state, 0
@@ -492,53 +492,13 @@ def _run(state: Union[Term, MachineConfig], fuel: int, finished, advance,
         trace.append(taken)
         state = taken.after
         steps = len(trace)
-        if _same_state(state, saved):
+        if state == saved:
             raise _looping(trace, steps - saved_at, fuel)
         if steps & (steps - 1) == 0:
             saved, saved_at = state, steps
     if finished(state, cats):
         return state, trace
     raise OutOfFuel(state, trace)
-
-
-# A repeated state is only reported when at most this many node pairs show
-# it, so the check costs O(1) per step; a loop through bigger states runs its
-# fuel out instead.
-_REPEAT_PAIRS = 16
-
-
-def _same_state(a: Union[Term, MachineConfig], b: Union[Term, MachineConfig]) -> bool:
-    """Are a and b equal?  A breadth-first walk over node pairs that skips
-    identical pairs and gives up after _REPEAT_PAIRS others, so False means
-    only that equality was not shown.  It runs after every step, hence the
-    exact-class tests in place of a match statement."""
-    pairs = [(a, b)]
-    budget = _REPEAT_PAIRS
-    for x, y in pairs:   # the list grows while it is walked: breadth first
-        if x is y:
-            continue
-        budget -= 1
-        kind = type(x)
-        if budget < 0 or kind is not type(y):
-            return False
-        if kind is Constructor:
-            if x.name != y.name or len(x.args) != len(y.args):
-                return False
-            pairs.extend(zip(x.args, y.args))
-        elif kind is MachineConfig:
-            pairs.append((x.focus, y.focus))
-            pairs.append((x.continuation, y.continuation))
-        elif kind is Var:
-            if x.name != y.name:
-                return False
-        elif kind is BinderApp:
-            if (x.binder != y.binder or x.bound_var != y.bound_var
-                    or len(x.args) != len(y.args)):
-                return False
-            pairs.extend(zip(x.args, y.args))
-        else:
-            return False
-    return True
 
 
 def _looping(trace: list[TraceStep], period: int, fuel: int) -> OutOfFuel:

@@ -1,13 +1,14 @@
 """Core data types for language specifications: terms, formulas, grammars, rules.
 
-Everything here is immutable. Terms double as patterns: a Metavariable node in
-a rule matches terms of its category, while concrete programs contain only
-Var/Constructor/BinderApp nodes.
+Everything here is immutable, and equal terms are one object.  Terms double as
+patterns: a Metavariable node in a rule matches terms of its category, while
+concrete programs contain only Var/Constructor/BinderApp nodes.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
@@ -41,40 +42,89 @@ class UnknownMetavariable(LangxError):
 # ---------------------------------------------------------------------------
 # terms
 
+_SWEEP_MIN = 4096
 
-@dataclass(frozen=True, slots=True)
-class Metavariable:
+
+class _Interned:
+    """Base of the term classes: building a node with the fields of a live one
+    returns that node, so == and hash are identity, O(1) at any depth.  Each
+    class keeps a weak table; building from several threads is unsupported."""
+
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls) -> None:
+        cls._table, cls._sweep_at = {}, _SWEEP_MIN
+        cls._setters = [getattr(cls, f).__set__ for f in cls.__slots__]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+def _no_node() -> None:
+    """The reference a table gives for fields no node has had."""
+
+
+def _intern(cls: type, key: tuple):
+    """A new node of cls with the fields key, kept in cls's table, which drops
+    dead references at twice its size after its last sweep (or _SWEEP_MIN)."""
+    node = object.__new__(cls)
+    for set_field, value in zip(cls._setters, key):
+        set_field(node, value)
+    table = cls._table
+    table[key] = weakref.ref(node)
+    if len(table) > cls._sweep_at:
+        for dead in [k for k, ref in table.items() if ref() is None]:
+            del table[dead]
+        cls._sweep_at = max(_SWEEP_MIN, 2 * len(table))
+    return node
+
+
+class Metavariable(_Interned):
     """A rule-level variable ranging over a grammar category, e.g. T12 or e'."""
 
-    base: str
-    suffix: Optional[str]
-    category: str
+    __slots__ = __match_args__ = ("base", "suffix", "category")
+
+    def __new__(cls, base: str, suffix: Optional[str], category: str) -> Metavariable:
+        key = (base, suffix, category)
+        return cls._table.get(key, _no_node)() or _intern(cls, key)
 
     @property
     def token(self) -> str:
         return self.base + (self.suffix or "")
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class Var(_Interned):
     """An object-level variable occurrence, e.g. the body of (lam x T x)."""
 
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __new__(cls, name: str) -> Var:
+        return cls._table.get((name,), _no_node)() or _intern(cls, (name,))
 
 
-@dataclass(frozen=True, slots=True)
-class Constructor:
-    name: str
-    args: tuple["Term", ...] = ()
+class Constructor(_Interned):
+    __slots__ = __match_args__ = ("name", "args")
+
+    def __new__(cls, name: str, args: tuple[Term, ...] = ()) -> Constructor:
+        key = (name, args)
+        return cls._table.get(key, _no_node)() or _intern(cls, key)
 
 
-@dataclass(frozen=True, slots=True)
-class BinderApp:
+class BinderApp(_Interned):
     """A binding construct: binder name, the bound variable, remaining args."""
 
-    binder: str
-    bound_var: str
-    args: tuple["Term", ...]
+    __slots__ = __match_args__ = ("binder", "bound_var", "args")
+
+    def __new__(cls, binder: str, bound_var: str, args: tuple[Term, ...]) -> BinderApp:
+        key = (binder, bound_var, args)
+        return cls._table.get(key, _no_node)() or _intern(cls, key)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import functools
 import gc
 import hashlib
+import pickle
 import random
 import sys
 import weakref
@@ -22,7 +24,6 @@ from langx.engine import (
     SubtypeFailure,
     TypecheckError,
     UnboundVariable,
-    _same_state,
     categories,
     check_subtype,
     ck_eval,
@@ -501,9 +502,9 @@ def test_wrapping_rebuilds_the_lambda_around_its_own_bound_variable():
 
 
 OMEGA = "(app (lam x (app x x)) (lam x (app x x)))"
-# Every step rebuilds the states of this loop, so the equality walk finds no
-# identical subterms to skip, and they hold more node pairs than it compares:
-# the repeat is not seen.
+# Every step of this loop rebuilds its state as a fresh copy of an earlier
+# one; terms are interned, so the copy is that earlier state and the repeat
+# is seen.
 BIG_LOOP_HALF = "(lam x (app (lam x1 (app x x)) (cons t (cons f (cons t nil)))))"
 BIG_LOOP = f"(app {BIG_LOOP_HALF} {BIG_LOOP_HALF})"
 SHORT_RUN = "(app (lam x (if x t f)) (and f (hd (cons t nil))))"
@@ -516,8 +517,8 @@ RUNS = {
     "omega-machine": ("boollist", OMEGA, "ck", "repeats"),
     "swapped-order-machine": ("langfunny", "(doublyApply (lam x B c2) (lam x B c2) c2 c2)",
                               "swapped", "repeats"),
-    "big-loop": ("boollist", BIG_LOOP, "smallstep", "out-of-fuel"),
-    "big-loop-machine": ("boollist", BIG_LOOP, "ck", "out-of-fuel"),
+    "big-loop": ("boollist", BIG_LOOP, "smallstep", "repeats"),
+    "big-loop-machine": ("boollist", BIG_LOOP, "ck", "repeats"),
     "short-run": ("boollist", SHORT_RUN, "smallstep", "value"),
     "short-run-machine": ("boollist", SHORT_RUN, "ck", "value"),
     "identity-chain": ("stlc_consts", None, "smallstep", "value"),
@@ -691,27 +692,30 @@ def test_step_and_machine_step_take_the_runs_transitions_one_at_a_time(
         assert [s.rule_name for s in big[1]] == ["hd-start"]
 
 
-def test_same_state_shows_equality_only_within_its_pair_budget():
+def test_equal_terms_built_apart_are_one_object(stlc_consts):
+    assert BinderApp("lam", "x", (Var("x"),)) is BinderApp("lam", "x", (Var("x"),))
+    assert identity_chain(20) is identity_chain(20)
+    assert identity_chain(5000) is identity_chain(5000)
+    assert len({BinderApp(binder, bound, (Var(name),)) for binder in ("lam", "mu")
+                for bound in ("x", "y") for name in ("x", "y")}) == 8
+    assert identity_chain(20) is not identity_chain(21)
+    assert identity_chain(5000) != identity_chain(4999)
+    assert isinstance(hash(identity_chain(5000)), int)
+    # The generated == recursed once per level: RecursionError here.
+    machine = derive_ck(stlc_consts)
+    assert (ck_eval(MachineConfig(identity_chain(300), MT), machine)
+            == ck_eval(MachineConfig(identity_chain(300), MT), machine))
+
+
+def test_terms_are_immutable_copy_as_themselves_and_print_as_dataclasses():
     lam = BinderApp("lam", "x", (Var("x"),))
-    config = MachineConfig(Constructor("app", (lam, lam)), MT)
-    copy = MachineConfig(Constructor("app", (BinderApp("lam", "x", (Var("x"),)), lam)),
-                         Constructor("mt"))
-    assert _same_state(config, copy)
-    for other in (
-            MachineConfig(Constructor("app", (BinderApp("lam", "x", (Var("y"),)), lam)), MT),
-            MachineConfig(Constructor("app", (BinderApp("lam", "y", (Var("x"),)), lam)), MT),
-            MachineConfig(Constructor("app", (BinderApp("mu", "x", (Var("x"),)), lam)), MT),
-            MachineConfig(Constructor("app", (lam, lam, lam)), MT),
-            MachineConfig(Constructor("app", (lam, HOLE)), MT),
-            MachineConfig(Constructor("app", (lam, lam)), Constructor("mt", (lam,))),
-            Constructor("app", (lam, lam))):
-        assert not _same_state(config, other)
-        assert not _same_state(other, config)
-    # Equal, but only shown by walking more pairs than the budget allows.
-    assert not _same_state(identity_chain(20), identity_chain(20))
-    assert not _same_state(identity_chain(5000), identity_chain(5000))
-    chain = identity_chain(5000)
-    assert _same_state(chain, chain)
+    assert copy.deepcopy(lam) is lam and pickle.loads(pickle.dumps(lam)) is lam
+    with pytest.raises(AttributeError, match="cannot assign to field 'binder'"):
+        lam.binder = "mu"
+    assert repr(lam) == "BinderApp(binder='lam', bound_var='x', args=(Var(name='x'),))"
+    assert repr(Metavariable("T", None, "Type")) == (
+        "Metavariable(base='T', suffix=None, category='Type')")
+    assert repr(Constructor("nil")) == "Constructor(name='nil', args=())"
 
 
 def outcome_smallstep(t, spec, fuel):
