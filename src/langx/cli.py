@@ -298,6 +298,8 @@ def shrink_counterexample(term: Term, disagrees) -> Term:
 def cmd_compare(args, rep: Reporter) -> int:
     spec = _load_spec(args.spec)
     machine_spec = _load_spec(args.ck) if args.ck else _derive(spec, args.spec)
+    if args.ck and not machine_spec.machine_rules():
+        raise LangxError(f"{args.ck}: no machine rules to compare against")
     machine_fuel = 3 * args.fuel
 
     # Equal terms run and render alike, and most compared terms repeat an

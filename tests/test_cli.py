@@ -8,7 +8,7 @@ from conftest import FIXTURES, GOLDEN, load, swapped_order_machine_text
 from langx import cli
 from langx.ck import derive_ck
 from langx.engine import evaluate
-from langx.parser import parse_spec, parse_term
+from langx.parser import parse_spec, parse_term, print_spec
 from oracles import oracle_compare, oracle_print_trace
 
 
@@ -429,6 +429,22 @@ def test_eval_on_the_machine_needs_contexts(capsys):
     assert "references.lang: no evaluation-context category" in err
 
 
+def test_a_contexts_directive_names_the_context_category(capsys, tmp_path, stlc_consts):
+    text = (FIXTURES / "stlc_consts.lang").read_text()
+    renamed = text.replace("  Context E ::=", "  Ctx E ::=").replace(
+        "binder lam 1\n", "binder lam 1\n\ncontexts Ctx\n")
+    spec = parse_spec(renamed)
+    assert "\ncontexts Ctx\n" in print_spec(spec)
+    assert parse_spec(print_spec(spec)) == spec
+    assert print_spec(derive_ck(spec)) == print_spec(derive_ck(stlc_consts))
+    path = tmp_path / "ctx.lang"
+    path.write_text(renamed)
+    outputs = [run(capsys, "--format", "structured", "compare", spec_file, "--count",
+                   "5000", "--max-size", "10", "--seed", "0")
+               for spec_file in (fix("stlc_consts.lang"), str(path))]
+    assert outputs[0] == outputs[1]
+
+
 def test_compare_works_on_each_distinct_term_once(capsys, monkeypatch):
     received = {"typecheck": [], "evaluate": [], "ck_eval": []}
 
@@ -598,6 +614,8 @@ STRUCTURED_PATHS = {
     "production-substitution": (1, ["check", "{tmp}/subst.lang"]),
     "no-contexts": (1, ["derive-ck", fix("references.lang")]),
     "no-contexts-compare": (1, ["compare", fix("references.lang"), "--count", "5"]),
+    "ck-without-machine-rules": (1, ["compare", fix("langfunny.lang"),
+                                     "--ck", fix("langfunny.lang"), "--count", "5"]),
     "no-machine": (1, ["eval", fix("references.lang"), "ci", "--machine", "ck"]),
     "ck-error": (2, ["derive-ck", "{tmp}/nostart.lang"]),
     "subtyping-error": (2, ["add-subtyping", fix("app2.lang")]),

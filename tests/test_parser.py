@@ -342,6 +342,44 @@ def test_a_binder_named_by_a_metavariable_token_is_refused():
     assert any("binder name 'e' is a metavariable token" in m for m in errors_of(bad))
 
 
+# Edits of stlc that each reach one diagnostic of parse_spec.  "joins fewer
+# than two operands" has no case: the parser reads T = T1 as a TypeEq.
+STLC_EDITS = {
+    "indented-first-line": (lambda t: "  " + t,
+                            "1:1: error: indented line before any block"),
+    "contexts-two-names": (
+        lambda t: t.replace("binder lam 1\n", "binder lam 1\n\ncontexts A B\n"),
+        "13:1: error: contexts directive takes one category name"),
+    "contexts-unknown": (
+        lambda t: t.replace("binder lam 1\n", "binder lam 1\n\ncontexts Ctx\n"),
+        "1:1: error: contexts directive names unknown category 'Ctx'"),
+    "metavariable-variable": (
+        lambda t: t.replace("variables x\n", "variables x T\n"),
+        "6:1: error: metavariable 'T' collides with a variable token"),
+    "step-with-typing-premise": (
+        lambda t: t.replace("rule beta\n", "rule beta\n  G |- e : T\n"),
+        "27:1: error: rule 'beta' concludes a step but has a non-step premise"),
+    "lhs-substitution": (
+        lambda t: t.replace("(app (lam x T e) v) --> e[v/x]", "e[v/x] --> e"),
+        "27:1: error: rule 'beta' has a substitution on its left-hand side"),
+    "reflexive-base-pair": (lambda t: t + "\nsubtype-base\n  B <: B\n",
+                            "1:1: error: subtype-base pair B <: B is reflexive"),
+    "substitution-variable": (
+        lambda t: t.replace("e[v/x]", "e[v/y]"),
+        "29:31: error: substitution variable 'y' is not a declared variable token"),
+    "binder-position": (
+        lambda t: t.replace("binder lam 1", "binder lam 5"),
+        "7:25: error: binder 'lam' needs a bound variable at position 5"),
+}
+
+
+@pytest.mark.parametrize("edit,message", STLC_EDITS.values(), ids=STLC_EDITS)
+def test_an_edited_stlc_is_refused_with_its_diagnostic(edit, message):
+    with pytest.raises(SpecParseError) as info:
+        parse_spec(edit(STLC_TEXT), "stlc.lang")
+    assert f"stlc.lang:{message}" in [str(e) for e in info.value.errors]
+
+
 SPEC_FILES = sorted(FIXTURES.glob("*.lang")) + sorted(GOLDEN.glob("*.lang"))
 SPEC_TEXTS = [path.read_text() for path in SPEC_FILES]
 INSERTED_TOKENS = (

@@ -25,6 +25,7 @@ from langx.subtyping import (
     split_equal_types,
     transform_rule,
 )
+from conftest import FIXTURES
 from oracles import enumerate_types, subtype_fixpoint
 
 
@@ -104,6 +105,24 @@ def test_invariant_occurrence_becomes_type_equation(references):
         "G |- e2 : T2",
         "T1 = T2",
     ]
+
+
+def test_an_invariant_metavariable_the_conclusion_uses_keeps_its_name(references):
+    text = (FIXTURES / "references.lang").read_text()
+    text = text.replace("(if e e e)\n", "(if e e e) | (same e e)\n") + (
+        "\nrule t-same\n"
+        "  G |- e1 : (Ref T)\n"
+        "  G |- e2 : (Ref T)\n"
+        "  --------------------------------\n"
+        "  G |- (same e1 e2) : T\n")
+    spec = add_subtyping(parse_spec(text))
+    out = rule_named(spec, "t-same")
+    assert premise_texts(out, spec) == [
+        "G |- e1 : (Ref T)",
+        "G |- e2 : (Ref T2)",
+        "T = T2",
+    ]
+    assert render_formula(out.conclusion, spec) == "G |- (same e1 e2) : T"
 
 
 def test_covariant_occurrences_become_join(references):
@@ -202,6 +221,19 @@ def test_join_relation_rules(references):
     # arrow is contravariant in its first argument: no structural join rule
     assert "join-arrow" not in names
     assert "join-Ref" in names
+
+
+def test_join_relation_has_a_rule_per_covariant_constructor(langfunny):
+    rules = {r.name: r for r in generate_join_relation(langfunny)}
+    assert list(rules) == ["join-refl", "join-prod", "join-List"]
+    shown = {name: ([render_formula(p, langfunny) for p in r.premises],
+                    render_formula(r.conclusion, langfunny))
+             for name, r in rules.items()}
+    assert shown["join-prod"] == (
+        ["T1 = T1' \\/ T1''", "T2 = T2' \\/ T2''"],
+        "(prod T1 T2) = (prod T1' T2') \\/ (prod T1'' T2'')")
+    assert shown["join-List"] == (
+        ["T1 = T1' \\/ T1''"], "(List T1) = (List T1') \\/ (List T1'')")
 
 
 def test_no_transitivity_rule(references):
