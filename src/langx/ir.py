@@ -42,19 +42,25 @@ class UnknownMetavariable(LangxError):
 # ---------------------------------------------------------------------------
 # terms
 
-_SWEEP_MIN = 4096
-
-
 class _Interned:
     """Base of the term classes: building a node with the fields of a live one
     returns that node, so == and hash are identity, O(1) at any depth.  Each
-    class keeps a weak table; building from several threads is unsupported."""
+    class keeps a table of weak references, from which a node's entry goes
+    when the node dies; building from several threads is unsupported."""
 
     __slots__ = ("__weakref__",)
 
     def __init_subclass__(cls) -> None:
-        cls._table, cls._sweep_at = {}, _SWEEP_MIN
+        cls._table = table = {}
         cls._setters = [getattr(cls, f).__set__ for f in cls.__slots__]
+
+        def drop(ref: _Ref) -> None:
+            # Freeing the key frees the node's children in turn.  The
+            # collector clears references before it calls their callbacks, so
+            # a node with these fields may have been built meanwhile: keep it.
+            if table.get(ref.key) is ref:
+                del table[ref.key]
+        cls._drop = drop
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -67,22 +73,23 @@ class _Interned:
         return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
 
+class _Ref(weakref.ref):
+    """A table's reference to a node, with the node's key."""
+
+    __slots__ = ("key",)
+
+
 def _no_node() -> None:
     """The reference a table gives for fields no node has had."""
 
 
 def _intern(cls: type, key: tuple):
-    """A new node of cls with the fields key, kept in cls's table, which drops
-    dead references at twice its size after its last sweep (or _SWEEP_MIN)."""
+    """A new node of cls with the fields key, kept in cls's table."""
     node = object.__new__(cls)
     for set_field, value in zip(cls._setters, key):
         set_field(node, value)
-    table = cls._table
-    table[key] = weakref.ref(node)
-    if len(table) > cls._sweep_at:
-        for dead in [k for k, ref in table.items() if ref() is None]:
-            del table[dead]
-        cls._sweep_at = max(_SWEEP_MIN, 2 * len(table))
+    cls._table[key] = ref = _Ref(node, cls._drop)
+    ref.key = key
     return node
 
 

@@ -694,28 +694,28 @@ def _type_position_terms(f: Formula):
 
 
 def _list_nodes(categories: list[GrammarCategory],
-                rules: list[InferenceRule]) -> dict[int, list[Term]]:
+                rules: list[InferenceRule]) -> dict[Term, list[Term]]:
     """The nodes of each production and formula term, in pre-order, keyed by
-    the term's id.  The checks read these lists and walk no term again."""
+    the term.  The checks read these lists and walk no term again."""
     terms = [p for cat in categories for p in cat.productions]
     terms += [t for rule in rules for f in (*rule.premises, rule.conclusion)
               for t in formula_terms(f)]
-    nodes: dict[int, list[Term]] = {}
+    nodes: dict[Term, list[Term]] = {}
     for t in terms:
-        if id(t) not in nodes:
-            nodes[id(t)] = list(subterms(t))
+        if t not in nodes:
+            nodes[t] = list(subterms(t))
     return nodes
 
 
 def _type_constructors(rules: list[InferenceRule],
-                       nodes: dict[int, list[Term]]) -> dict[str, str]:
+                       nodes: dict[Term, list[Term]]) -> dict[str, str]:
     """Constructors with arguments in the rules' type positions, in order of
     first use, each with the name of the last rule that uses it."""
     used: dict[str, str] = {}
     for rule in rules:
         for f in (*rule.premises, rule.conclusion):
             for t in _type_position_terms(f):
-                for s in nodes[id(t)]:
+                for s in nodes[t]:
                     if isinstance(s, Constructor) and s.args:
                         used[s.name] = rule.name
     return used
@@ -726,7 +726,7 @@ def _validate(
     filename: str,
     cat_spans: dict[str, int],
     rule_spans: dict[str, int],
-    nodes: dict[int, list[Term]],
+    nodes: dict[Term, list[Term]],
     type_ctors: dict[str, str],
     errors: list[ParseError],
 ) -> None:
@@ -754,7 +754,7 @@ def _validate(
     binder_arities: dict[str, int] = {}
 
     def walk(term: Term, line: int) -> None:
-        for s in nodes[id(term)]:
+        for s in nodes[term]:
             if isinstance(s, Constructor):
                 if s.name in spec.binders:
                     err(line, f"{s.name!r} is declared as a binder but used without a bound variable")
@@ -780,12 +780,12 @@ def _validate(
     ctx = spec.context_category
     for cat in spec.categories:
         for p in cat.productions:
-            if any(isinstance(s, Subst) for s in nodes[id(p)]):
+            if any(isinstance(s, Subst) for s in nodes[p]):
                 err(cat_spans.get(cat.name, 1),
                     f"production {render_term(p, spec)!r} contains a substitution; "
                     f"substitutions belong on rule right-hand sides")
             if (ctx is None or cat.name != ctx.name) \
-                    and any(isinstance(s, Hole) for s in nodes[id(p)]):
+                    and any(isinstance(s, Hole) for s in nodes[p]):
                 err(cat_spans.get(cat.name, 1),
                     f"hole production outside the evaluation-context category {cat.name!r}")
     if ctx is not None:
@@ -793,7 +793,7 @@ def _validate(
             if isinstance(p, Hole):
                 continue
             holes = sum(
-                1 for s in nodes[id(p)]
+                1 for s in nodes[p]
                 if isinstance(s, Hole)
                 or (isinstance(s, Metavariable) and s.category == ctx.name))
             if holes != 1:
@@ -816,7 +816,7 @@ def _validate(
 
         for f in (*rule.premises, rule.conclusion):
             for t in formula_terms(f):
-                for s in nodes[id(t)]:
+                for s in nodes[t]:
                     if isinstance(s, Hole):
                         err(line, f"rule {rule.name!r} mentions a context hole")
 
@@ -834,7 +834,7 @@ def _validate(
             lhs_mvs: list[str] = []
             lhs_bound: list[str] = []
             for t in lhs_terms:
-                for s in nodes[id(t)]:
+                for s in nodes[t]:
                     if isinstance(s, Metavariable):
                         lhs_mvs.append(s.token)
                     elif isinstance(s, BinderApp):
@@ -846,7 +846,7 @@ def _validate(
             if dupes:
                 err(line, f"rule {rule.name!r} repeats {sorted(dupes)} in its pattern")
             for t in rhs_terms:
-                for s in nodes[id(t)]:
+                for s in nodes[t]:
                     if isinstance(s, Metavariable) and s.token not in lhs_mvs:
                         err(line, f"rule {rule.name!r} uses {s.token!r} on the right only")
                     if isinstance(s, Subst) and s.var not in lhs_bound:
@@ -855,7 +855,7 @@ def _validate(
         # type positions carry type-category metavariables only
         for f in (*rule.premises, rule.conclusion):
             for t in _type_position_terms(f):
-                for s in nodes[id(t)]:
+                for s in nodes[t]:
                     if isinstance(s, Metavariable) and s.category != "Type":
                         err(line, f"rule {rule.name!r} uses {s.token!r} in a type position")
             if isinstance(f, Typing) and len({v for v, _ in f.env.extensions}) != len(f.env.extensions):

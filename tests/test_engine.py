@@ -360,9 +360,9 @@ def field_names(kind):
 
 
 def deep_equal(a, b):
-    """a == b for terms, configurations, traces and outcomes of any depth, with
-    an explicit stack where == takes Python frames per level.  Each pair of
-    objects is compared once, however often the two sides share it."""
+    """a == b for configurations, traces and outcomes, field by field on an
+    explicit stack.  Terms compare by identity, as their == does.  Each pair
+    of objects is compared once, however often the two sides share it."""
     pending = [(a, b)]
     seen = set()
     while pending:
@@ -576,8 +576,8 @@ def test_decompose_equals_the_slots_first_oracle_on_every_state_of_a_run(
     else:
         # A machine state's focus is a term of the source language.
         states = [state.focus] + [ts.after.focus for ts in trace]
-    # Hashing, and the oracle's membership, recurse a few frames per level
-    # of a state.
+    # Hashing and == of a state are identity; the oracle's membership
+    # recurses a few frames per level of it.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 10000))
     try:
@@ -705,6 +705,21 @@ def test_equal_terms_built_apart_are_one_object(stlc_consts):
     machine = derive_ck(stlc_consts)
     assert (ck_eval(MachineConfig(identity_chain(300), MT), machine)
             == ck_eval(MachineConfig(identity_chain(300), MT), machine))
+
+
+def test_a_dropped_deep_term_leaves_no_entry_behind():
+    tables = [cls._table for cls in (Constructor, BinderApp, Var)]
+    live = [len(table) for table in tables]
+    for i in range(100):
+        t = Var(f"dropped{i}")
+        for _ in range(100):   # alternates the two compound tables
+            t = Constructor("app", (BinderApp("lam", "x", (t,)), Var("y")))
+        t = Constructor("wrap", (Subst(t, Var("z"), "x"),))
+    del t
+    assert [len(table) - n for table, n in zip(tables, live)] == [0, 0, 0]
+    t = identity_chain(100_000)   # freeing it walks no Python frame per level
+    del t
+    assert [len(table) - n for table, n in zip(tables, live)] == [0, 0, 0]
 
 
 def test_terms_are_immutable_copy_as_themselves_and_print_as_dataclasses():
