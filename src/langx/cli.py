@@ -283,10 +283,13 @@ def shrink_counterexample(term: Term, disagrees) -> Term:
     """Smallest closed subterm that still shows the disagreement."""
     current = term
     while True:
+        sizes: dict[Term, int] = {}
+        free: dict[Term, frozenset[str]] = {}
+        size = term_size(current, sizes)
+        free_vars(current, free)
         candidates = [s for s in subterms(current)
-                      if s is not current and term_size(s) < term_size(current)
-                      and not free_vars(s)]
-        candidates.sort(key=term_size)
+                      if s is not current and sizes[s] < size and not free[s]]
+        candidates.sort(key=sizes.__getitem__)
         for candidate in candidates:
             if disagrees(candidate):
                 current = candidate

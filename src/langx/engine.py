@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator, Optional, Union
 
@@ -31,7 +32,8 @@ from .ir import (
     Typing,
     Var,
     context_holes,
-    map_leaves,
+    fold,
+    rebuild,
     subterms,
     term_head,
     term_size,
@@ -108,12 +110,10 @@ class TraceStep:
 # grammar membership
 #
 # A bottom-up tree automaton: a node's categories follow from its head and
-# its children's categories, so a walk computes them once per node, children
-# first, with an explicit stack instead of one Python frame per level.
+# its children's categories, so a fold computes them once per node.
 
-# Categories of non-leaf nodes by id(node).  Each entry keeps its node alive,
-# so the id cannot be reused while the memo lives.
-Categories = dict[int, tuple[Term, frozenset[str]]]
+# Categories of nodes, by node: a fold's memo.
+Categories = dict[Term, frozenset[str]]
 
 _NO_CATEGORIES: frozenset[str] = frozenset()
 
@@ -167,36 +167,26 @@ def categories(t: Term, spec: LanguageSpec,
 
 
 def _categories(t: Term, table: dict, cats: Categories) -> frozenset[str]:
-    hit = cats.get(id(t))
+    hit = cats.get(t)
     if hit is not None:
-        return hit[1]
+        return hit
+    return fold(t, partial(_derived_by, table, cats), cats)
+
+
+def _derived_by(table: dict, cats: Categories, t: Term, kids: tuple) -> frozenset[str]:
+    """The categories of t, those of its subterms being in cats already: the
+    slots read them there through _categories, as a nested slot must."""
     entry = table.get(term_head(t))
     if entry is None:
         return _NO_CATEGORIES
-    if not getattr(t, "args", None):
+    if not kids:
         return entry[0]   # a leaf: no production of its head has slots
-    stack = [(t, entry)]
-    while stack:
-        node, entry = stack[-1]
-        pending = []
-        for a in node.args:
-            if getattr(a, "args", None) and id(a) not in cats:
-                child_entry = table.get(term_head(a))
-                if child_entry is None:
-                    cats[id(a)] = (a, _NO_CATEGORIES)
-                else:
-                    pending.append((a, child_entry))
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        found = _NO_CATEGORIES
-        for slots, names in entry[1]:
-            if not names <= found and all(
-                    _slot_derives(s, a, table, cats) for s, a in zip(slots, node.args)):
-                found = found | names
-        cats[id(node)] = (node, found)
-    return cats[id(t)][1]
+    found = _NO_CATEGORIES
+    for slots, names in entry[1]:
+        if not names <= found and all(
+                _slot_derives(s, a, table, cats) for s, a in zip(slots, t.args)):
+            found = found | names
+    return found
 
 
 def _slot_derives(slot: Term, t: Term, table: dict, cats: Categories) -> bool:
@@ -231,9 +221,9 @@ def _member(t: Term, name: Optional[str], table: dict, cats: Categories) -> bool
     """member on a resolved table: the memo first, then the head's
     categories, and a walk of t only when neither settles it.  A name of
     None derives nothing."""
-    hit = cats.get(id(t))
+    hit = cats.get(t)
     if hit is not None:
-        return name in hit[1]
+        return name in hit
     entry = table.get(term_head(t))
     if entry is None or name not in entry[0]:
         return False
@@ -297,55 +287,51 @@ def _match(pattern: Term, subject: Term, sigma: Substitution,
     return False
 
 
-def free_vars(t: Term) -> frozenset[str]:
-    """The variables of t not bound above their occurrence, found on an
-    explicit stack, so t may be nested to any depth."""
-    free: set[str] = set()
-    stack: list[tuple[Term, frozenset[str]]] = [(t, frozenset())]
-    while stack:
-        node, bound = stack.pop()
-        kind = type(node)
-        if kind is Constructor:
-            for a in node.args:
-                stack.append((a, bound))
-        elif kind is Var:
-            if node.name not in bound:
-                free.add(node.name)
-        elif kind is BinderApp:
-            inner = bound | {node.bound_var}
-            for a in node.args:
-                stack.append((a, inner))
-        elif kind is Subst:
-            stack.append((node.target, bound | {node.var}))
-            stack.append((node.replacement, bound))
-    return frozenset(free)
+def free_vars(t: Term, memo: Optional[dict[Term, frozenset[str]]] = None) -> frozenset[str]:
+    """The variables of t not bound above their occurrence.  Pass one memo
+    dict to calls on one term and its subterms to share their results."""
+    return fold(t, _free_in, {} if memo is None else memo)
+
+
+def _free_in(t: Term, kids: tuple[frozenset[str], ...]) -> frozenset[str]:
+    kind = type(t)
+    if kind is Var:
+        return frozenset((t.name,))
+    if kind is BinderApp:
+        return frozenset().union(*kids) - {t.bound_var}
+    if kind is Subst:
+        return (kids[0] - {t.var}) | kids[1]
+    return frozenset().union(*kids)
 
 
 def substitute(t: Term, var: str, replacement: Term) -> Term:
-    """Replace free occurrences of var in t, renaming binders that would capture."""
-    match t:
-        case Var(name):
-            return replacement if name == var else t
-        case Constructor(name, args):
-            return Constructor(name, tuple(substitute(a, var, replacement) for a in args))
-        case BinderApp(binder, bound_var, args):
-            if bound_var == var:
-                return t
-            if bound_var in free_vars(replacement):
-                avoid = free_vars(replacement) | {var}
-                for a in args:
-                    avoid |= free_vars(a)
-                renamed = bound_var
-                n = 1
-                while renamed in avoid:
-                    renamed = f"{bound_var}{n}"
-                    n += 1
-                args = tuple(substitute(a, bound_var, Var(renamed)) for a in args)
-                return BinderApp(binder, renamed,
-                                 tuple(substitute(a, var, replacement) for a in args))
-            return BinderApp(binder, bound_var,
-                             tuple(substitute(a, var, replacement) for a in args))
-    return t
+    """Replace the free occurrences of var in t, renaming binders that would
+    capture, in one fold.  A subterm var is not free in comes back as it is.
+    A binder that captures is renamed, and its arguments substituted again,
+    which nests a fold per capturing binder on the path."""
+    seen: dict[Term, frozenset[str]] = {}   # free_vars' memo over replacement
+
+    def combine(node: Term, kids: tuple[Term, ...]) -> Term:
+        kind = type(node)
+        if kind is Var:
+            return replacement if node.name == var else node
+        if kind is Constructor:
+            return rebuild(node, kids)
+        if kind is not BinderApp or node.bound_var == var or kids == node.args:
+            return node
+        captures = free_vars(replacement, seen)
+        if node.bound_var not in captures:
+            return rebuild(node, kids)
+        avoid = captures.union({var}, *map(free_vars, node.args))
+        renamed, n = node.bound_var, 1
+        while renamed in avoid:
+            renamed = f"{node.bound_var}{n}"
+            n += 1
+        return BinderApp(node.binder, renamed, tuple(
+            substitute(substitute(a, node.bound_var, Var(renamed)), var, replacement)
+            for a in node.args))
+
+    return fold(t, combine, {})
 
 
 def instantiate(pattern: Term, sigma: Substitution, spec: LanguageSpec) -> Term:
@@ -435,7 +421,8 @@ def _context_table(spec: LanguageSpec) -> dict[tuple[str, int], list[tuple[int, 
 
 
 def plug(context: Term, filler: Term) -> Term:
-    return map_leaves(context, lambda t: filler if isinstance(t, Hole) else t)
+    """context with filler in place of its hole."""
+    return fold(context, lambda t, kids: filler if type(t) is Hole else rebuild(t, kids), {})
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +509,7 @@ def is_value_pattern(pattern: Term, spec: LanguageSpec) -> bool:
     productions."""
     value = spec.value_category
     closure = spec.derived(_unit_closure)
-    cats: Categories = {id(s): (s, closure.get(s.category, _NO_CATEGORIES))
+    cats: Categories = {s: closure.get(s.category, _NO_CATEGORIES)
                         for s in subterms(pattern) if isinstance(s, Metavariable)}
     return _member(pattern, value.name if value is not None else None,
                    spec.derived(_membership_table), cats)

@@ -154,9 +154,60 @@ Term = Metavariable | Var | Constructor | BinderApp | Hole | Subst
 HOLE = Hole()
 
 
-def term_size(t: Term) -> int:
-    """Number of nodes in a term, annotation subterms included."""
-    return sum(1 for _ in subterms(t))
+def children(t: Term) -> tuple[Term, ...]:
+    """The terms directly below t: its arguments, or a substitution's target
+    and replacement."""
+    kind = type(t)
+    if kind is Constructor or kind is BinderApp:
+        return t.args
+    return (t.target, t.replacement) if kind is Subst else ()
+
+
+def rebuild(t: Term, kids: tuple[Term, ...]) -> Term:
+    """t with its children replaced by kids; t itself when they are its children."""
+    if kids == children(t):
+        return t
+    if type(t) is Constructor:
+        return Constructor(t.name, kids)
+    if type(t) is BinderApp:
+        return BinderApp(t.binder, t.bound_var, kids)
+    return Subst(kids[0], kids[1], t.var)
+
+
+def fold(t: Term, combine: Callable[[Term, tuple], _T], memo: dict[Term, _T]) -> _T:
+    """combine(node, the results of node's children) at t, worked out children
+    first on an explicit stack, so t may be nested to any depth.
+
+    combine runs once for each distinct node of t not already in memo, and
+    memo keeps its result under the node.  Equal terms are one node, so a
+    subterm that t repeats, or that an earlier fold into the same memo met,
+    is combined once.
+    """
+    if t in memo:
+        return memo[t]
+    stack = [(t, children(t))]
+    while stack:
+        node, kids = stack[-1]
+        waiting = len(stack)
+        for kid in kids:
+            if kid not in memo:
+                below = children(kid)
+                if below:
+                    stack.append((kid, below))
+                else:   # a leaf is combined at once, without a stack round
+                    memo[kid] = combine(kid, ())
+        if len(stack) > waiting:
+            continue
+        stack.pop()
+        if node not in memo:   # a node shared by two siblings is pushed twice
+            memo[node] = combine(node, tuple([memo[kid] for kid in kids]))
+    return memo[t]
+
+
+def term_size(t: Term, sizes: Optional[dict[Term, int]] = None) -> int:
+    """Number of nodes in a term, annotation subterms included.  Pass one
+    sizes dict to calls on one term and its subterms to share their sizes."""
+    return fold(t, lambda _, kid_sizes: 1 + sum(kid_sizes), {} if sizes is None else sizes)
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -165,24 +216,15 @@ def subterms(t: Term) -> Iterator[Term]:
     while stack:
         s = stack.pop()
         yield s
-        if isinstance(s, (Constructor, BinderApp)):
-            stack.extend(reversed(s.args))
-        elif isinstance(s, Subst):
-            stack.append(s.replacement)
-            stack.append(s.target)
+        stack.extend(reversed(children(s)))
 
 
 def map_leaves(t: Term, leaf: Callable[[Term], Term]) -> Term:
-    """t rebuilt with leaf applied to each metavariable, variable and hole,
-    in pre-order."""
-    match t:
-        case Constructor(name, args):
-            return Constructor(name, tuple(map_leaves(a, leaf) for a in args))
-        case BinderApp(binder, bound_var, args):
-            return BinderApp(binder, bound_var, tuple(map_leaves(a, leaf) for a in args))
-        case Subst(target, repl, var):
-            return Subst(map_leaves(target, leaf), map_leaves(repl, leaf), var)
-    return leaf(t)
+    """t rebuilt with leaf applied to each node without children, in
+    pre-order, once per occurrence.  It recurses once per level, so it is for
+    rule terms, which are shallow; fold walks run-time terms."""
+    kids = children(t)
+    return rebuild(t, tuple(map_leaves(k, leaf) for k in kids)) if kids else leaf(t)
 
 
 def term_head(t: Term) -> tuple:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Optional
 
 from .ir import (
     HOLE,
@@ -38,6 +40,7 @@ from .ir import (
     DEFAULT_VARIANCE,
     context_holes,
     find_metavariable,
+    fold,
     formula_terms,
     is_variable,
     subterms,
@@ -900,79 +903,114 @@ def _validate(
 # printing
 
 
-def render_term(t: Term, spec: LanguageSpec) -> str:
-    match t:
-        case Metavariable():
-            return t.token
-        case Var(name):
-            return name
-        case Hole():
-            return "[.]"
-        case Subst(target, repl, var):
-            return f"{render_term(target, spec)}[{render_term(repl, spec)}/{var}]"
-        case Constructor("cons", (_, _)):
-            items = []
-            node = t
-            while isinstance(node, Constructor) and node.name == "cons" and len(node.args) == 2:
-                items.append(node.args[0])
-                node = node.args[1]
-            if isinstance(node, Constructor) and node.name == "nil" and not node.args:
-                return "[" + ", ".join(render_term(i, spec) for i in items) + "]"
-            return _render_app("cons", t.args, spec)
-        case Constructor(name, args):
-            return name if not args else _render_app(name, args, spec)
-        case BinderApp(binder, bound_var, args):
-            pos = spec.binders.get(binder, 1)
-            rendered = [render_term(a, spec) for a in args]
-            rendered.insert(pos - 1, bound_var)
-            return f"({binder} " + " ".join(rendered) + ")"
-    raise LangxError(f"cannot render {t!r}")
+def render_term(t: Term, spec: LanguageSpec, memo: Optional[dict] = None) -> str:
+    """t in concrete syntax.  Pass one memo dict to calls on terms that share
+    subterms, such as the terms of one rule, to render those once."""
+    text = fold(t, partial(_render_node, spec.binders), {} if memo is None else memo)
+    if type(text) is str:
+        return text
+    pieces, stack = [], [text]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            pieces.append(piece)
+        else:
+            stack.extend(reversed(piece))
+    return "".join(pieces)
 
 
-def _render_app(name: str, args: tuple[Term, ...], spec: LanguageSpec) -> str:
-    return f"({name} " + " ".join(render_term(a, spec) for a in args) + ")"
+def _render_node(binders: dict[str, int], t: Term, kids: tuple) -> str | list:
+    """t's text from its children's, for fold."""
+    kind = type(t)
+    if kind is Constructor:
+        head = t.name
+        if not kids:
+            return head
+        tail = t.args[-1]
+        if head == "cons" and len(kids) == 2 and type(tail) is Constructor:
+            # A cons chain ending in nil prints as a list; a cons node's
+            # text opens with "[" only when it is such a chain.
+            if tail.name == "nil" and not tail.args:
+                return _joined(["[", kids[0], "]"])
+            if tail.name == "cons" and kids[1][0] == "[":
+                return _joined(["[", kids[0], ", ", kids[1][1:]])
+    elif kind is BinderApp:
+        head, kids = t.binder, list(kids)
+        kids.insert(binders.get(t.binder, 1) - 1, t.bound_var)
+    elif kind is Var:
+        return t.name
+    elif kind is Metavariable:
+        return t.token
+    elif kind is Hole:
+        return "[.]"
+    elif kind is Subst:
+        return _joined([kids[0], "[", kids[1], f"/{t.var}]"])
+    else:
+        raise LangxError(f"cannot render {t!r}")
+    pieces = [f"({head}"]
+    for kid in kids:
+        pieces += (" ", kid)
+    pieces.append(")")
+    return _joined(pieces)
 
 
-def render_env(env: EnvExpr, spec: LanguageSpec) -> str:
-    parts = [env.root]
-    parts.extend(f"{v} : {render_term(t, spec)}" for v, t in env.extensions)
-    return ", ".join(parts)
+# Past this many characters a node's text is kept as a rope, a list of strings
+# and ropes, so that the nodes of a deep term do not each hold a copy of the
+# text of all their subterms.
+_ROPE_AT = 2048
 
 
-def render_state(state: Term | MachineConfig, spec: LanguageSpec) -> str:
-    """A term, or a machine configuration as <focus , continuation>."""
+def _joined(pieces: list) -> str | list:
+    try:
+        text = "".join(pieces)
+    except TypeError:   # a piece is a rope
+        return pieces
+    return text if len(text) <= _ROPE_AT else pieces
+
+
+def render_state(state: Term | MachineConfig, spec: LanguageSpec,
+                 memo: Optional[dict] = None) -> str:
+    """A term, or a machine configuration as <focus , continuation>, with
+    one render memo for both."""
+    memo = {} if memo is None else memo
     if isinstance(state, MachineConfig):
-        return (f"<{render_term(state.focus, spec)} , "
-                f"{render_term(state.continuation, spec)}>")
-    return render_term(state, spec)
+        return (f"<{render_term(state.focus, spec, memo)} , "
+                f"{render_term(state.continuation, spec, memo)}>")
+    return render_term(state, spec, memo)
 
 
-def render_formula(f: Formula, spec: LanguageSpec) -> str:
+def render_formula(f: Formula, spec: LanguageSpec, memo: Optional[dict] = None) -> str:
+    memo = {} if memo is None else memo
+
+    def term(t: Term) -> str:
+        return render_term(t, spec, memo)
+
     match f:
         case Typing(env, subject, ty):
-            return f"{render_env(env, spec)} |- {render_term(subject, spec)} : {render_term(ty, spec)}"
+            bindings = ", ".join([env.root, *(f"{v} : {term(t)}" for v, t in env.extensions)])
+            return f"{bindings} |- {term(subject)} : {term(ty)}"
         case Reduction(lhs, rhs):
-            return f"{render_term(lhs, spec)} --> {render_term(rhs, spec)}"
+            return f"{term(lhs)} --> {term(rhs)}"
         case MachineStep(lhs, rhs):
-            return f"{render_state(lhs, spec)} --> {render_state(rhs, spec)}"
+            return f"{render_state(lhs, spec, memo)} --> {render_state(rhs, spec, memo)}"
         case Subtype(sub, sup):
-            return f"{render_term(sub, spec)} <: {render_term(sup, spec)}"
+            return f"{term(sub)} <: {term(sup)}"
         case TypeEq(left, right):
-            return f"{render_term(left, spec)} = {render_term(right, spec)}"
+            return f"{term(left)} = {term(right)}"
         case Join(result, operands):
-            return f"{render_term(result, spec)} = " + " \\/ ".join(
-                render_term(o, spec) for o in operands)
+            return f"{term(result)} = " + " \\/ ".join(term(o) for o in operands)
     raise LangxError(f"cannot render {f!r}")
 
 
 def print_spec(spec: LanguageSpec) -> str:
+    memo: dict = {}   # one for the whole spec: its rules share terms
     out: list[str] = [f"language {spec.name}"]
     if spec.variables:
         out += ["", "variables " + " ".join(spec.variables)]
     if spec.categories:
         out += ["", "grammar"]
         for cat in spec.categories:
-            prods = " | ".join(render_term(p, spec) for p in cat.productions)
+            prods = " | ".join(render_term(p, spec, memo) for p in cat.productions)
             out.append(f"  {cat.name} {cat.metavariable} ::= {prods}")
     if spec.binders:
         out.append("")
@@ -988,9 +1026,9 @@ def print_spec(spec: LanguageSpec) -> str:
         out += [f"  {a} <: {b}" for a, b in spec.base_subtypes]
     for rule in spec.rules:
         out += ["", f"rule {rule.name}"]
-        out += [f"  {render_formula(p, spec)}" for p in rule.premises]
+        out += [f"  {render_formula(p, spec, memo)}" for p in rule.premises]
         out.append(f"  {RULE_SEPARATOR}")
-        out.append(f"  {render_formula(rule.conclusion, spec)}")
+        out.append(f"  {render_formula(rule.conclusion, spec, memo)}")
     return "\n".join(out) + "\n"
 
 

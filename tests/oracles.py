@@ -67,17 +67,57 @@ def oracle_term_size(t):
             return 1
 
 
+def oracle_free_vars(t):
+    """The variables of t not bound above their occurrence, recursing once
+    per level."""
+    match t:
+        case Var(name):
+            return {name}
+        case Constructor(_, args):
+            return set().union(*map(oracle_free_vars, args))
+        case BinderApp(_, bound, args):
+            return set().union(*map(oracle_free_vars, args)) - {bound}
+    return set()
+
+
+def oracle_substitute(t, var, replacement):
+    """Capture-avoiding substitution, recursing once per level.  A term var
+    is not free in comes back as it is.  A binder that would capture a free
+    variable of replacement is first renamed to the first of bound, bound1,
+    bound2, ... free in neither replacement nor its arguments, nor var."""
+    if var not in oracle_free_vars(t):
+        return t
+    match t:
+        case Var(_):
+            return replacement
+        case Constructor(name, args):
+            return Constructor(name, tuple(oracle_substitute(a, var, replacement)
+                                           for a in args))
+        case BinderApp(binder, bound, args):
+            if bound in oracle_free_vars(replacement):
+                avoid = oracle_free_vars(replacement).union(
+                    {var}, *map(oracle_free_vars, args))
+                renamed = next(name for name in
+                               (bound, *(f"{bound}{n}" for n in range(1, len(avoid) + 2)))
+                               if name not in avoid)
+                args = tuple(oracle_substitute(a, bound, Var(renamed)) for a in args)
+                bound = renamed
+            return BinderApp(binder, bound, tuple(oracle_substitute(a, var, replacement)
+                                                  for a in args))
+    return t
+
+
 def oracle_member(t, category_name, spec, memo=None):
     """Top-down grammar membership: re-derive t from each production of the
     category, recursing once per level of t.  A memo dict, when given, keeps
-    each answer by node identity and category, with its node.
+    each answer by node and category.
 
     Plain loops in place of any() and all() keep the recursion in Python
     frames, which sys.setrecursionlimit governs on every supported Python:
     a deep term's recursion through those builtins meets the interpreter's
     fixed C recursion limit on 3.12."""
-    if memo is not None and (id(t), category_name) in memo:
-        return memo[id(t), category_name][1]
+    if memo is not None and (t, category_name) in memo:
+        return memo[t, category_name]
     cat = spec.category(category_name)
     found = False
     for p in cat.productions if cat is not None else ():
@@ -85,7 +125,7 @@ def oracle_member(t, category_name, spec, memo=None):
             found = True
             break
     if memo is not None:
-        memo[id(t), category_name] = (t, found)
+        memo[t, category_name] = found
     return found
 
 

@@ -184,6 +184,19 @@ def test_small_step_eval_of_a_deeply_nested_term_succeeds(tmp_path, depth):
     assert result.stdout == "ci\n"
 
 
+@pytest.mark.parametrize("machine,steps", [("smallstep", 300), ("ck", 900)])
+def test_traced_eval_of_a_deeply_nested_term_succeeds(tmp_path, machine, steps):
+    term = tmp_path / "deep.txt"
+    term.write_text("(app (lam x int x) " * 300 + "ci" + ")" * 300)
+    result = subprocess.run(
+        [sys.executable, "-m", "langx", "eval", fix("stlc_consts.lang"),
+         "--term-file", str(term), "--machine", machine, "--trace"],
+        capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    lines = result.stdout.splitlines()
+    assert len(lines) == steps + 1 and lines[-1] == "ci"
+
+
 @pytest.mark.parametrize("machine", ["smallstep", "ck"])
 @pytest.mark.parametrize("spec,term,message", [
     ("stlc.lang", "(app x (lam x B x))", "free variable: x"),

@@ -10,6 +10,8 @@ import weakref
 from itertools import islice
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from langx import cli, engine
 from langx.ck import derive_ck
@@ -67,9 +69,11 @@ from oracles import (
     oracle_ck_eval,
     oracle_decompose,
     oracle_evaluate,
+    oracle_free_vars,
     oracle_iter_random_terms,
     oracle_iter_swarm_terms,
     oracle_member,
+    oracle_substitute,
 )
 
 
@@ -183,10 +187,12 @@ def test_membership_memo_is_shared_and_keeps_its_nodes(langfunny):
     t = conc("(pair (pair c1 (lam x B x)) nil)", langfunny)
     cats = {}
     assert categories(t, langfunny, cats) == {"Expression", "Value"}
-    assert {id(n) for n, _ in cats.values()} == set(cats)
-    assert len(cats) == 3   # the three nodes with arguments; leaves are not kept
+    # The keys are the term's nodes themselves, leaves included.
+    assert set(cats) == set(subterms(t))
+    assert all(cats[s] == categories(s, langfunny) for s in cats)
+    kept = dict(cats)
     assert is_value(t.args[0], langfunny, cats)
-    assert len(cats) == 3
+    assert cats == kept
 
 
 def test_value_metavariable_only_matches_values(stlc):
@@ -271,6 +277,47 @@ def test_free_vars_walks_a_5000_deep_term():
     assert free_vars(Subst(t, Var("z"), "y")) == {"z"}
 
 
+def test_substitute_returns_a_subterm_without_the_variable_as_it_is():
+    t = BinderApp("lam", "x", (Constructor("B"), Var("y")))
+    # x is free in the replacement, but z is not free in t: the binder is
+    # not renamed, and t comes back itself.
+    assert substitute(t, "z", Var("x")) is t
+    out = substitute(Constructor("app", (t, Var("z"))), "z", Var("x"))
+    assert out == Constructor("app", (t, Var("x")))
+    assert out.args[0] is t
+
+
+NAMES = st.sampled_from(["x", "y", "x1"])
+BINDER_TERMS = st.recursive(
+    st.one_of(st.builds(Var, NAMES), st.just(Constructor("c"))),
+    lambda kids: st.one_of(
+        st.builds(lambda a, b: Constructor("app", (a, b)), kids, kids),
+        st.builds(lambda v, a: BinderApp("lam", v, (Constructor("B"), a)), NAMES, kids)),
+    max_leaves=10)
+
+
+@given(BINDER_TERMS, NAMES, BINDER_TERMS)
+def test_substitute_equals_the_recursive_oracle(t, var, replacement):
+    assert substitute(t, var, replacement) == oracle_substitute(t, var, replacement)
+    assert free_vars(t) == oracle_free_vars(t)
+
+
+def test_walks_of_a_5000_deep_chain_keep_to_the_default_recursion_limit(stlc_consts):
+    depth = 5000
+    assert sys.getrecursionlimit() < depth
+    lam = BinderApp("lam", "x", (Constructor("int"), Var("x")))
+    t = Var("y")
+    for _ in range(depth):
+        t = Constructor("app", (lam, t))
+    assert render_term(t, stlc_consts) == "(app (lam x int x) " * depth + "y" + ")" * depth
+    assert substitute(t, "y", Constructor("ci")) == identity_chain(depth)
+    context, focus = decompose(t, stlc_consts)
+    assert focus == Var("y")
+    assert plug(context, focus) == t
+    assert free_vars(t) == {"y"}
+    assert term_size(t) == 4 * depth + 1
+
+
 # -- decomposition ---------------------------------------------------------------
 
 def test_decompose_finds_leftmost_innermost_redex(stlc):
@@ -349,38 +396,6 @@ def test_evaluate_stuck(boollist):
         evaluate(t, boollist)
     assert info.value.term == t
     assert info.value.trace == []
-
-
-@functools.cache
-def field_names(kind):
-    """The field names of a dataclass, or None for any other class."""
-    if not dataclasses.is_dataclass(kind):
-        return None
-    return tuple(f.name for f in dataclasses.fields(kind))
-
-
-def deep_equal(a, b):
-    """a == b for configurations, traces and outcomes, field by field on an
-    explicit stack.  Terms compare by identity, as their == does.  Each pair
-    of objects is compared once, however often the two sides share it."""
-    pending = [(a, b)]
-    seen = set()
-    while pending:
-        x, y = pending.pop()
-        if x is y or (id(x), id(y)) in seen:
-            continue
-        seen.add((id(x), id(y)))
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, (tuple, list)):
-            if len(x) != len(y):
-                return False
-            pending.extend(zip(x, y))
-        elif (names := field_names(type(x))) is not None:
-            pending.extend((getattr(x, name), getattr(y, name)) for name in names)
-        elif x != y:
-            return False
-    return True
 
 
 def identity_chain(depth):
@@ -560,7 +575,7 @@ def test_runs_end_exactly_as_the_full_fuel_loop(spec_name, text, semantics, endi
     _, spec, run, state, budget, full = full_fuel_run(spec_name, text, semantics)
     for fuel in [*range(1, 41), budget]:
         fast = cli._outcome(run, state, spec, fuel)
-        assert deep_equal(fast, outcome_at(full, fuel)), fuel
+        assert fast == outcome_at(full, fuel), fuel
     # A run seen to repeat pads its trace with the loop's own steps.
     kind, _, trace = fast
     assert kind == (ending if ending in ("value", "stuck") else "out-of-fuel")
@@ -582,7 +597,7 @@ def test_decompose_equals_the_slots_first_oracle_on_every_state_of_a_run(
     sys.setrecursionlimit(max(limit, 10000))
     try:
         for s in dict.fromkeys(states):   # a loop's states, once each
-            assert deep_equal(decompose(s, spec), oracle_decompose(s, spec))
+            assert decompose(s, spec) == oracle_decompose(s, spec)
     finally:
         sys.setrecursionlimit(limit)
 
@@ -592,11 +607,11 @@ def test_runs_equal_the_per_step_memo_oracles_on_well_typed_terms(name):
     spec = load(name)
     machine = derive_ck(spec)
     for term in cli.well_typed_terms(spec, 200, 0, 10):
-        assert deep_equal(cli._outcome(evaluate, term, spec, 300),
-                          cli._outcome(oracle_evaluate, term, spec, 300)), term
+        assert cli._outcome(evaluate, term, spec, 300) == \
+            cli._outcome(oracle_evaluate, term, spec, 300), term
         config = MachineConfig(term, MT)
-        assert deep_equal(cli._outcome(ck_eval, config, machine, 900),
-                          cli._outcome(oracle_ck_eval, config, machine, 900)), term
+        assert cli._outcome(ck_eval, config, machine, 900) == \
+            cli._outcome(oracle_ck_eval, config, machine, 900), term
 
 
 def counted_categories(monkeypatch):

@@ -5,7 +5,7 @@ import sys
 import textwrap
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import langx
@@ -25,6 +25,8 @@ from langx.ir import (
     EnvExpr,
     UnknownMetavariable,
     Var,
+    children,
+    fold,
     formula_metavariable_tokens,
     formula_terms,
     fresh,
@@ -190,6 +192,25 @@ def test_subterms_count_matches_size_modulo_subst(t):
 @given(terms)
 def test_term_size_matches_the_recursive_oracle(t):
     assert term_size(t) == oracle_term_size(t)
+
+
+SHARED = Constructor("f", (Var("x"), Var("y")))
+
+
+@given(terms)
+@example(Constructor("f", (SHARED, Constructor("f", (SHARED, Subst(SHARED, HOLE, "x"))))))
+def test_fold_combines_each_distinct_node_once_after_its_children(t):
+    memo, combined = {}, []
+
+    def combine(node, kids):
+        assert kids == tuple(memo[k] for k in children(node))
+        combined.append(node)
+        return len(combined)
+
+    fold(t, combine, memo)
+    assert len(combined) == len(set(combined)) == len(set(subterms(t)))
+    assert set(memo) == set(subterms(t))
+    assert fold(t, combine, memo) == memo[t] and len(combined) == len(memo)
 
 
 def test_subterms_and_term_size_walk_a_5000_deep_chain():

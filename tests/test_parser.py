@@ -2,13 +2,14 @@ import collections
 import hashlib
 import random
 import re
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from langx import ir, parser
-from langx.engine import MT
+from langx.engine import MT, iter_swarm_terms
 from langx.ir import (
     HOLE,
     BinderApp,
@@ -119,6 +120,21 @@ def test_list_sugar_desugars_and_resugars(langfunny):
 def test_cons_chain_without_nil_tail_not_sugared(langfunny):
     t = parse_term("(cons c1 c2)", langfunny, concrete=True)
     assert render_term(t, langfunny) == "(cons c1 c2)"
+
+
+@pytest.mark.parametrize("name", ["langfunny", "stlc", "boollist", "references"])
+def test_rendering_through_ropes_gives_the_same_text(monkeypatch, name):
+    # Past parser._ROPE_AT characters a node's text is a rope; at 0 every
+    # node with children is one, lists, binders and substitutions included.
+    spec = parse_spec((FIXTURES / f"{name}.lang").read_text())
+    terms = list(islice(iter_swarm_terms(spec, seed=1, max_size=12), 300))
+    terms.append(parse_term("(cons c1 (cons c2 [c3, c1]))", spec)
+                 if name == "langfunny" else HOLE)
+    texts = [render_term(t, spec) for t in terms]
+    printed = print_spec(spec)
+    monkeypatch.setattr(parser, "_ROPE_AT", 0)
+    assert [render_term(t, spec) for t in terms] == texts
+    assert print_spec(spec) == printed
 
 
 def test_parse_term_rule_mode_vs_concrete(stlc):
