@@ -94,10 +94,20 @@ def _k() -> Metavariable:
     return Metavariable(CONTINUATION_METAVAR, None, CONTINUATION_CATEGORY)
 
 
-def _pos_metavar(spec: LanguageSpec, shape: str, position: int) -> Metavariable:
+def _pos_metavar(spec: LanguageSpec, shape: str, position: int | None) -> Metavariable:
+    """The value ("v") or expression ("e") metavariable for an argument
+    position, suffixed with the position; bare for a position of None."""
     cat = spec.value_category if shape == "v" else spec.expression_category
     base = cat.metavariable if cat is not None else shape
-    return Metavariable(base, str(position), cat.name if cat is not None else "Expression")
+    return Metavariable(base, None if position is None else str(position),
+                        cat.name if cat is not None else "Expression")
+
+
+def _machine_rule(name: str, focus: Term, continuation: Term,
+                  focus_after: Term, continuation_after: Term) -> InferenceRule:
+    """The axiom <focus , continuation> --> <focus_after , continuation_after>."""
+    return InferenceRule(name, (), MachineStep(MachineConfig(focus, continuation),
+                                               MachineConfig(focus_after, continuation_after)))
 
 
 def _slot_shape(slot: Term, spec: LanguageSpec) -> str:
@@ -138,17 +148,10 @@ def continuation_ops(spec: LanguageSpec) -> dict[str, list[ContinuationOp]]:
 
 def generate_continuation_grammar(spec: LanguageSpec) -> GrammarCategory:
     productions: list[Term] = [Constructor("mt")]
-    expr = spec.expression_category
-    value = spec.value_category
     k = _k()
     for conts in continuation_ops(spec).values():
         for cont in conts:
-            args: list[Term] = []
-            for _, shape in cont.slots:
-                if shape == "v" and value is not None:
-                    args.append(Metavariable(value.metavariable, None, value.name))
-                else:
-                    args.append(Metavariable(expr.metavariable, None, expr.name))
+            args = [_pos_metavar(spec, shape, None) for _, shape in cont.slots]
             productions.append(Constructor(cont.name, (*args, k)))
     return GrammarCategory(CONTINUATION_CATEGORY, CONTINUATION_METAVAR,
                            tuple(productions))
@@ -166,15 +169,8 @@ def generate_start_rule(op: str, conts: list[ContinuationOp],
     k = _k()
     lhs_args = [_pos_metavar(spec, "e", p) for p in range(1, arity + 1)]
     stored = [_pos_metavar(spec, "e", p) for p, _ in start.slots]
-    return InferenceRule(
-        f"{op}-start",
-        (),
-        MachineStep(
-            MachineConfig(Constructor(op, tuple(lhs_args)), k),
-            MachineConfig(lhs_args[start.index - 1],
-                          Constructor(start.name, (*stored, k))),
-        ),
-    )
+    return _machine_rule(f"{op}-start", Constructor(op, tuple(lhs_args)), k,
+                         lhs_args[start.index - 1], Constructor(start.name, (*stored, k)))
 
 
 def generate_order_rules(op: str, conts: list[ContinuationOp],
@@ -203,14 +199,9 @@ def generate_order_rules(op: str, conts: list[ContinuationOp],
         stored = [_pos_metavar(spec, shape, p) for p, shape in cont.slots]
         new_stored = [_pos_metavar(spec, shape, p) for p, shape in filled.items() if p != j]
         extracted = _pos_metavar(spec, filled[j], j)
-        rules.append(InferenceRule(
-            f"{op}-order-{cont.index}",
-            (),
-            MachineStep(
-                MachineConfig(focus, Constructor(cont.name, (*stored, k))),
-                MachineConfig(extracted, Constructor(f"{op}_{j}", (*new_stored, k))),
-            ),
-        ))
+        rules.append(_machine_rule(
+            f"{op}-order-{cont.index}", focus, Constructor(cont.name, (*stored, k)),
+            extracted, Constructor(f"{op}_{j}", (*new_stored, k))))
     return rules, finals
 
 
@@ -227,14 +218,9 @@ def generate_computation_rules(op: str, final: ContinuationOp,
                 raise PatternMismatch(op, rule.name, pos)
         focus = lhs.args[final.index - 1]
         stored = tuple(a for i, a in enumerate(lhs.args, start=1) if i != final.index)
-        rules.append(InferenceRule(
-            f"{op}-comp-{n}",
-            (),
-            MachineStep(
-                MachineConfig(focus, Constructor(final.name, (*stored, k))),
-                MachineConfig(rule.conclusion.rhs, k),
-            ),
-        ))
+        rules.append(_machine_rule(f"{op}-comp-{n}", focus,
+                                   Constructor(final.name, (*stored, k)),
+                                   rule.conclusion.rhs, k))
     return rules
 
 
@@ -246,15 +232,8 @@ def _plug_rule(op: str, final: ContinuationOp, arity: int,
         return None
     k = _k()
     stored = tuple(values[p - 1] for p, _ in final.slots)
-    return InferenceRule(
-        f"{op}-plug",
-        (),
-        MachineStep(
-            MachineConfig(values[final.index - 1],
-                          Constructor(final.name, (*stored, k))),
-            MachineConfig(saturated, k),
-        ),
-    )
+    return _machine_rule(f"{op}-plug", values[final.index - 1],
+                         Constructor(final.name, (*stored, k)), saturated, k)
 
 
 def derive_ck(spec: LanguageSpec) -> LanguageSpec:
@@ -298,14 +277,8 @@ def derive_ck(spec: LanguageSpec) -> LanguageSpec:
     for n, rule in enumerate(direct, start=1):
         head = rule.conclusion.lhs
         name = head.name if isinstance(head, Constructor) else "step"
-        machine.append(InferenceRule(
-            f"{name}-comp-{n}",
-            (),
-            MachineStep(
-                MachineConfig(rule.conclusion.lhs, k),
-                MachineConfig(rule.conclusion.rhs, k),
-            ),
-        ))
+        machine.append(_machine_rule(f"{name}-comp-{n}", rule.conclusion.lhs, k,
+                                     rule.conclusion.rhs, k))
 
     ctx = spec.context_category
     categories = tuple(c for c in spec.categories if ctx is None or c.name != ctx.name)

@@ -31,6 +31,7 @@ from .engine import (
     evaluate,
     free_vars,
     iter_swarm_terms,
+    member,
     typecheck,
 )
 from .ir import (
@@ -211,6 +212,10 @@ def cmd_eval(args, rep: Reporter) -> int:
     if free:
         noun = "variable" if len(free) == 1 else "variables"
         raise LangxError(f"eval needs a closed term; free {noun}: {', '.join(free)}")
+    expr = spec.expression_category
+    if expr is not None and not member(term, expr.name, spec):
+        raise LangxError(f"eval needs a term of category {expr.name}; "
+                         f"the grammar does not derive this one")
 
     if args.machine == "ck":
         if not spec.machine_rules():

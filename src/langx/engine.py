@@ -31,6 +31,7 @@ from .ir import (
     TypeEq,
     Typing,
     Var,
+    children,
     context_holes,
     fold,
     rebuild,
@@ -147,10 +148,9 @@ def _membership_table(spec: LanguageSpec) -> dict[tuple, tuple[
     by_head: dict[tuple, dict[tuple[Term, ...], set[str]]] = {}
     for cat in spec.categories:
         for p in cat.productions:
-            if isinstance(p, (Constructor, BinderApp, Var, Hole)):
-                slots = p.args if isinstance(p, (Constructor, BinderApp)) else ()
+            if not isinstance(p, (Metavariable, Subst)):   # unit productions are closed over above
                 by_head.setdefault(term_head(p), {}).setdefault(
-                    slots, set()).update(reached_by[cat.name])
+                    children(p), set()).update(reached_by[cat.name])
     return {head: (frozenset().union(*entries.values()),
                    tuple((slots, frozenset(names)) for slots, names in entries.items()))
             for head, entries in by_head.items()}
@@ -184,30 +184,21 @@ def _derived_by(table: dict, cats: Categories, t: Term, kids: tuple) -> frozense
     found = _NO_CATEGORIES
     for slots, names in entry[1]:
         if not names <= found and all(
-                _slot_derives(s, a, table, cats) for s, a in zip(slots, t.args)):
+                _slot_derives(s, a, table, cats) for s, a in zip(slots, children(t))):
             found = found | names
     return found
 
 
 def _slot_derives(slot: Term, t: Term, table: dict, cats: Categories) -> bool:
     """Does a production slot derive t?  A metavariable slot reads t's
-    categories; nested slots recurse only as deep as the production."""
-    if isinstance(slot, Metavariable):
+    categories; any other derives the terms with its head whose children its
+    own derive, so nested slots recurse only as deep as the production.  A
+    substitution, whose head a metavariable shares, derives nothing."""
+    kind = type(slot)
+    if kind is Metavariable:
         return slot.category in _categories(t, table, cats)
-    match slot:
-        case Var():
-            return isinstance(t, Var)
-        case Hole():
-            return isinstance(t, Hole)
-        case Constructor(name, slots):
-            return (isinstance(t, Constructor) and t.name == name
-                    and len(t.args) == len(slots)
-                    and all(_slot_derives(s, a, table, cats) for s, a in zip(slots, t.args)))
-        case BinderApp(binder, _, slots):
-            return (isinstance(t, BinderApp) and t.binder == binder
-                    and len(t.args) == len(slots)
-                    and all(_slot_derives(s, a, table, cats) for s, a in zip(slots, t.args)))
-    return False
+    return kind is not Subst and term_head(slot) == term_head(t) and all(
+        _slot_derives(s, a, table, cats) for s, a in zip(children(slot), children(t)))
 
 
 def member(t: Term, category_name: str, spec: LanguageSpec,
@@ -254,37 +245,27 @@ def match_pattern(pattern: Term, subject: Term, spec: LanguageSpec,
 
 def _match(pattern: Term, subject: Term, sigma: Substitution,
            spec: LanguageSpec, cats: Optional[Categories] = None) -> bool:
-    match pattern:
-        case Metavariable(_, _, cat_name):
-            value = spec.value_category
-            if value is not None and cat_name == value.name \
-                    and not is_value(subject, spec, cats):
-                return False
-            if pattern.token in sigma:
-                return sigma[pattern.token] == subject
-            sigma[pattern.token] = subject
-            return True
-        case Var(name):
-            if name in sigma:
-                return sigma[name] == subject
-            return subject == Var(name)
-        case Constructor(name, args):
-            return (isinstance(subject, Constructor) and subject.name == name
-                    and len(subject.args) == len(args)
-                    and all(_match(p, s, sigma, spec, cats)
-                            for p, s in zip(args, subject.args)))
-        case BinderApp(binder, bound_var, args):
-            if not (isinstance(subject, BinderApp) and subject.binder == binder
-                    and len(subject.args) == len(args)):
-                return False
-            if bound_var in sigma:
-                if sigma[bound_var] != Var(subject.bound_var):
-                    return False
-            else:
-                sigma[bound_var] = Var(subject.bound_var)
-            return all(_match(p, s, sigma, spec, cats)
-                       for p, s in zip(args, subject.args))
-    return False
+    """A metavariable binds, a variable compares, and any other pattern
+    matches the subjects with its head whose children its own match; a
+    binder binds its bound variable too.  A hole or a substitution matches
+    nothing."""
+    kind = type(pattern)
+    if kind is Metavariable:
+        value = spec.value_category
+        if value is not None and pattern.category == value.name \
+                and not is_value(subject, spec, cats):
+            return False
+        return sigma.setdefault(pattern.token, subject) == subject
+    if kind is Var:
+        return sigma.get(pattern.name, pattern) == subject
+    if kind is Hole or kind is Subst or term_head(pattern) != term_head(subject):
+        return False
+    if kind is BinderApp:
+        bound = Var(subject.bound_var)
+        if sigma.setdefault(pattern.bound_var, bound) != bound:
+            return False
+    return all(_match(p, s, sigma, spec, cats)
+               for p, s in zip(children(pattern), children(subject)))
 
 
 def free_vars(t: Term, memo: Optional[dict[Term, frozenset[str]]] = None) -> frozenset[str]:
@@ -337,29 +318,23 @@ def substitute(t: Term, var: str, replacement: Term) -> Term:
 def instantiate(pattern: Term, sigma: Substitution, spec: LanguageSpec) -> Term:
     """Build the term a rule pattern denotes under a match: a right-hand side,
     or a typing premise's subject or type."""
-    match pattern:
-        case Metavariable():
-            if pattern.token not in sigma:
-                raise EngineError(f"unbound metavariable {pattern.token!r} in a right-hand side")
-            return sigma[pattern.token]
-        case Var(name):
-            bound = sigma.get(name)
-            return bound if isinstance(bound, Var) else pattern
-        case Constructor(name, args):
-            return Constructor(name, tuple(instantiate(a, sigma, spec) for a in args))
-        case BinderApp(binder, bound_var, args):
-            actual = sigma.get(bound_var)
-            actual_name = actual.name if isinstance(actual, Var) else bound_var
-            return BinderApp(binder, actual_name,
-                             tuple(instantiate(a, sigma, spec) for a in args))
-        case Subst(target, repl, var):
-            bound = sigma.get(var)
-            actual_name = bound.name if isinstance(bound, Var) else var
-            return substitute(instantiate(target, sigma, spec), actual_name,
-                              instantiate(repl, sigma, spec))
-        case Hole():
-            return pattern
-    raise EngineError(f"cannot instantiate {pattern!r}")
+    kind = type(pattern)
+    if kind is Metavariable:
+        if pattern.token not in sigma:
+            raise EngineError(f"unbound metavariable {pattern.token!r} in a right-hand side")
+        return sigma[pattern.token]
+    if kind is Var:
+        bound = sigma.get(pattern.name)
+        return bound if isinstance(bound, Var) else pattern
+    kids = tuple([instantiate(a, sigma, spec) for a in children(pattern)])
+    if kind is Subst:
+        bound = sigma.get(pattern.var)
+        return substitute(kids[0], bound.name if isinstance(bound, Var) else pattern.var, kids[1])
+    if kind is BinderApp:   # the bound variable is renamed as the match bound it
+        bound = sigma.get(pattern.bound_var)
+        if isinstance(bound, Var):
+            return BinderApp(pattern.binder, bound.name, kids)
+    return rebuild(pattern, kids)
 
 
 # ---------------------------------------------------------------------------
@@ -678,18 +653,13 @@ def _production_size(p: Term, open_sizes: dict[str, int],
     Slots under a binder always see a variable in scope, so they use the
     open table even when the surrounding term is closed.
     """
-    match p:
-        case Metavariable(category=cat_name):
-            return (closed_sizes if closed else open_sizes).get(cat_name, _BIG)
-        case Var():
-            return _BIG if closed else 1
-        case Constructor(args=args) | BinderApp(args=args):
-            closed = closed and isinstance(p, Constructor)
-            size = 1
-            for a in args:
-                size += _production_size(a, open_sizes, closed_sizes, closed)
-            return size
-    return 1
+    kind = type(p)
+    if kind is Metavariable:
+        return (closed_sizes if closed else open_sizes).get(p.category, _BIG)
+    if kind is Var:
+        return _BIG if closed else 1
+    closed = closed and kind is not BinderApp
+    return 1 + sum([_production_size(a, open_sizes, closed_sizes, closed) for a in children(p)])
 
 
 def _size_fixpoint(grammar: list[tuple[str, tuple[Term, ...]]],

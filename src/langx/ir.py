@@ -229,17 +229,17 @@ def map_leaves(t: Term, leaf: Callable[[Term], Term]) -> Term:
 
 def term_head(t: Term) -> tuple:
     """The key of t's outermost node: constructor or binder name with its
-    arity, or the leaf kind.  Metavariables and substitutions share ("any",)."""
-    match t:
-        case Constructor(name, args):
-            return ("con", name, len(args))
-        case BinderApp(binder, _, args):
-            return ("bind", binder, len(args))
-        case Var(_):
-            return ("var",)
-        case Hole():
-            return ("hole",)
-    return ("any",)
+    arity, or the leaf kind.  Metavariables and substitutions share ("any",).
+    Membership and matching ask it per node, hence exact-class tests in place
+    of a match statement."""
+    kind = type(t)
+    if kind is Constructor:
+        return "con", t.name, len(t.args)
+    if kind is BinderApp:
+        return "bind", t.binder, len(t.args)
+    if kind is Var:
+        return ("var",)
+    return ("hole",) if kind is Hole else ("any",)
 
 
 def metavariable_tokens(t: Term) -> Iterator[str]:
@@ -314,51 +314,36 @@ class Join:
 Formula = Typing | Reduction | MachineStep | Subtype | TypeEq | Join
 
 
-def formula_terms(f: Formula) -> Iterator[Term]:
-    """Every term embedded in a formula, env extension types included."""
+def formula_terms(f: Formula) -> tuple[Term, ...]:
+    """Every term embedded in a formula, in one order: a typing's environment
+    types, then its subject, then its type; a step's left side before its
+    right side, each as focus then continuation; a join's result before its
+    operands; otherwise the terms left to right.  map_formula rebuilds a
+    formula from terms in this order."""
     match f:
         case Typing(env, subject, ty):
-            for _, ext_ty in env.extensions:
-                yield ext_ty
-            yield subject
-            yield ty
-        case Reduction(lhs, rhs):
-            yield lhs
-            yield rhs
+            return (*[t for _, t in env.extensions], subject, ty)
         case MachineStep(lhs, rhs):
-            yield lhs.focus
-            yield lhs.continuation
-            yield rhs.focus
-            yield rhs.continuation
-        case Subtype(sub, sup):
-            yield sub
-            yield sup
-        case TypeEq(left, right):
-            yield left
-            yield right
+            return lhs.focus, lhs.continuation, rhs.focus, rhs.continuation
         case Join(result, operands):
-            yield result
-            yield from operands
+            return (result, *operands)
+        case Reduction(a, b) | Subtype(a, b) | TypeEq(a, b):
+            return a, b
+    raise LangxError(f"not a formula: {f!r}")
 
 
 def map_formula(f: Formula, fn: Callable[[Term], Term]) -> Formula:
-    """f rebuilt with fn applied to each term formula_terms yields, in its order."""
+    """f rebuilt with fn applied to each of its formula_terms, in their order."""
+    terms = [fn(t) for t in formula_terms(f)]
     match f:
-        case Typing(env, subject, ty):
-            return Typing(EnvExpr(env.root, tuple((v, fn(t)) for v, t in env.extensions)),
-                          fn(subject), fn(ty))
-        case Reduction(lhs, rhs):
-            return Reduction(fn(lhs), fn(rhs))
-        case MachineStep(lhs, rhs):
-            return MachineStep(MachineConfig(fn(lhs.focus), fn(lhs.continuation)),
-                               MachineConfig(fn(rhs.focus), fn(rhs.continuation)))
-        case Subtype(sub, sup):
-            return Subtype(fn(sub), fn(sup))
-        case TypeEq(left, right):
-            return TypeEq(fn(left), fn(right))
-        case Join(result, operands):
-            return Join(fn(result), tuple(fn(o) for o in operands))
-    raise LangxError(f"cannot map {f!r}")
+        case Typing(env, _, _):
+            extensions = tuple(zip([v for v, _ in env.extensions], terms))
+            return Typing(EnvExpr(env.root, extensions), terms[-2], terms[-1])
+        case MachineStep():
+            return MachineStep(MachineConfig(*terms[:2]), MachineConfig(*terms[2:]))
+        case Join():
+            return Join(terms[0], tuple(terms[1:]))
+    return type(f)(*terms)   # a reduction, subtype or type equality: two terms
 
 
 def formula_metavariable_tokens(f: Formula) -> set[str]:

@@ -681,19 +681,13 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
 # validation
 
 
-def _type_position_terms(f: Formula):
-    match f:
-        case Typing(env, _, ty):
-            yield from (t for _, t in env.extensions)
-            yield ty
-        case Subtype(a, b) | TypeEq(a, b):
-            yield a
-            yield b
-        case Join(result, operands):
-            yield result
-            yield from operands
-        case _:
-            return
+def _type_position_terms(f: Formula) -> tuple[Term, ...]:
+    """The terms of f that stand for types: all but a typing's subject, and
+    none of a step's."""
+    terms = formula_terms(f)
+    if isinstance(f, Typing):
+        return terms[:-2] + terms[-1:]
+    return () if isinstance(f, (Reduction, MachineStep)) else terms
 
 
 def _list_nodes(categories: list[GrammarCategory],
@@ -826,14 +820,8 @@ def _validate(
         if isinstance(rule.conclusion, (Reduction, MachineStep)):
             if any(not isinstance(p, (Reduction, MachineStep)) for p in rule.premises):
                 err(line, f"rule {rule.name!r} concludes a step but has a non-step premise")
-            lhs_terms = (
-                [rule.conclusion.lhs] if isinstance(rule.conclusion, Reduction)
-                else [rule.conclusion.lhs.focus, rule.conclusion.lhs.continuation]
-            )
-            rhs_terms = (
-                [rule.conclusion.rhs] if isinstance(rule.conclusion, Reduction)
-                else [rule.conclusion.rhs.focus, rule.conclusion.rhs.continuation]
-            )
+            terms = formula_terms(rule.conclusion)   # the left side, then the right
+            lhs_terms, rhs_terms = terms[:len(terms) // 2], terms[len(terms) // 2:]
             lhs_mvs: list[str] = []
             lhs_bound: list[str] = []
             for t in lhs_terms:

@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
+import string
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, GOLDEN, load, swapped_order_machine_text
 from langx import cli
 from langx.ck import derive_ck
-from langx.engine import evaluate
-from langx.parser import parse_spec, parse_term, print_spec
+from langx.engine import evaluate, iter_swarm_terms, member
+from langx.parser import SpecParseError, parse_spec, parse_term, print_spec, render_term
 from oracles import oracle_compare, oracle_print_trace
 
 
@@ -257,6 +263,84 @@ def test_trace_printer_renders_a_step_that_starts_elsewhere(capsys, boollist):
     oracle_print_trace(trace, boollist, rep)
     assert shown == capsys.readouterr()
     assert shown.out.count("\n") == len(trace) == 3
+
+
+OUTSIDE_THE_GRAMMAR = ("eval needs a term of category Expression; "
+                       "the grammar does not derive this one")
+
+
+@pytest.mark.parametrize("machine", ["smallstep", "ck"])
+@pytest.mark.parametrize("spec,term", [
+    ("stlc_consts.lang", "(app ci)"),      # app has arity 2
+    ("stlc_consts.lang", "(ci ci)"),       # ci is a constant
+    ("stlc_consts.lang", "[ci, cf]"),      # list sugar, and the grammar has no lists
+    ("stlc_consts.lang", "int"),           # a type
+    # The binder lam takes a type and a body; the small-step run used to end
+    # stuck, the machine's in nil.
+    ("boollist.lang", "(if (and t f) (lam x) nil)"),
+])
+def test_eval_refuses_a_term_the_grammar_does_not_derive(capsys, machine, spec, term):
+    code, out, err = run(capsys, "eval", fix(spec), term, "--machine", machine)
+    assert (code, out, err) == (1, "", OUTSIDE_THE_GRAMMAR + "\n")
+    code, out, err = run(capsys, "--format", "structured", "eval", fix(spec), term,
+                         "--machine", machine)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"kind": "diagnostic", "span": None,
+                               "message": OUTSIDE_THE_GRAMMAR}
+
+
+def _fuzz_material(name):
+    """A spec, distinct rendered terms of its grammar to mutate, and its tokens."""
+    spec = load(name)
+    texts = dict.fromkeys(render_term(t, spec)
+                          for t in islice(iter_swarm_terms(spec, max_size=10), 400))
+    tokens = [*spec.constructor_arities(), *spec.binders, *spec.variables,
+              *(cat.metavariable for cat in spec.categories), "[.]", "[x/x]"]
+    return spec, sorted(texts), tokens
+
+
+FUZZ = {name: _fuzz_material(name) for name in ("stlc_consts", "boollist", "langfunny")}
+
+
+@st.composite
+def mutated_term_text(draw):
+    """A fuzzed spec name and a term text of its grammar after one to four
+    edits: a character or token inserted, a character deleted, or two
+    neighbouring characters swapped."""
+    name = draw(st.sampled_from(sorted(FUZZ)))
+    _, texts, tokens = FUZZ[name]
+    text = draw(st.sampled_from(texts))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("insert", "delete", "swap")))
+        if edit == "insert":
+            piece = draw(st.sampled_from(tokens) | st.sampled_from(string.printable))
+            text = text[:at] + piece + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + text[at + 1:at + 2] + text[at:at + 1] + text[at + 2:]
+    return name, text
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(mutated_term_text(), st.sampled_from(("smallstep", "ck")))
+def test_eval_of_mutated_term_text_ends_in_a_documented_exit_code(case, machine):
+    name, text = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # The leading space keeps a text that starts with "-" from reading
+        # as an option; the term parser skips it.
+        code = cli.main(["eval", fix(f"{name}.lang"), " " + text, "--machine", machine,
+                         "--fuel", "200"])
+    assert code in (0, 1, 3, 4), (text, out.getvalue(), err.getvalue())
+    if code == 3:   # only a program of the language may end stuck
+        spec = FUZZ[name][0]
+        try:
+            term = parse_term(text, spec, concrete=True)
+        except SpecParseError:
+            pytest.fail(f"{text!r} does not parse but ended stuck")
+        assert member(term, "Expression", spec), text
 
 
 def test_eval_without_term(capsys):

@@ -50,6 +50,7 @@ from langx.ir import (
     HOLE,
     BinderApp,
     Constructor,
+    GrammarCategory,
     MachineConfig,
     MachineStep,
     Metavariable,
@@ -228,6 +229,33 @@ def test_match_extends_given_bindings(stlc):
     other = conc("(lam x (arrow B B) x)", stlc)
     assert match_pattern(e, lam, stlc, {"e": lam}) == {"e": lam}
     assert match_pattern(e, lam, stlc, {"e": other}) is None
+
+
+def test_shared_heads_keep_holes_substitutions_and_binders_apart(stlc):
+    # The walks compare nodes by term_head, which gives a substitution the
+    # head of a metavariable; each row is an answer that must not blur.
+    e = Metavariable("e", None, "Expression")
+    subst = Subst(e, e, "x")
+    lam = conc(ID, stlc)
+    lam_constructor = Constructor("lam", lam.args)   # same name and arity
+    closed = conc(f"(app {ID} (lam x1 (arrow B B) x1))", stlc)
+    # A category whose one production holds a substitution slot; the parser
+    # refuses such a production, so it is built here.
+    odd = dataclasses.replace(stlc, categories=(
+        *stlc.categories, GrammarCategory("Odd", "o", (Constructor("wrap", (subst,)),))))
+    rows = {
+        "hole pattern": match_pattern(HOLE, HOLE, stlc) is None,
+        "substitution pattern, same substitution": match_pattern(subst, subst, stlc) is None,
+        "substitution pattern, metavariable": match_pattern(subst, e, stlc) is None,
+        "binder pattern, constructor subject":
+            match_pattern(lam, lam_constructor, stlc) is None,
+        "constructor pattern, binder subject":
+            match_pattern(lam_constructor, lam, stlc) is None,
+        "instantiate without metavariables": instantiate(closed, {}, stlc) is closed,
+        "substitution slot, substitution": not member(Constructor("wrap", (subst,)), "Odd", odd),
+        "substitution slot, metavariable": not member(Constructor("wrap", (e,)), "Odd", odd),
+    }
+    assert [name for name, holds in rows.items() if not holds] == []
 
 
 def test_instantiate_rejects_unbound_metavariable(stlc):
