@@ -8,8 +8,9 @@ Subcommands:
   compare        run random well-typed terms under both semantics and diff
 
 Exit codes: 0 success, 1 parse/validation error, unreadable input, unwritable
-output or input nested too deeply, 2 transformation error, 3 stuck term,
-4 out of fuel, 5 semantics disagreement.
+output, input nested too deeply or a command line that cannot be read,
+2 transformation error, 3 stuck term, 4 out of fuel, 5 semantics
+disagreement.
 """
 
 from __future__ import annotations
@@ -365,8 +366,17 @@ def cmd_compare(args, rep: Reporter) -> int:
     return EXIT_DISAGREE
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are LangxErrors, which main
+    reports as one diagnostic; argparse itself would print its usage and
+    exit 2, the code of a rejected transformation."""
+
+    def error(self, message: str):
+        raise LangxError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="langx",
         description="Check, transform, and execute operational-semantics language specs.")
     top.add_argument("--format", choices=("text", "structured"), default="text",
@@ -418,7 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    # Options are stored as they are read, so a usage error met after
+    # --format is reported in the format it asked for.
+    args = argparse.Namespace()
+    try:
+        build_parser().parse_args(argv, namespace=args)
+    except LangxError as exc:
+        Reporter(args.format == "structured", Style()).diagnostic(str(exc))
+        return EXIT_INVALID
     rep = Reporter(args.format == "structured", Style())
     try:
         if getattr(args, "fuel", 1) <= 0:

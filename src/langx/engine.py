@@ -346,17 +346,20 @@ def decompose(t: Term, spec: LanguageSpec) -> tuple[Term, Term]:
     redex candidate, descending per the context grammar; (hole, t) when t
     itself is the focus."""
     path, focus = _focus_path(t, spec, {})
-    return _refill(path, HOLE), focus
+    return _refill(path, HOLE)[0], focus
 
 
-def _focus_path(t: Term, spec: LanguageSpec,
-                cats: Categories) -> tuple[list[tuple[Constructor, int]], Term]:
-    """The nodes decompose descends through, each with the argument position
-    it descends into, and the focus it reaches."""
+# The nodes a decomposition descends through, each with the argument position
+# it descends into.
+Path = list[tuple[Constructor, int]]
+
+
+def _focus_path(t: Term, spec: LanguageSpec, cats: Categories) -> tuple[Path, Term]:
+    """The path decompose descends along from t, and the focus it reaches."""
     contexts = spec.derived(_context_table)
     table = spec.derived(_membership_table)
     value = spec.value_category.name if spec.value_category is not None else None
-    path: list[tuple[Constructor, int]] = []
+    path: Path = []
     while isinstance(t, Constructor):
         for hole_at, others in contexts.get((t.name, len(t.args)), ()):
             # Both tests are pure, so their order leaves the path as it is.
@@ -372,13 +375,44 @@ def _focus_path(t: Term, spec: LanguageSpec,
     return path, t
 
 
-def _refill(path: list[tuple[Constructor, int]], filler: Term) -> Term:
-    """The root of path with its focus replaced by filler.  Only the nodes on
-    the path are rebuilt; every other subterm is shared, not copied."""
+def _refill(path: Path, filler: Term) -> tuple[Term, Path]:
+    """The root of path with its focus replaced by filler, and the path
+    through the rebuilt nodes to filler.  Only the nodes on the path are
+    rebuilt; every other subterm is shared, not copied."""
+    rebuilt: Path = []
     for node, hole_at in reversed(path):
         filler = Constructor(node.name, node.args[:hole_at] + (filler,)
                              + node.args[hole_at + 1:])
-    return filler
+        rebuilt.append((filler, hole_at))
+    rebuilt.reverse()
+    return filler, rebuilt
+
+
+def _refocus(rebuilt: Path, path: Path, reduct: Term, redex: Term,
+             spec: LanguageSpec, cats: Categories) -> tuple[Path, Term]:
+    """_focus_path from the root of rebuilt, the path _refill made putting
+    reduct in place of redex, the focus of path.
+
+    A node's categories follow from its head and its arguments' categories,
+    and a decomposition reads no more of a node than these.  So the walk goes
+    up from the reduct and stops at the first node whose slots read the same
+    categories of the argument that changed below it: that node keeps its
+    categories, every frame above it is as it was, and the descent resumes
+    at the node itself, whose own context may now be another.
+    """
+    views = spec.derived(_frame_views)
+    table = spec.derived(_membership_table)
+    depth = len(rebuilt) if views is not None else 0
+    new, old = reduct, redex
+    while depth:
+        depth -= 1
+        node, hole_at = rebuilt[depth]
+        if all(_member(new, name, table, cats) == _member(old, name, table, cats)
+               for name in views[node.name, len(node.args), hole_at]):
+            break
+        new, old = node, path[depth][0]
+    below, focus = _focus_path(rebuilt[depth][0] if rebuilt else reduct, spec, cats)
+    return rebuilt[:depth] + below, focus
 
 
 def _context_table(spec: LanguageSpec) -> dict[tuple[str, int], list[tuple[int, list]]]:
@@ -395,6 +429,23 @@ def _context_table(spec: LanguageSpec) -> dict[tuple[str, int], list[tuple[int, 
     return table
 
 
+def _frame_views(spec: LanguageSpec) -> Optional[dict[tuple[str, int, int], frozenset[str]]]:
+    """Per context operator (name, arity) and argument position, the
+    categories that its nodes' membership reads of the argument there.  None
+    when a production with the head of a context operator has a slot that is
+    not a metavariable: such a slot reads more of its argument than its
+    categories, so a run then decomposes every state from the root."""
+    table = spec.derived(_membership_table)
+    views: dict[tuple[str, int, int], set[str]] = {}
+    for name, arity in spec.derived(_context_table):
+        for slots, _ in table[("con", name, arity)][1]:
+            for at, slot in enumerate(slots):
+                if type(slot) is not Metavariable:
+                    return None
+                views.setdefault((name, arity, at), set()).add(slot.category)
+    return {key: frozenset(names) for key, names in views.items()}
+
+
 def plug(context: Term, filler: Term) -> Term:
     """context with filler in place of its hole."""
     return fold(context, lambda t, kids: filler if type(t) is Hole else rebuild(t, kids), {})
@@ -404,25 +455,55 @@ def plug(context: Term, filler: Term) -> Term:
 # small-step evaluation
 
 
+def _contract(redex: Term, spec: LanguageSpec,
+              cats: Categories) -> Optional[tuple[str, Term]]:
+    """The name of the first reduction rule that matches redex and the reduct
+    it builds, or None when no rule applies."""
+    for rule in spec.reduction_rules():
+        sigma: Substitution = {}
+        if _match(rule.conclusion.lhs, redex, sigma, spec, cats):
+            return rule.name, instantiate(rule.conclusion.rhs, sigma, spec)
+    return None
+
+
 def step(t: Term, spec: LanguageSpec,
          cats: Optional[Categories] = None) -> Optional[TraceStep]:
     """One contextual reduction of t, or None when no rule applies.  cats is
     the membership memo of t's subterms, shared with the caller."""
     cats = {} if cats is None else cats
     path, redex = _focus_path(t, spec, cats)
-    for rule in spec.reduction_rules():
-        sigma: Substitution = {}
-        if not _match(rule.conclusion.lhs, redex, sigma, spec, cats):
-            continue
-        result = _refill(path, instantiate(rule.conclusion.rhs, sigma, spec))
-        return TraceStep("contextual-reduction", rule.name, t, result)
-    return None
+    contracted = _contract(redex, spec, cats)
+    if contracted is None:
+        return None
+    return TraceStep("contextual-reduction", contracted[0], t,
+                     _refill(path, contracted[1])[0])
 
 
 def evaluate(t: Term, spec: LanguageSpec, fuel: int = 10000) -> tuple[Term, list[TraceStep]]:
-    """Iterate step until a value; raises Stuck or OutOfFuel."""
-    return _run(t, fuel, lambda term, cats: is_value(term, spec, cats),
-                lambda term, cats: step(term, spec, cats), Stuck)
+    """Iterate step until a value; raises Stuck or OutOfFuel.
+
+    The run keeps the decomposition of the state each step ends in, and the
+    next step starts from it when it is handed that very state: after a
+    contraction it refocuses near the reduct instead of descending from the
+    root again.  Any other state is decomposed from the root.
+    """
+    last: Optional[Term] = None   # the state the kept path and focus decompose
+    path: Path = []
+    focus: Optional[Term] = None
+
+    def advance(term: Term, cats: Categories) -> Optional[TraceStep]:
+        nonlocal last, path, focus
+        if term is not last:
+            path, focus = _focus_path(term, spec, cats)
+        contracted = _contract(focus, spec, cats)
+        if contracted is None:
+            return None
+        rule_name, reduct = contracted
+        last, rebuilt = _refill(path, reduct)
+        path, focus = _refocus(rebuilt, path, reduct, focus, spec, cats)
+        return TraceStep("contextual-reduction", rule_name, term, last)
+
+    return _run(t, fuel, lambda term, cats: is_value(term, spec, cats), advance, Stuck)
 
 
 def _run(state: Union[Term, MachineConfig], fuel: int, finished, advance,

@@ -343,6 +343,32 @@ def test_eval_of_mutated_term_text_ends_in_a_documented_exit_code(case, machine)
         assert member(term, "Expression", spec), text
 
 
+# name: a command line argparse refuses, and a piece of it the diagnostic shows
+USAGE_ERRORS = {
+    "term-read-as-an-option": (["eval", fix("boollist.lang"), "-t"], "-t"),
+    "fuel-not-a-number": (["eval", fix("boollist.lang"), "t", "--fuel", "abc"], "abc"),
+    "unknown-subcommand": (["bogus", fix("boollist.lang")], "bogus"),
+}
+
+
+@pytest.mark.parametrize("argv,shown", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_a_command_line_argparse_refuses_ends_in_one_diagnostic(capsys, argv, shown):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and shown in err
+    code, out, err = run(capsys, "--format", "structured", *argv)
+    assert code == 1 and err == ""
+    [record] = map(json.loads, out.splitlines())
+    assert record["kind"] == "diagnostic" and shown in record["message"]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["-h"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: langx")
+
+
 def test_eval_without_term(capsys):
     code, out, err = run(capsys, "eval", fix("boollist.lang"))
     assert code == 1

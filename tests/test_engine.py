@@ -76,6 +76,7 @@ from oracles import (
     oracle_member,
     oracle_substitute,
 )
+from test_ck import NUMS
 
 
 def conc(text, spec):
@@ -690,6 +691,81 @@ def test_a_run_walks_a_subterm_off_its_focus_path_once(monkeypatch, boollist):
     # The 1,500 more list nodes cost one walk of them: 10,500 calls, seven
     # per node.  A memo per step walked them once per step, 546,000 calls.
     assert 0 < runs[1600] - runs[100] <= walks[1600] - walks[100]
+
+
+def mixed_name_chain(depth):
+    """identity_chain with its bound names cycling through x, x1, x2 and x'
+    from the inside out.  A step's reduct then makes a chain that no earlier
+    state holds, so no two states share the nodes of their spines."""
+    t = Constructor("ci")
+    for i in range(depth):
+        name = ("x", "x1", "x2", "x'")[i % 4]
+        t = Constructor("app", (BinderApp("lam", name, (Constructor("int"), Var(name))), t))
+    return t
+
+
+def test_a_refocused_run_does_membership_work_linear_in_depth(monkeypatch, stlc_consts):
+    calls = counted_categories(monkeypatch)
+    depth = 400
+    value, trace = evaluate(mixed_name_chain(depth), stlc_consts)
+    assert value == Constructor("ci") and len(trace) == depth
+    # Decomposing every state from the root made 79,813 calls.
+    assert calls[0] <= 4 * depth
+
+
+# A Value production that nests a pattern: (box (app v v)) is a value when
+# the application's arguments are.
+BOXES = """\
+language boxes
+
+variables x
+
+grammar
+  Type T ::= int | (arrow T T)
+  Expression e ::= x | ci | (lam x T e) | (app e e) | (pair e e) | (box e)
+  Value v ::= ci | (lam x T e) | (pair v v) | (box (app v v))
+  Context E ::= [.] | (app E e) | (app v E) | (pair E e) | (pair v E) | (box E)
+
+binder lam 1
+
+rule beta
+  --------------------------------
+  (app (lam x T e) v) --> e[v/x]
+"""
+
+# Specs written out here, by name; any other name is a fixture.
+SPEC_TEXTS = {
+    "nums-under-succ": NUMS.replace("(pred E)", "(succ E) | (pred E)"),
+    "boxes": BOXES,
+}
+
+# name: spec, term (None for the 60-deep mixed-name chain)
+REFOCUSED = {
+    # The value c2 turns the outer frame from (pair E e) into (pair v E).
+    "value-turns-the-frame-above": (
+        "langfunny", "(pair (pair c1 (app (lam x B x) c2)) (app (lam x B x) c3))"),
+    # zero makes (succ zero), the whole term, a value.
+    "value-makes-a-value-above": ("nums-under-succ", "(succ (pred (succ zero)))"),
+    # The reduct (and t t) is no value, and the (if E e e) frame stays.
+    "frame-kept-above-a-non-value": (
+        "boollist", "(if (app (lam x (and x t)) t) (hd (cons f nil)) t)"),
+    # ci makes the box a value by the shape of its argument, which the
+    # categories of that argument do not show.
+    "nested-value-production": (
+        "boxes", "(pair (box (app (lam x int x) (app (lam x int x) ci))) "
+                 "(app (lam x int x) ci))"),
+    "mixed-name-chain": ("stlc_consts", None),
+}
+
+
+@pytest.mark.parametrize("spec_name,text", REFOCUSED.values(), ids=REFOCUSED)
+def test_refocused_runs_equal_the_oracle_at_every_fuel(spec_name, text):
+    spec = parse_spec(SPEC_TEXTS[spec_name]) if spec_name in SPEC_TEXTS else load(spec_name)
+    term = mixed_name_chain(60) if text is None else conc(text, spec)
+    _, _, trace = cli._outcome(oracle_evaluate, term, spec, 10000)
+    for fuel in range(1, len(trace) + 1):
+        assert cli._outcome(evaluate, term, spec, fuel) == \
+            cli._outcome(oracle_evaluate, term, spec, fuel), fuel
 
 
 def stepped(state, advance, finished):
