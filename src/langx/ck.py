@@ -224,9 +224,10 @@ def generate_computation_rules(op: str, final: ContinuationOp,
     return rules
 
 
-def _plug_rule(op: str, final: ContinuationOp, arity: int,
-               spec: LanguageSpec) -> InferenceRule | None:
-    values = [_pos_metavar(spec, "v", p) for p in range(1, arity + 1)]
+def _plug_rule(op: str, final: ContinuationOp, spec: LanguageSpec) -> InferenceRule | None:
+    """The rule rebuilding op's saturated value once final's hole holds a
+    value, or None when such an op node is not a value."""
+    values = [_pos_metavar(spec, "v", p) for p in range(1, len(final.slots) + 2)]
     saturated = Constructor(op, tuple(values))
     if not is_value_pattern(saturated, spec):
         return None
@@ -268,8 +269,7 @@ def derive_ck(spec: LanguageSpec) -> LanguageSpec:
             machine.extend(generate_computation_rules(
                 op, finals[0], reductions, evaluated, spec))
         elif finals:
-            sample = spec.constructor_arities().get(op, len(conts[0].slots) + 1)
-            plug = _plug_rule(op, finals[0], sample, spec)
+            plug = _plug_rule(op, finals[0], spec)
             if plug is not None:
                 machine.append(plug)
 

@@ -19,11 +19,13 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from typing import Iterable, Optional
 
 from .ck import CKError, derive_ck
 from .engine import (
     MT,
+    NotSyntaxDirected,
     OutOfFuel,
     Stuck,
     StuckMachine,
@@ -52,7 +54,6 @@ from .parser import (
     render_term,
 )
 from .subtyping import (
-    NoJoin,
     SubtypingError,
     add_subtyping,
     generate_join_relation,
@@ -253,36 +254,37 @@ def _outcome_text(outcome, spec: LanguageSpec) -> str:
 
 def well_typed_terms(spec: LanguageSpec, count: int, seed: int,
                      max_size: int) -> Iterable[Term]:
-    """First `count` generated terms that typecheck under `spec`.
+    """First `count` generated terms that typecheck under `spec`; a spec
+    without typing rules accepts every draw.
 
-    Specs without typing rules skip the filter. Attempts are capped so a
-    grammar whose terms almost never typecheck terminates with fewer terms.
+    Attempts are capped so a grammar whose terms almost never typecheck
+    terminates with fewer terms.  Typing rules that are not syntax-directed
+    are a fault of the spec, not of a term: NotSyntaxDirected passes through.
     """
-    stream = iter_swarm_terms(spec, seed=seed, max_size=max_size)
-    if not spec.typing_rules():
-        for _ in range(count):
-            yield next(stream)
-        return
+    checked = bool(spec.typing_rules())
     # The stream repeats most of its draws, so each distinct draw's verdict
     # is kept for the rest of this call.
     verdicts: dict[Term, bool] = {}
-    produced = 0
-    for _ in range(max(200 * count, 10000)):
-        term = next(stream)
+    for term in islice(iter_swarm_terms(spec, seed=seed, max_size=max_size),
+                       max(200 * count, 10000)):
         typed = verdicts.get(term)
         if typed is None:
-            try:
-                typecheck(term, spec)
-                typed = True
-            except (TypecheckError, NoJoin):
-                typed = False
-            verdicts[term] = typed
-        if not typed:
-            continue
-        yield term
-        produced += 1
-        if produced >= count:
-            return
+            typed = verdicts[term] = not checked or _typechecks(term, spec)
+        if typed:
+            yield term
+            count -= 1
+            if count <= 0:
+                return
+
+
+def _typechecks(term: Term, spec: LanguageSpec) -> bool:
+    try:
+        typecheck(term, spec)
+    except NotSyntaxDirected:
+        raise
+    except TypecheckError:
+        return False
+    return True
 
 
 def shrink_counterexample(term: Term, disagrees) -> Term:

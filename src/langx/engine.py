@@ -455,14 +455,18 @@ def plug(context: Term, filler: Term) -> Term:
 # small-step evaluation
 
 
-def _contract(redex: Term, spec: LanguageSpec,
-              cats: Categories) -> Optional[tuple[str, Term]]:
-    """The name of the first reduction rule that matches redex and the reduct
-    it builds, or None when no rule applies."""
+def _reduce(t: Term, path: Path, redex: Term, spec: LanguageSpec,
+            cats: Categories) -> Optional[tuple[TraceStep, Path, Term]]:
+    """Contract redex, the focus path leads to from t, by the first reduction
+    rule that matches it, and refill path with the reduct: the step taken,
+    the path through the rebuilt nodes and the reduct.  None when no rule
+    applies."""
     for rule in spec.reduction_rules():
         sigma: Substitution = {}
         if _match(rule.conclusion.lhs, redex, sigma, spec, cats):
-            return rule.name, instantiate(rule.conclusion.rhs, sigma, spec)
+            reduct = instantiate(rule.conclusion.rhs, sigma, spec)
+            after, rebuilt = _refill(path, reduct)
+            return TraceStep("contextual-reduction", rule.name, t, after), rebuilt, reduct
     return None
 
 
@@ -471,12 +475,8 @@ def step(t: Term, spec: LanguageSpec,
     """One contextual reduction of t, or None when no rule applies.  cats is
     the membership memo of t's subterms, shared with the caller."""
     cats = {} if cats is None else cats
-    path, redex = _focus_path(t, spec, cats)
-    contracted = _contract(redex, spec, cats)
-    if contracted is None:
-        return None
-    return TraceStep("contextual-reduction", contracted[0], t,
-                     _refill(path, contracted[1])[0])
+    reduced = _reduce(t, *_focus_path(t, spec, cats), spec, cats)
+    return None if reduced is None else reduced[0]
 
 
 def evaluate(t: Term, spec: LanguageSpec, fuel: int = 10000) -> tuple[Term, list[TraceStep]]:
@@ -495,13 +495,13 @@ def evaluate(t: Term, spec: LanguageSpec, fuel: int = 10000) -> tuple[Term, list
         nonlocal last, path, focus
         if term is not last:
             path, focus = _focus_path(term, spec, cats)
-        contracted = _contract(focus, spec, cats)
-        if contracted is None:
+        reduced = _reduce(term, path, focus, spec, cats)
+        if reduced is None:
             return None
-        rule_name, reduct = contracted
-        last, rebuilt = _refill(path, reduct)
+        taken, rebuilt, reduct = reduced
+        last = taken.after
         path, focus = _refocus(rebuilt, path, reduct, focus, spec, cats)
-        return TraceStep("contextual-reduction", rule_name, term, last)
+        return taken
 
     return _run(t, fuel, lambda term, cats: is_value(term, spec, cats), advance, Stuck)
 
@@ -670,54 +670,52 @@ def typecheck(t: Term, spec: LanguageSpec,
             return env[t.name]
         raise UnboundVariable(t.name)
     rule = table.get(term_head(t))
-    if rule is None:
+    sigma: Substitution = {}
+    if rule is None or not _match(rule.conclusion.subject, t, sigma, spec):
         raise NoRuleApplies(t)
-    assert isinstance(rule.conclusion, Typing)
-    sigma = match_pattern(rule.conclusion.subject, t, spec)
-    if sigma is None:
-        raise NoRuleApplies(t)
-
-    def build(pattern: Term) -> Term:
-        # A metavariable the rule leaves unbound makes it unusable on t.
-        try:
-            return instantiate(pattern, sigma, spec)
-        except EngineError:
-            raise NoRuleApplies(t) from None
-
-    for premise in rule.premises:
-        match premise:
-            case Typing(penv, subject, ty):
-                inner_env = dict(env)
-                for var, vty in penv.extensions:
-                    bound = sigma.get(var)
-                    name = bound.name if isinstance(bound, Var) else var
-                    inner_env[name] = build(vty)
-                actual = typecheck(build(subject), spec, inner_env)
-                if not _match(ty, actual, sigma, spec):
-                    raise NoRuleApplies(t)
-            case Subtype(sub, sup):
-                a, b = build(sub), build(sup)
-                if not check_subtype(a, b, spec):
-                    raise SubtypeFailure(a, b)
-            case TypeEq(left, right):
-                if isinstance(left, Metavariable) and left.token not in sigma:
-                    sigma[left.token] = build(right)
-                elif isinstance(right, Metavariable) and right.token not in sigma:
-                    sigma[right.token] = build(left)
-                else:
-                    a, b = build(left), build(right)
-                    if a != b:
+    try:
+        for premise in rule.premises:
+            match premise:
+                case Typing(penv, subject, ty):
+                    inner_env = dict(env)
+                    for var, vty in penv.extensions:
+                        name = instantiate(Var(var), sigma, spec).name
+                        inner_env[name] = instantiate(vty, sigma, spec)
+                    actual = typecheck(instantiate(subject, sigma, spec), spec, inner_env)
+                    if not _match(ty, actual, sigma, spec):
+                        raise NoRuleApplies(t)
+                case Subtype(sub, sup):
+                    a, b = instantiate(sub, sigma, spec), instantiate(sup, sigma, spec)
+                    if not check_subtype(a, b, spec):
                         raise SubtypeFailure(a, b)
-            case Join(result, operands):
-                joined = join_all(tuple(build(o) for o in operands), spec)
-                if isinstance(result, Metavariable) and result.token not in sigma:
-                    sigma[result.token] = joined
-                elif build(result) != joined:
-                    raise SubtypeFailure(build(result), joined)
-            case _:
-                raise TypecheckError(
-                    f"rule {rule.name!r} has an unsupported premise for checking")
-    return build(rule.conclusion.ty)
+                case TypeEq(left, right):
+                    if isinstance(right, Metavariable) and right.token not in sigma:
+                        left, right = right, left
+                    _bind_or_compare(left, instantiate(right, sigma, spec), sigma, spec)
+                case Join(result, operands):
+                    joined = join_all(tuple(instantiate(o, sigma, spec) for o in operands), spec)
+                    _bind_or_compare(result, joined, sigma, spec)
+                case _:
+                    raise TypecheckError(
+                        f"rule {rule.name!r} has an unsupported premise for checking")
+        return instantiate(rule.conclusion.ty, sigma, spec)
+    except TypecheckError:   # the premises' own verdicts, and the subterms'
+        raise
+    except EngineError:   # a metavariable the rule leaves unbound: it cannot type t
+        raise NoRuleApplies(t) from None
+    except NoJoin as exc:
+        raise SubtypeFailure(exc.t1, exc.t2) from None
+
+
+def _bind_or_compare(pattern: Term, value: Term, sigma: Substitution,
+                     spec: LanguageSpec) -> None:
+    """Discharge one side of an equality or join premise, value being what
+    the other side built: a metavariable sigma leaves unbound takes value,
+    and any other pattern must build to it."""
+    if isinstance(pattern, Metavariable) and pattern.token not in sigma:
+        sigma[pattern.token] = value
+    elif (built := instantiate(pattern, sigma, spec)) != value:
+        raise SubtypeFailure(built, value)
 
 
 # ---------------------------------------------------------------------------

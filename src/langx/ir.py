@@ -462,13 +462,20 @@ def _rule_views(spec: LanguageSpec) -> dict[type, tuple[InferenceRule, ...]]:
             for kind in (Typing, Reduction, MachineStep)}
 
 
+def spec_terms(categories: Iterable[GrammarCategory],
+               rules: Iterable[InferenceRule]) -> list[Term]:
+    """Every production, in grammar order, then every term of every rule's
+    premises and conclusion, in order."""
+    terms = [p for cat in categories for p in cat.productions]
+    terms += [t for rule in rules for f in (*rule.premises, rule.conclusion)
+              for t in formula_terms(f)]
+    return terms
+
+
 def _constructor_arities(spec: LanguageSpec) -> dict[str, int]:
     """Each constructor's arity at its first occurrence, grammar before rules."""
-    terms = [p for cat in spec.categories for p in cat.productions]
-    terms += [t for rule in spec.rules for f in (*rule.premises, rule.conclusion)
-              for t in formula_terms(f)]
     arities: dict[str, int] = {}
-    for t in terms:
+    for t in spec_terms(spec.categories, spec.rules):
         for s in subterms(t):
             if isinstance(s, Constructor):
                 arities.setdefault(s.name, len(s.args))

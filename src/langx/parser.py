@@ -43,6 +43,7 @@ from .ir import (
     fold,
     formula_terms,
     is_variable,
+    spec_terms,
     subterms,
     term_head,
 )
@@ -119,18 +120,24 @@ _PUNCTUATION = {
 _END = "END"
 
 
-class _Tok:
-    __slots__ = ("kind", "text", "col", "end")
+# How many brackets a token opens (1) or closes (-1).
+_DEPTH_STEP = {"LPAREN": 1, "LBRACK": 1, "RPAREN": -1, "RBRACK": -1}
 
-    def __init__(self, kind: str, text: str, col: int, end: int):
+
+class _Tok:
+    __slots__ = ("kind", "text", "col", "end", "depth")
+
+    def __init__(self, kind: str, text: str, col: int, end: int, depth: int):
         self.kind = kind
         self.text = text
         self.col = col      # 1-based
         self.end = end      # column just past the token
+        self.depth = depth  # brackets open just after the token: 0 outside every pair
 
 
 def _tokenize(text: str, filename: str, line_no: int) -> list[_Tok]:
     toks: list[_Tok] = []
+    depth = 0
     for m in _TOKEN_RE.finditer(text):
         start, end = m.span()
         if m.lastindex:
@@ -139,7 +146,9 @@ def _tokenize(text: str, filename: str, line_no: int) -> list[_Tok]:
                 f"unexpected character {text[start]!r}",
             ))
         t = m.group()
-        toks.append(_Tok(_PUNCTUATION.get(t, "IDENT"), t, start + 1, end + 1))
+        kind = _PUNCTUATION.get(t, "IDENT")
+        depth += _DEPTH_STEP.get(kind, 0)
+        toks.append(_Tok(kind, t, start + 1, end + 1, depth))
     return toks
 
 
@@ -240,8 +249,8 @@ class _P:
     column just past the last one."""
 
     def __init__(self, toks: list[_Tok], filename: str, line: int, res: _Resolver):
-        end = toks[-1].end if toks else 1
-        self.toks = [*toks, _Tok(_END, "", end, end)]
+        end, depth = (toks[-1].end, toks[-1].depth) if toks else (1, 0)
+        self.toks = [*toks, _Tok(_END, "", end, end, depth)]
         self.i = 0
         self.filename = filename
         self.line = line
@@ -349,7 +358,7 @@ class _P:
     # -- formulas ------------------------------------------------------------
 
     def formula(self) -> Formula:
-        kinds = self._toplevel_kinds()
+        kinds = {tok.kind for tok in self.toks if tok.depth == 0}
         if self.toks[0].kind == "LANGLE":
             lhs = self.config()
             self.expect("ARROW")
@@ -388,18 +397,6 @@ class _P:
                 return TypeEq(left, operands[0])
             return Join(left, tuple(operands))
         raise self.fail("expected a formula")
-
-    def _toplevel_kinds(self) -> set[str]:
-        depth = 0
-        kinds: set[str] = set()
-        for tok in self.toks:
-            if tok.kind in ("LPAREN", "LBRACK"):
-                depth += 1
-            elif tok.kind in ("RPAREN", "RBRACK"):
-                depth -= 1
-            elif depth == 0:
-                kinds.add(tok.kind)
-        return kinds
 
     def config(self) -> MachineConfig:
         self.expect("LANGLE")
@@ -552,13 +549,8 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
         prods: list[Term] = []
         try:
             segments: list[list[_Tok]] = [[]]
-            depth = 0
             for tok in toks:
-                if tok.kind in ("LPAREN", "LBRACK"):
-                    depth += 1
-                elif tok.kind in ("RPAREN", "RBRACK"):
-                    depth -= 1
-                if tok.kind == "PIPE" and depth == 0:
+                if tok.kind == "PIPE" and tok.depth == 0:
                     segments.append([])
                 else:
                     segments[-1].append(tok)
@@ -694,11 +686,8 @@ def _list_nodes(categories: list[GrammarCategory],
                 rules: list[InferenceRule]) -> dict[Term, list[Term]]:
     """The nodes of each production and formula term, in pre-order, keyed by
     the term.  The checks read these lists and walk no term again."""
-    terms = [p for cat in categories for p in cat.productions]
-    terms += [t for rule in rules for f in (*rule.premises, rule.conclusion)
-              for t in formula_terms(f)]
     nodes: dict[Term, list[Term]] = {}
-    for t in terms:
+    for t in spec_terms(categories, rules):
         if t not in nodes:
             nodes[t] = list(subterms(t))
     return nodes

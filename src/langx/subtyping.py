@@ -11,6 +11,7 @@ solution and are rejected.
 from __future__ import annotations
 
 import functools
+from typing import Iterator
 
 from .ir import (
     CONTRAVARIANT,
@@ -189,6 +190,17 @@ def _type_metavar(spec: LanguageSpec, suffix: str) -> Metavariable:
     return Metavariable(base, suffix or None, "Type")
 
 
+def _marked_constructors(spec: LanguageSpec) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """The Type category's constructors with arguments and one variance mark
+    per argument, with their marks, in grammar order."""
+    ty = spec.type_category
+    for prod in ty.productions if ty is not None else ():
+        if isinstance(prod, Constructor) and prod.args:
+            marks = spec.variance.get(prod.name)
+            if marks is not None and len(marks) == len(prod.args):
+                yield prod.name, marks
+
+
 def generate_subtype_relation(spec: LanguageSpec) -> list[InferenceRule]:
     """Reflexivity on base types, declared base axioms, one structural rule
     per type constructor.  No transitivity rule: the system stays algorithmic,
@@ -200,15 +212,7 @@ def generate_subtype_relation(spec: LanguageSpec) -> list[InferenceRule]:
     for a, b in spec.base_subtypes:
         rules.append(InferenceRule(
             f"sub-base-{a}-{b}", (), Subtype(Constructor(a), Constructor(b))))
-    ty = spec.type_category
-    if ty is None:
-        return rules
-    for prod in ty.productions:
-        if not isinstance(prod, Constructor) or not prod.args:
-            continue
-        marks = spec.variance.get(prod.name)
-        if marks is None or len(marks) != len(prod.args):
-            continue
+    for name, marks in _marked_constructors(spec):
         left, right, premises = [], [], []
         for i, mark in enumerate(marks, start=1):
             l, r = _type_metavar(spec, str(i)), _type_metavar(spec, f"{i}'")
@@ -221,10 +225,9 @@ def generate_subtype_relation(spec: LanguageSpec) -> list[InferenceRule]:
             else:
                 premises.append(TypeEq(l, r))
         rules.append(InferenceRule(
-            f"sub-{prod.name}",
+            f"sub-{name}",
             tuple(premises),
-            Subtype(Constructor(prod.name, tuple(left)),
-                    Constructor(prod.name, tuple(right))),
+            Subtype(Constructor(name, tuple(left)), Constructor(name, tuple(right))),
         ))
     return rules
 
@@ -241,14 +244,8 @@ def generate_join_relation(spec: LanguageSpec) -> list[InferenceRule]:
         ca, cb = Constructor(a), Constructor(b)
         rules.append(InferenceRule(f"join-{a}-{b}", (), Join(cb, (ca, cb))))
         rules.append(InferenceRule(f"join-{b}-{a}", (), Join(cb, (cb, ca))))
-    ty = spec.type_category
-    if ty is None:
-        return rules
-    for prod in ty.productions:
-        if not isinstance(prod, Constructor) or not prod.args:
-            continue
-        marks = spec.variance.get(prod.name)
-        if marks is None or CONTRAVARIANT in marks:
+    for name, marks in _marked_constructors(spec):
+        if CONTRAVARIANT in marks:
             continue
         result, left, right, premises = [], [], [], []
         for i, mark in enumerate(marks, start=1):
@@ -263,11 +260,10 @@ def generate_join_relation(spec: LanguageSpec) -> list[InferenceRule]:
                 premises.append(TypeEq(l, r))
                 result.append(l)
         rules.append(InferenceRule(
-            f"join-{prod.name}",
+            f"join-{name}",
             tuple(premises),
-            Join(Constructor(prod.name, tuple(result)),
-                 (Constructor(prod.name, tuple(left)),
-                  Constructor(prod.name, tuple(right)))),
+            Join(Constructor(name, tuple(result)),
+                 (Constructor(name, tuple(left)), Constructor(name, tuple(right)))),
         ))
     return rules
 

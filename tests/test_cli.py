@@ -531,6 +531,29 @@ rule s-c
     assert "only 0 of the 5 requested terms" in err
 
 
+@pytest.mark.parametrize("structured", [False, True])
+def test_compare_refuses_typing_rules_that_are_not_syntax_directed(capsys, tmp_path,
+                                                                   structured):
+    # Two typing rules conclude ci: a fault of the spec, reported once, not
+    # a stream of ill-typed terms ending in a vacuous "0/0 agree".
+    spec = tmp_path / "twice.lang"
+    spec.write_text((FIXTURES / "stlc_consts.lang").read_text() + """
+rule t-ci-float
+  --------------------------------
+  G |- ci : float
+""")
+    form = ["--format", "structured"] if structured else []
+    code, out, err = run(capsys, *form, "compare", str(spec), "--count", "50")
+    assert code == 1
+    message = "more than one typing rule concludes a ci subject"
+    if structured:
+        assert err == ""
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"kind": "diagnostic", "message": message, "span": None}]
+    else:
+        assert (out, err) == ("", message + "\n")
+
+
 def test_compare_missing_machine_file(capsys):
     code, out, err = run(capsys, "compare", fix("boollist.lang"),
                          "--ck", fix("missing.lang"))

@@ -1034,6 +1034,20 @@ def test_typecheck_discharges_equality_join_and_unsupported_premises():
         typecheck(conc("(run ci)", spec), spec)
 
 
+def test_a_join_premise_over_types_without_a_join_is_a_subtype_failure():
+    # int and bool have no upper bound in common, so t-both's join premise
+    # fails, naming the two types, and no subtyping error escapes.
+    spec = parse_spec(PREMISES.replace("int | float", "int | float | bool").replace(
+        "| cf |", "| cf | cb |") + """
+rule t-cb
+  --------------------------------
+  G |- cb : bool
+""")
+    with pytest.raises(SubtypeFailure) as info:
+        typecheck(conc("(both ci cb)", spec), spec)
+    assert (info.value.t1, info.value.t2) == (Constructor("int"), Constructor("bool"))
+
+
 def test_two_rules_for_one_head_rejected():
     spec = parse_spec("""\
 language twice

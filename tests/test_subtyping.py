@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -234,6 +236,17 @@ def test_join_relation_has_a_rule_per_covariant_constructor(langfunny):
         "(prod T1 T2) = (prod T1' T2') \\/ (prod T1'' T2'')")
     assert shown["join-List"] == (
         ["T1 = T1' \\/ T1''"], "(List T1) = (List T1') \\/ (List T1'')")
+
+
+def test_relations_skip_a_constructor_whose_marks_miss_its_arity(langfunny):
+    # parse_spec refuses such a table; a spec built in code can have one.
+    # Neither relation builds a rule for prod, whose two arguments have one
+    # mark, and both still build List's.
+    odd = dataclasses.replace(langfunny, variance={**langfunny.variance, "prod": ("co",)})
+    for generate in (generate_subtype_relation, generate_join_relation):
+        names = [r.name for r in generate(odd)]
+        assert not any(name.endswith("-prod") for name in names)
+        assert names[-1].endswith("-List")
 
 
 def test_no_transitivity_rule(references):
