@@ -63,6 +63,7 @@ from .ck import (
     CKError,
     ContinuationOp,
     NoFinalContinuation,
+    NoPlugRule,
     NoStart,
     OrderAmbiguity,
     PatternMismatch,

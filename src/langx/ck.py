@@ -6,7 +6,8 @@ a Start rule descends into the first evaluated position, Order rules shift a
 finished value to the next position, and Computation rules fire the source
 reduction once every evaluated position holds a value.  Value formers with
 contexts but no reduction get a plug rule rebuilding the saturated value, so
-the machine can resume the surrounding computation.
+the machine can resume the surrounding computation; a value former that no
+such rule covers is refused.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .ir import (
     Term,
     context_holes,
 )
-from .engine import is_value_pattern
+from .engine import _membership_table, is_value_pattern
 
 CONTINUATION_CATEGORY = "Continuation"
 CONTINUATION_METAVAR = "k"
@@ -65,6 +66,13 @@ class NoFinalContinuation(CKError):
     def __init__(self, op: str):
         self.op = op
         super().__init__(f"operator {op!r} has no final continuation for its reductions")
+
+
+class NoPlugRule(CKError):
+    def __init__(self, op: str):
+        self.op = op
+        super().__init__(
+            f"operator {op!r} forms values, but no plug rule over value arguments rebuilds them")
 
 
 class PatternMismatch(CKError):
@@ -237,6 +245,13 @@ def _plug_rule(op: str, final: ContinuationOp, spec: LanguageSpec) -> InferenceR
                          Constructor(final.name, (*stored, k)), saturated, k)
 
 
+def _forms_values(op: str, arity: int, spec: LanguageSpec) -> bool:
+    """Does the Value category derive some node (op ...) of this arity?"""
+    value = spec.value_category
+    entry = spec.derived(_membership_table).get(("con", op, arity))
+    return value is not None and entry is not None and value.name in entry[0]
+
+
 def derive_ck(spec: LanguageSpec) -> LanguageSpec:
     """Replace context-based reduction with an equivalent machine.
 
@@ -272,6 +287,9 @@ def derive_ck(spec: LanguageSpec) -> LanguageSpec:
             plug = _plug_rule(op, finals[0], spec)
             if plug is not None:
                 machine.append(plug)
+            elif _forms_values(op, len(finals[0].slots) + 1, spec):
+                # the machine would be stuck where small-step finds a value
+                raise NoPlugRule(op)
 
     k = _k()
     for n, rule in enumerate(direct, start=1):

@@ -30,6 +30,7 @@ from .engine import (
     Stuck,
     StuckMachine,
     TypecheckError,
+    _rules_by_head,
     ck_eval,
     evaluate,
     free_vars,
@@ -148,6 +149,7 @@ def _write_output(text: str, path: Optional[str], rep: Reporter) -> None:
 
 def cmd_check(args, rep: Reporter) -> int:
     spec = _load_spec(args.spec)
+    spec.derived(_rules_by_head)   # raises NotSyntaxDirected, as compare would
     message = f"{spec.name}: valid"
     rep.emit(message, kind="ok", message=message)
     return EXIT_OK

@@ -389,9 +389,10 @@ def _refill(path: Path, filler: Term) -> tuple[Term, Path]:
 
 
 def _refocus(rebuilt: Path, path: Path, reduct: Term, redex: Term,
-             spec: LanguageSpec, cats: Categories) -> tuple[Path, Term]:
+             spec: LanguageSpec, cats: Categories) -> tuple[Path, Term, bool]:
     """_focus_path from the root of rebuilt, the path _refill made putting
-    reduct in place of redex, the focus of path.
+    reduct in place of redex, the focus of path; and whether that root keeps
+    the categories of path's root.
 
     A node's categories follow from its head and its arguments' categories,
     and a decomposition reads no more of a node than these.  So the walk goes
@@ -404,15 +405,17 @@ def _refocus(rebuilt: Path, path: Path, reduct: Term, redex: Term,
     table = spec.derived(_membership_table)
     depth = len(rebuilt) if views is not None else 0
     new, old = reduct, redex
+    kept = False
     while depth:
         depth -= 1
         node, hole_at = rebuilt[depth]
         if all(_member(new, name, table, cats) == _member(old, name, table, cats)
                for name in views[node.name, len(node.args), hole_at]):
+            kept = True
             break
         new, old = node, path[depth][0]
     below, focus = _focus_path(rebuilt[depth][0] if rebuilt else reduct, spec, cats)
-    return rebuilt[:depth] + below, focus
+    return rebuilt[:depth] + below, focus, kept
 
 
 def _context_table(spec: LanguageSpec) -> dict[tuple[str, int], list[tuple[int, list]]]:
@@ -485,14 +488,20 @@ def evaluate(t: Term, spec: LanguageSpec, fuel: int = 10000) -> tuple[Term, list
     The run keeps the decomposition of the state each step ends in, and the
     next step starts from it when it is handed that very state: after a
     contraction it refocuses near the reduct instead of descending from the
-    root again.  Any other state is decomposed from the root.
+    root again.  Any other state is decomposed from the root.  The value test
+    is skipped on a state whose root keeps the categories of the state before
+    it, which was no value.
     """
     last: Optional[Term] = None   # the state the kept path and focus decompose
     path: Path = []
     focus: Optional[Term] = None
+    kept = False                  # does last's root keep the categories of the one before
+
+    def finished(term: Term, cats: Categories) -> bool:
+        return not (kept and term is last) and is_value(term, spec, cats)
 
     def advance(term: Term, cats: Categories) -> Optional[TraceStep]:
-        nonlocal last, path, focus
+        nonlocal last, path, focus, kept
         if term is not last:
             path, focus = _focus_path(term, spec, cats)
         reduced = _reduce(term, path, focus, spec, cats)
@@ -500,10 +509,10 @@ def evaluate(t: Term, spec: LanguageSpec, fuel: int = 10000) -> tuple[Term, list
             return None
         taken, rebuilt, reduct = reduced
         last = taken.after
-        path, focus = _refocus(rebuilt, path, reduct, focus, spec, cats)
+        path, focus, kept = _refocus(rebuilt, path, reduct, focus, spec, cats)
         return taken
 
-    return _run(t, fuel, lambda term, cats: is_value(term, spec, cats), advance, Stuck)
+    return _run(t, fuel, finished, advance, Stuck)
 
 
 def _run(state: Union[Term, MachineConfig], fuel: int, finished, advance,

@@ -91,8 +91,39 @@ class SpecParseError(LangxError):
 
 
 class _Fail(Exception):
-    def __init__(self, error: ParseError):
-        self.error = error
+    """An error at a line and column of the input being read.  The input is
+    named once, when its errors are raised."""
+
+    def __init__(self, line: int, column: int, message: str,
+                 expected: tuple[str, ...] = ()):
+        self.line, self.column, self.message, self.expected = line, column, message, expected
+
+
+class _Errors:
+    """The errors of one input, in the order they are found.  add records one
+    and goes on; `with errors:` ends a line or block at a _Fail and keeps its
+    error."""
+
+    def __init__(self) -> None:
+        self.found: list[_Fail] = []
+
+    def add(self, line: int, message: str) -> None:
+        self.found.append(_Fail(line, 1, message))
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, fail, traceback) -> bool:
+        if kind is _Fail:
+            self.found.append(fail)
+        return kind is _Fail
+
+    def raise_if_any(self, filename: str) -> None:
+        """Raise every error found, each span naming filename."""
+        if self.found:
+            raise SpecParseError([
+                ParseError(SourceSpan(filename, f.line, f.column), f.message, f.expected)
+                for f in self.found])
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +166,13 @@ class _Tok:
         self.depth = depth  # brackets open just after the token: 0 outside every pair
 
 
-def _tokenize(text: str, filename: str, line_no: int) -> list[_Tok]:
+def _tokenize(text: str, line_no: int) -> list[_Tok]:
     toks: list[_Tok] = []
     depth = 0
     for m in _TOKEN_RE.finditer(text):
         start, end = m.span()
         if m.lastindex:
-            raise _Fail(ParseError(
-                SourceSpan(filename, line_no, start + 1),
-                f"unexpected character {text[start]!r}",
-            ))
+            raise _Fail(line_no, start + 1, f"unexpected character {text[start]!r}")
         t = m.group()
         kind = _PUNCTUATION.get(t, "IDENT")
         depth += _DEPTH_STEP.get(kind, 0)
@@ -171,7 +199,6 @@ class _Resolver:
     for is kept in `leaves`.  A failed resolution raises and keeps nothing.
     """
 
-    filename: str
     categories: list[tuple[str, str]]            # (name, metavariable)
     variables: tuple[str, ...]
     binders: dict[str, int]
@@ -198,29 +225,20 @@ class _Resolver:
             # the first occurrence: later ones find the leaf in the memo
             self.constructors.setdefault(t, 0)
             return Constructor(t)
-        if self.mode == _CONCRETE:
-            if is_variable(t, self.variables):
-                return Var(t)
-            if t in self.constructors and self.constructors[t] == 0:
-                return Constructor(t)
-            if find_metavariable(t, self.categories) is not None:
-                raise _Fail(ParseError(
-                    SourceSpan(self.filename, line, tok.col),
-                    f"metavariable {t!r} not allowed in a concrete term",
-                ))
-        else:
-            if t in self.constructors and self.constructors[t] == 0:
-                return Constructor(t)
-            if is_variable(t, self.variables):
-                return Var(t)
-            mv = find_metavariable(t, self.categories)
-            if mv is not None:
-                return mv
-        raise _Fail(ParseError(
-            SourceSpan(self.filename, line, tok.col),
-            f"cannot resolve token {t!r}",
-            ("a declared constructor", "a variable", "a metavariable"),
-        ))
+        # Production mode gives a token a constructor only when it is neither
+        # a metavariable nor a variable, and operator refuses both as heads,
+        # so in a parsed spec the order of these tests decides nothing.
+        if is_variable(t, self.variables):
+            return Var(t)
+        if self.constructors.get(t) == 0:
+            return Constructor(t)
+        mv = find_metavariable(t, self.categories)
+        if mv is not None:
+            if self.mode == _CONCRETE:
+                raise _Fail(line, tok.col, f"metavariable {t!r} not allowed in a concrete term")
+            return mv
+        raise _Fail(line, tok.col, f"cannot resolve token {t!r}",
+                    ("a declared constructor", "a variable", "a metavariable"))
 
     def operator(self, tok: _Tok, line: int) -> None:
         """Refuse a production's constructor or binder name that is a
@@ -238,21 +256,17 @@ class _Resolver:
             self.operators.add(t)
             return
         role = "binder" if t in self.binders else "constructor"
-        raise _Fail(ParseError(
-            SourceSpan(self.filename, line, tok.col),
-            f"{role} name {t!r} is a {token} token",
-        ))
+        raise _Fail(line, tok.col, f"{role} name {t!r} is a {token} token")
 
 
 class _P:
     """Cursor over one line's tokens, which it ends with an END token at the
     column just past the last one."""
 
-    def __init__(self, toks: list[_Tok], filename: str, line: int, res: _Resolver):
+    def __init__(self, toks: list[_Tok], line: int, res: _Resolver):
         end, depth = (toks[-1].end, toks[-1].depth) if toks else (1, 0)
         self.toks = [*toks, _Tok(_END, "", end, end, depth)]
         self.i = 0
-        self.filename = filename
         self.line = line
         self.res = res
 
@@ -274,7 +288,7 @@ class _P:
         return self.fail_at(self.toks[self.i], message, expected)
 
     def fail_at(self, tok: _Tok, message: str, expected: tuple[str, ...] = ()) -> _Fail:
-        return _Fail(ParseError(SourceSpan(self.filename, self.line, tok.col), message, expected))
+        return _Fail(self.line, tok.col, message, expected)
 
     def done(self) -> None:
         if self.toks[self.i].kind != _END:
@@ -433,7 +447,7 @@ class _Block:
     body: list[tuple[int, str]] = field(default_factory=list)   # (line_no, text)
 
 
-def _split_blocks(source: str, filename: str, errors: list[ParseError]) -> list[_Block]:
+def _split_blocks(source: str, errors: _Errors) -> list[_Block]:
     blocks: list[_Block] = []
     for i, raw in enumerate(source.split("\n"), start=1):
         line = raw.partition("#")[0].rstrip()
@@ -441,17 +455,13 @@ def _split_blocks(source: str, filename: str, errors: list[ParseError]) -> list[
             continue
         if line[0] in " \t":
             if not blocks:
-                errors.append(ParseError(
-                    SourceSpan(filename, i, 1), "indented line before any block"))
+                errors.add(i, "indented line before any block")
                 continue
             blocks[-1].body.append((i, line))
             continue
         words = line.split()
         if words[0] not in _KEYWORDS:
-            errors.append(ParseError(
-                SourceSpan(filename, i, 1),
-                f"expected one of {', '.join(_KEYWORDS)}",
-            ))
+            errors.add(i, f"expected one of {', '.join(_KEYWORDS)}")
             continue
         blocks.append(_Block(words[0], words[1:], i))
     return blocks
@@ -459,18 +469,15 @@ def _split_blocks(source: str, filename: str, errors: list[ParseError]) -> list[
 
 def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
     """Parse and validate a .lang file.  Raises SpecParseError on any error."""
-    errors: list[ParseError] = []
-    blocks = _split_blocks(source, filename, errors)
+    errors = _Errors()
+    blocks = _split_blocks(source, errors)
 
     if not blocks or blocks[0].keyword != "language":
-        errors.append(ParseError(SourceSpan(filename, 1, 1), "expected 'language' header"))
-        raise SpecParseError(errors)
+        errors.add(1, "expected 'language' header")
+        errors.raise_if_any(filename)
     if len(blocks[0].args) != 1 or not _NAME_RE.fullmatch(blocks[0].args[0]):
-        errors.append(ParseError(
-            SourceSpan(filename, blocks[0].head_line, 1),
-            "language header takes exactly one name",
-        ))
-        raise SpecParseError(errors)
+        errors.add(blocks[0].head_line, "language header takes exactly one name")
+        errors.raise_if_any(filename)
     name = blocks[0].args[0]
 
     variables: list[str] = []
@@ -486,42 +493,29 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
             case "variables":
                 for word in b.args:
                     if not _IDENT_RE.fullmatch(word):
-                        errors.append(ParseError(
-                            SourceSpan(filename, b.head_line, 1),
-                            f"variable token {word!r} is not an identifier",
-                        ))
+                        errors.add(b.head_line, f"variable token {word!r} is not an identifier")
                     else:
                         variables.append(word)
             case "binder":
                 if (len(b.args) != 2 or not _IDENT_RE.fullmatch(b.args[0])
                         or not b.args[1].isdigit() or int(b.args[1]) < 1):
-                    errors.append(ParseError(
-                        SourceSpan(filename, b.head_line, 1),
-                        "binder directive is 'binder <constructor> <position>'",
-                    ))
+                    errors.add(b.head_line, "binder directive is 'binder <constructor> <position>'")
                 else:
                     binders[b.args[0]] = int(b.args[1])
             case "contexts":
                 if len(b.args) != 1 or not _IDENT_RE.fullmatch(b.args[0]):
-                    errors.append(ParseError(
-                        SourceSpan(filename, b.head_line, 1),
-                        "contexts directive takes one category name",
-                    ))
+                    errors.add(b.head_line, "contexts directive takes one category name")
                 else:
                     context_name = b.args[0]
             case "grammar":
                 for line_no, text in b.body:
-                    try:
-                        toks = _tokenize(text, filename, line_no)
+                    with errors:
+                        toks = _tokenize(text, line_no)
                         if (len(toks) < 3 or toks[0].kind != "IDENT"
                                 or toks[1].kind != "IDENT" or toks[2].kind != "COLONCOLONEQ"):
-                            raise _Fail(ParseError(
-                                SourceSpan(filename, line_no, 1),
-                                "grammar line is '<Category> <metavar> ::= productions'",
-                            ))
+                            raise _Fail(line_no, 1,
+                                        "grammar line is '<Category> <metavar> ::= productions'")
                         cat_headers.append((toks[0].text, toks[1].text, line_no, toks[3:]))
-                    except _Fail as f:
-                        errors.append(f.error)
             case "variance":
                 variance_lines.extend(b.body)
             case "subtype-base":
@@ -529,11 +523,9 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
             case "rule":
                 rule_blocks.append(b)
             case "language":
-                errors.append(ParseError(
-                    SourceSpan(filename, b.head_line, 1), "duplicate language header"))
+                errors.add(b.head_line, "duplicate language header")
 
     res = _Resolver(
-        filename=filename,
         categories=[(n, mv) for n, mv, _, _ in cat_headers],
         variables=tuple(variables),
         binders=binders,
@@ -547,7 +539,7 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
     for cat_name, metavar, line_no, toks in cat_headers:
         cat_spans[cat_name] = line_no
         prods: list[Term] = []
-        try:
+        with errors:
             segments: list[list[_Tok]] = [[]]
             for tok in toks:
                 if tok.kind == "PIPE" and tok.depth == 0:
@@ -555,92 +547,68 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
                 else:
                     segments[-1].append(tok)
             for seg in segments:
-                p = _P(seg, filename, line_no, res)
+                p = _P(seg, line_no, res)
                 prods.append(p.term())
                 p.done()
-        except _Fail as f:
-            errors.append(f.error)
         categories.append(GrammarCategory(cat_name, metavar, tuple(prods)))
     res.mode = _RULE
 
     # variance table
     variance: dict[str, tuple[str, ...]] = {}
     for line_no, text in variance_lines:
-        try:
-            toks = _tokenize(text, filename, line_no)
+        with errors:
+            toks = _tokenize(text, line_no)
             if len(toks) < 2 or toks[0].kind != "IDENT" or toks[1].kind != "COLON":
-                raise _Fail(ParseError(
-                    SourceSpan(filename, line_no, 1),
-                    "variance line is '<constructor> : <marks>'",
-                ))
+                raise _Fail(line_no, 1, "variance line is '<constructor> : <marks>'")
             marks = []
             for tok in toks[2:]:
                 if tok.text not in VARIANCE_MARKS:
-                    raise _Fail(ParseError(
-                        SourceSpan(filename, line_no, tok.col),
-                        f"variance mark must be one of {', '.join(VARIANCE_MARKS)}",
-                    ))
+                    raise _Fail(line_no, tok.col,
+                                f"variance mark must be one of {', '.join(VARIANCE_MARKS)}")
                 marks.append(tok.text)
             variance[toks[0].text] = tuple(marks)
-        except _Fail as f:
-            errors.append(f.error)
 
     # declared base subtype axioms
     base_subtypes: list[tuple[str, str]] = []
     for line_no, text in subtype_lines:
-        try:
-            toks = _tokenize(text, filename, line_no)
+        with errors:
+            toks = _tokenize(text, line_no)
             if (len(toks) != 3 or toks[0].kind != "IDENT"
                     or toks[1].kind != "SUBTYPE" or toks[2].kind != "IDENT"):
-                raise _Fail(ParseError(
-                    SourceSpan(filename, line_no, 1),
-                    "subtype-base line is '<base> <: <base>'",
-                ))
+                raise _Fail(line_no, 1, "subtype-base line is '<base> <: <base>'")
             base_subtypes.append((toks[0].text, toks[2].text))
-        except _Fail as f:
-            errors.append(f.error)
 
     # rules
     rules: list[InferenceRule] = []
     rule_spans: dict[str, int] = {}
     for b in rule_blocks:
-        try:
+        with errors:
             if len(b.args) != 1 or not _NAME_RE.fullmatch(b.args[0]):
-                raise _Fail(ParseError(
-                    SourceSpan(filename, b.head_line, 1), "rule header takes exactly one name"))
+                raise _Fail(b.head_line, 1, "rule header takes exactly one name")
             rule_name = b.args[0]
             formulas: list[tuple[int, str]] = []
             sep_at: int | None = None
             for line_no, text in b.body:
                 if _is_separator(text):
                     if sep_at is not None:
-                        raise _Fail(ParseError(
-                            SourceSpan(filename, line_no, 1), "duplicate rule separator"))
+                        raise _Fail(line_no, 1, "duplicate rule separator")
                     sep_at = len(formulas)
                 else:
                     formulas.append((line_no, text))
             parsed: list[Formula] = []
             for line_no, text in formulas:
-                p = _P(_tokenize(text, filename, line_no), filename, line_no, res)
-                parsed.append(p.formula())
+                parsed.append(_P(_tokenize(text, line_no), line_no, res).formula())
             if sep_at is None:
                 if len(parsed) != 1:
-                    raise _Fail(ParseError(
-                        SourceSpan(filename, b.head_line, 1),
-                        f"rule {rule_name!r} has no separator line",
-                    ))
+                    raise _Fail(b.head_line, 1, f"rule {rule_name!r} has no separator line")
                 premises, conclusion = [], parsed[0]
             else:
                 if len(parsed) != sep_at + 1:
-                    raise _Fail(ParseError(
-                        SourceSpan(filename, b.head_line, 1),
-                        f"rule {rule_name!r} needs exactly one conclusion after the separator",
-                    ))
+                    raise _Fail(b.head_line, 1, f"rule {rule_name!r} needs exactly one "
+                                                f"conclusion after the separator")
                 premises, conclusion = parsed[:sep_at], parsed[sep_at]
             rules.append(InferenceRule(rule_name, tuple(premises), conclusion))
             rule_spans.setdefault(rule_name, b.head_line)
-        except _Fail as f:
-            errors.append(f.error)
 
     nodes = _list_nodes(categories, rules)
 
@@ -663,9 +631,8 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
         binders=binders,
         context_name=context_name,
     )
-    _validate(spec, filename, cat_spans, rule_spans, nodes, type_ctors, errors)
-    if errors:
-        raise SpecParseError(errors)
+    _validate(spec, cat_spans, rule_spans, nodes, type_ctors, errors)
+    errors.raise_if_any(filename)
     return spec
 
 
@@ -709,15 +676,13 @@ def _type_constructors(rules: list[InferenceRule],
 
 def _validate(
     spec: LanguageSpec,
-    filename: str,
     cat_spans: dict[str, int],
     rule_spans: dict[str, int],
     nodes: dict[Term, list[Term]],
     type_ctors: dict[str, str],
-    errors: list[ParseError],
+    errors: _Errors,
 ) -> None:
-    def err(line: int, message: str) -> None:
-        errors.append(ParseError(SourceSpan(filename, line, 1), message))
+    err = errors.add
 
     seen_names: set[str] = set()
     seen_mvs: set[str] = set()
@@ -1020,17 +985,16 @@ def parse_term(text: str, spec: LanguageSpec, concrete: bool = False) -> Term:
     wants for program text.
     """
     res = _Resolver(
-        filename="<term>",
         categories=[(c.name, c.metavariable) for c in spec.categories],
         variables=spec.variables,
         binders=spec.binders,
-        constructors=dict(spec.constructor_arities()),
+        constructors=spec.constructor_arities(),
         mode=_CONCRETE if concrete else _RULE,
     )
-    try:
-        p = _P(_tokenize(text, "<term>", 1), "<term>", 1, res)
+    errors = _Errors()
+    with errors:
+        p = _P(_tokenize(text, 1), 1, res)
         t = p.term()
         p.done()
-    except _Fail as f:
-        raise SpecParseError([f.error]) from None
+    errors.raise_if_any("<term>")
     return t

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -9,6 +10,7 @@ from langx.ck import (
     BadContext,
     ContinuationOp,
     NoFinalContinuation,
+    NoPlugRule,
     NoStart,
     OrderAmbiguity,
     PatternMismatch,
@@ -270,6 +272,30 @@ def test_value_patterns_are_values_by_the_grammar(capsys, tmp_path):
 
 
 # -- rejected inputs -----------------------------------------------------------
+
+def test_an_operator_forming_values_no_plug_rule_rebuilds_is_refused(capsys, tmp_path):
+    # (succ v1) is no value pattern, as Value reaches succ only through
+    # Number.  Without a succ-plug rule the machine stuck at
+    # <zero , (succ_1 mt)> where small-step gives (succ zero).
+    text = NUMS.replace("(pred E)", "(succ E) | (pred E)")
+    with pytest.raises(NoPlugRule) as info:
+        derive_ck(parse_spec(text))
+    assert info.value.op == "succ"
+    message = str(info.value)
+    path = tmp_path / "succ.lang"
+    path.write_text(text)
+    for command in ("derive-ck", "compare"):
+        for form in ([], ["--format", "structured"]):
+            code = cli.main([*form, command, str(path)])
+            out, err = capsys.readouterr()
+            assert code == 2
+            if form:
+                assert err == ""
+                assert [json.loads(line) for line in out.splitlines()] == [
+                    {"kind": "error", "message": message}]
+            else:
+                assert (out, err) == ("", message + "\n")
+
 
 def test_no_start_when_every_context_expects_a_value():
     spec = parse_spec("""\

@@ -43,6 +43,29 @@ def test_check_missing_file(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("structured", [False, True])
+def test_check_refuses_typing_rules_that_are_not_syntax_directed(capsys, tmp_path,
+                                                                 structured):
+    # Two typing rules conclude ci: compare refuses such a spec, so check
+    # must not call it valid.
+    spec = tmp_path / "twice.lang"
+    spec.write_text((FIXTURES / "stlc_consts.lang").read_text() + """
+rule t-ci-float
+  --------------------------------
+  G |- ci : float
+""")
+    form = ["--format", "structured"] if structured else []
+    code, out, err = run(capsys, *form, "check", str(spec))
+    assert code == 1
+    message = "more than one typing rule concludes a ci subject"
+    if structured:
+        assert err == ""
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"kind": "diagnostic", "message": message, "span": None}]
+    else:
+        assert (out, err) == ("", message + "\n")
+
+
 def test_check_reports_errors_on_stderr(capsys, tmp_path):
     bad = tmp_path / "bad.lang"
     bad.write_text("language broken\n\ngrammar\n  Expression e ::= x | (f e\n")

@@ -713,6 +713,20 @@ def test_a_refocused_run_does_membership_work_linear_in_depth(monkeypatch, stlc_
     assert calls[0] <= 4 * depth
 
 
+def test_a_run_skips_the_value_test_of_a_root_that_keeps_its_categories(
+        monkeypatch, langfunny):
+    # (pair (app (lam x B x) c2) (pair ... c1)): pair can head a value, and
+    # testing every state's root for one folded every rebuilt node of the
+    # path, 565,802 calls.
+    term = Constructor("c1")
+    for _ in range(400):
+        term = Constructor("pair", (conc(f"(app {ID} c2)", langfunny), term))
+    expected = oracle_evaluate(term, langfunny)
+    calls = counted_categories(monkeypatch)
+    assert evaluate(term, langfunny) == expected
+    assert calls[0] <= 20000
+
+
 # A Value production that nests a pattern: (box (app v v)) is a value when
 # the application's arguments are.
 BOXES = """\
