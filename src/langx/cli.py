@@ -48,6 +48,7 @@ from .ir import (
 )
 from .parser import (
     SpecParseError,
+    TraceTexts,
     parse_spec,
     parse_term,
     print_spec,
@@ -180,14 +181,15 @@ def _print_trace(trace, spec: LanguageSpec, rep: Reporter) -> None:
     # A step usually starts from the state the step before it ended in, so
     # that state is rendered once; a padded looping trace may start a step
     # elsewhere, and then its state is rendered afresh.
+    texts = TraceTexts(spec)
     previous, shown = None, ""
     for step in trace:
-        before = shown if step.before is previous else render_state(step.before, spec)
-        after = render_state(step.after, spec)
+        before = shown if step.start is previous else texts.render(step.start)
+        after = texts.render(step.end)
         label = rep.style.rule(f"[{step.kind}/{step.rule_name}]")
         rep.emit(f"{label} {before}  ~~>  {after}", kind=step.kind,
                  rule=step.rule_name, before=before, after=after)
-        previous, shown = step.after, after
+        previous, shown = step.end, after
 
 
 def _outcome(run, state, spec: LanguageSpec, fuel: int):

@@ -9,7 +9,6 @@ discharges premises left to right under one growing substitution.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator, Optional, Union
@@ -18,6 +17,8 @@ from .ir import (
     HOLE,
     BinderApp,
     Constructor,
+    Focused,
+    Frame,
     Hole,
     InferenceRule,
     Join,
@@ -34,6 +35,7 @@ from .ir import (
     children,
     context_holes,
     fold,
+    plug_frames,
     rebuild,
     subterms,
     term_head,
@@ -98,13 +100,60 @@ class NotSyntaxDirected(TypecheckError):
         super().__init__(f"more than one typing rule concludes a {head} subject")
 
 
-@dataclass(frozen=True)
 class TraceStep:
-    kind: str   # contextual-reduction | machine-start | machine-order |
-                # machine-computation | machine-plug
-    rule_name: str
-    before: Union[Term, MachineConfig]
-    after: Union[Term, MachineConfig]
+    """One step of a run: its kind (contextual-reduction, machine-start,
+    machine-order, machine-computation or machine-plug), the rule it used,
+    and the states it starts and ends in.
+
+    start and end are the states as the run holds them: a machine
+    configuration, or a small-step state as its decomposition, a Focused.
+    before and after read them whole, a Focused plugged on its first read.
+    Steps are equal when their kinds, rules and whole states are.
+    """
+
+    __slots__ = ("kind", "rule_name", "start", "end")
+
+    def __init__(self, kind: str, rule_name: str,
+                 before: Union[Term, MachineConfig, Focused],
+                 after: Union[Term, MachineConfig, Focused]):
+        for set_field, value in zip(_STEP_SETTERS, (kind, rule_name, before, after)):
+            set_field(self, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return TraceStep, (self.kind, self.rule_name, self.start, self.end)
+
+    @property
+    def before(self) -> Union[Term, MachineConfig]:
+        return _whole(self.start)
+
+    @property
+    def after(self) -> Union[Term, MachineConfig]:
+        return _whole(self.end)
+
+    def _fields(self) -> tuple:
+        return self.kind, self.rule_name, self.before, self.after
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not TraceStep:
+            return NotImplemented
+        return self is other or self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return ("TraceStep(kind={!r}, rule_name={!r}, before={!r}, after={!r})"
+                .format(*self._fields()))
+
+
+_STEP_SETTERS = [getattr(TraceStep, f).__set__ for f in TraceStep.__slots__]
+
+
+def _whole(state: Union[Term, MachineConfig, Focused]) -> Union[Term, MachineConfig]:
+    return state.term() if type(state) is Focused else state
 
 
 # ---------------------------------------------------------------------------
@@ -345,77 +394,64 @@ def decompose(t: Term, spec: LanguageSpec) -> tuple[Term, Term]:
     """Split t into a context (a term containing one hole) and the focused
     redex candidate, descending per the context grammar; (hole, t) when t
     itself is the focus."""
-    path, focus = _focus_path(t, spec, {})
-    return _refill(path, HOLE)[0], focus
+    state = _descend(t, None, spec, {})
+    return plug_frames(state.frames, HOLE), state.focus
 
 
-# The nodes a decomposition descends through, each with the argument position
-# it descends into.
-Path = list[tuple[Constructor, int]]
-
-
-def _focus_path(t: Term, spec: LanguageSpec, cats: Categories) -> tuple[Path, Term]:
-    """The path decompose descends along from t, and the focus it reaches."""
+def _descend(t: Term, frames: Optional[Frame], spec: LanguageSpec,
+             cats: Categories) -> Focused:
+    """The state decompose reaches from t with frames above it: each frame
+    it descends through pushed onto frames, and the focus it stops at.
+    Without frames above, t is the whole term, and the state keeps it."""
     contexts = spec.derived(_context_table)
     table = spec.derived(_membership_table)
     value = spec.value_category.name if spec.value_category is not None else None
-    path: Path = []
+    whole = t if frames is None else None
     while isinstance(t, Constructor):
         for hole_at, others in contexts.get((t.name, len(t.args)), ()):
-            # Both tests are pure, so their order leaves the path as it is.
-            # The hole's goes first: when the hole holds a value, the other
-            # slots, however big, are not walked.
-            if not _member(t.args[hole_at], value, table, cats) \
-                    and all(_slot_derives(slot, t.args[i], table, cats) for i, slot in others):
-                path.append((t, hole_at))
-                t = t.args[hole_at]
+            # Both tests are pure, so their order leaves the descent as it
+            # is.  The hole's goes first: when the hole holds a value, the
+            # other slots, however big, are not walked.
+            args = t.args
+            if not _member(args[hole_at], value, table, cats) \
+                    and all(_slot_derives(slot, args[i], table, cats) for i, slot in others):
+                node = Constructor(t.name, args[:hole_at] + (HOLE,) + args[hole_at + 1:])
+                frames = Frame(node, hole_at, frames)
+                t = args[hole_at]
                 break
         else:
             break
-    return path, t
+    return Focused(t, frames, whole)
 
 
-def _refill(path: Path, filler: Term) -> tuple[Term, Path]:
-    """The root of path with its focus replaced by filler, and the path
-    through the rebuilt nodes to filler.  Only the nodes on the path are
-    rebuilt; every other subterm is shared, not copied."""
-    rebuilt: Path = []
-    for node, hole_at in reversed(path):
-        filler = Constructor(node.name, node.args[:hole_at] + (filler,)
-                             + node.args[hole_at + 1:])
-        rebuilt.append((filler, hole_at))
-    rebuilt.reverse()
-    return filler, rebuilt
-
-
-def _refocus(rebuilt: Path, path: Path, reduct: Term, redex: Term,
-             spec: LanguageSpec, cats: Categories) -> tuple[Path, Term, bool]:
-    """_focus_path from the root of rebuilt, the path _refill made putting
-    reduct in place of redex, the focus of path; and whether that root keeps
-    the categories of path's root.
+def _refocus(frames: Optional[Frame], reduct: Term, redex: Term, spec: LanguageSpec,
+             cats: Categories) -> tuple[Focused, bool]:
+    """The decomposition of the term frames make around reduct, where they
+    held redex; and whether its root keeps the categories it had with redex.
 
     A node's categories follow from its head and its arguments' categories,
-    and a decomposition reads no more of a node than these.  So the walk goes
-    up from the reduct and stops at the first node whose slots read the same
-    categories of the argument that changed below it: that node keeps its
-    categories, every frame above it is as it was, and the descent resumes
-    at the node itself, whose own context may now be another.
+    and a decomposition reads no more of a node than these.  So the walk
+    pops frames up from the reduct and stops at the first whose slots read
+    the same categories of the argument that changed below it: that node
+    keeps its categories, every frame above it stays as it was, and the
+    descent resumes at the node itself, whose own context may now be
+    another.  Only the frames the walk passes are filled or pushed.
     """
     views = spec.derived(_frame_views)
+    if views is None:
+        return _descend(plug_frames(frames, reduct), None, spec, cats), False
     table = spec.derived(_membership_table)
-    depth = len(rebuilt) if views is not None else 0
     new, old = reduct, redex
-    kept = False
-    while depth:
-        depth -= 1
-        node, hole_at = rebuilt[depth]
-        if all(_member(new, name, table, cats) == _member(old, name, table, cats)
-               for name in views[node.name, len(node.args), hole_at]):
-            kept = True
-            break
-        new, old = node, path[depth][0]
-    below, focus = _focus_path(rebuilt[depth][0] if rebuilt else reduct, spec, cats)
-    return rebuilt[:depth] + below, focus, kept
+    while frames is not None:
+        frame, frames = frames, frames.above
+        node = frame.node
+        kept = all(_member(new, name, table, cats) == _member(old, name, table, cats)
+                   for name in views[node.name, len(node.args), frame.hole_at])
+        new = frame.fill(new)
+        if kept:
+            return _descend(new, frames, spec, cats), True
+        old = frame.fill(old)
+    return _descend(new, None, spec, cats), False
 
 
 def _context_table(spec: LanguageSpec) -> dict[tuple[str, int], list[tuple[int, list]]]:
@@ -458,18 +494,19 @@ def plug(context: Term, filler: Term) -> Term:
 # small-step evaluation
 
 
-def _reduce(t: Term, path: Path, redex: Term, spec: LanguageSpec,
-            cats: Categories) -> Optional[tuple[TraceStep, Path, Term]]:
-    """Contract redex, the focus path leads to from t, by the first reduction
-    rule that matches it, and refill path with the reduct: the step taken,
-    the path through the rebuilt nodes and the reduct.  None when no rule
+def _contract(state: Focused, spec: LanguageSpec,
+              cats: Categories) -> Optional[tuple[TraceStep, bool]]:
+    """Contract the focus of state by the first reduction rule that matches
+    it, and refocus: the step taken, and whether the root of the state it
+    ends in keeps the categories of state's root.  None when no rule
     applies."""
+    redex = state.focus
     for rule in spec.reduction_rules():
         sigma: Substitution = {}
         if _match(rule.conclusion.lhs, redex, sigma, spec, cats):
             reduct = instantiate(rule.conclusion.rhs, sigma, spec)
-            after, rebuilt = _refill(path, reduct)
-            return TraceStep("contextual-reduction", rule.name, t, after), rebuilt, reduct
+            after, kept = _refocus(state.frames, reduct, redex, spec, cats)
+            return TraceStep("contextual-reduction", rule.name, state, after), kept
     return None
 
 
@@ -478,79 +515,78 @@ def step(t: Term, spec: LanguageSpec,
     """One contextual reduction of t, or None when no rule applies.  cats is
     the membership memo of t's subterms, shared with the caller."""
     cats = {} if cats is None else cats
-    reduced = _reduce(t, *_focus_path(t, spec, cats), spec, cats)
+    reduced = _contract(_descend(t, None, spec, cats), spec, cats)
     return None if reduced is None else reduced[0]
 
 
 def evaluate(t: Term, spec: LanguageSpec, fuel: int = 10000) -> tuple[Term, list[TraceStep]]:
     """Iterate step until a value; raises Stuck or OutOfFuel.
 
-    The run keeps the decomposition of the state each step ends in, and the
-    next step starts from it when it is handed that very state: after a
-    contraction it refocuses near the reduct instead of descending from the
-    root again.  Any other state is decomposed from the root.  The value test
-    is skipped on a state whose root keeps the categories of the state before
+    The run's state is the decomposition of its term, a Focused: after a
+    contraction only the focus is replaced, and the run refocuses near the
+    reduct instead of descending from the root again.  Whole terms are
+    plugged only when asked for: the value, the term of a Stuck or
+    OutOfFuel, or a step's before or after when read.  The value test is
+    skipped on a state whose root keeps the categories of the state before
     it, which was no value.
     """
-    last: Optional[Term] = None   # the state the kept path and focus decompose
-    path: Path = []
-    focus: Optional[Term] = None
-    kept = False                  # does last's root keep the categories of the one before
+    cats: Categories = {}
+    if is_value(t, spec, cats):   # most compared terms are: decompose none of them
+        return t, []
+    # The last state known to be no value: the first, or one whose root
+    # kept the categories of the state before it.
+    no_value: Optional[Focused] = _descend(t, None, spec, cats)
 
-    def finished(term: Term, cats: Categories) -> bool:
-        return not (kept and term is last) and is_value(term, spec, cats)
+    def finished(state: Focused) -> bool:
+        return state is not no_value and is_value(state.term(), spec, cats)
 
-    def advance(term: Term, cats: Categories) -> Optional[TraceStep]:
-        nonlocal last, path, focus, kept
-        if term is not last:
-            path, focus = _focus_path(term, spec, cats)
-        reduced = _reduce(term, path, focus, spec, cats)
+    def advance(state: Focused) -> Optional[TraceStep]:
+        nonlocal no_value
+        reduced = _contract(state, spec, cats)
         if reduced is None:
             return None
-        taken, rebuilt, reduct = reduced
-        last = taken.after
-        path, focus, kept = _refocus(rebuilt, path, reduct, focus, spec, cats)
+        taken, kept = reduced
+        no_value = taken.end if kept else None
         return taken
 
-    return _run(t, fuel, finished, advance, Stuck)
+    final, trace = _run(no_value, fuel, finished, advance, Stuck)
+    return final.term(), trace
 
 
-def _run(state: Union[Term, MachineConfig], fuel: int, finished, advance,
-         stuck: type[EngineError]) -> tuple[Union[Term, MachineConfig], list[TraceStep]]:
+def _run(state: Union[Focused, MachineConfig], fuel: int, finished, advance,
+         stuck: type[EngineError]) -> tuple[Union[Focused, MachineConfig], list[TraceStep]]:
     """The fuel loop of both semantics: advance state one step at a time until
-    finished(state, cats) holds.  advance(state, cats) returns the step taken,
-    or None when no rule applies, which raises stuck(state, trace).  cats is
-    the run's one membership memo, shared by every call.
+    finished(state) holds.  advance(state) returns the step taken, or None
+    when no rule applies, which raises stuck with the whole state and the
+    trace.  Both share the run's one membership memo: terms are immutable,
+    so a subterm a step shares with the state before it keeps its
+    categories, and every node the memo keeps is in the trace already.
 
     Both semantics are deterministic, so a run that meets a state it has
     already been in loops forever.  The loop keeps one saved state, moved
     forward whenever the step count is a power of two (Brent), and stops as
-    soon as the current state equals it, an identity test on interned terms:
-    the OutOfFuel it raises then is the one running the fuel out would raise,
-    its trace padded with the loop's own steps.
+    soon as the current state equals it, an identity test on interned
+    states: the OutOfFuel it raises then is the one running the fuel out
+    would raise, its trace padded with the loop's own steps.
     """
     trace: list[TraceStep] = []
     saved, saved_at = state, 0
-    # One membership memo for the whole run: terms are immutable, so a
-    # subterm a step shares with the state before it keeps its categories.
-    # Every node it keeps is in the trace already.
-    cats: Categories = {}
     for _ in range(fuel):
-        if finished(state, cats):
+        if finished(state):
             return state, trace
-        taken = advance(state, cats)
+        taken = advance(state)
         if taken is None:
-            raise stuck(state, trace)
+            raise stuck(_whole(state), trace)
         trace.append(taken)
-        state = taken.after
+        state = taken.end
         steps = len(trace)
         if state == saved:
             raise _looping(trace, steps - saved_at, fuel)
         if steps & (steps - 1) == 0:
             saved, saved_at = state, steps
-    if finished(state, cats):
+    if finished(state):
         return state, trace
-    raise OutOfFuel(state, trace)
+    raise OutOfFuel(_whole(state), trace)
 
 
 def _looping(trace: list[TraceStep], period: int, fuel: int) -> OutOfFuel:
@@ -636,9 +672,10 @@ def ck_eval(config: MachineConfig, spec: LanguageSpec,
             fuel: int = 10000) -> tuple[Term, list[TraceStep]]:
     """Iterate machine_step until the terminal ⟨value, mt⟩ configuration;
     raises StuckMachine or OutOfFuel."""
+    cats: Categories = {}
     final, trace = _run(config, fuel,
-                        lambda c, cats: c.continuation == MT and is_value(c.focus, spec, cats),
-                        lambda c, cats: machine_step(c, spec, cats), StuckMachine)
+                        lambda c: c.continuation == MT and is_value(c.focus, spec, cats),
+                        lambda c: machine_step(c, spec, cats), StuckMachine)
     return final.focus, trace
 
 

@@ -1,4 +1,5 @@
-"""Core data types for language specifications: terms, formulas, grammars, rules.
+"""Core data types for language specifications: terms, formulas, grammars, rules,
+and the states of a small-step run.
 
 Everything here is immutable, and equal terms are one object.  Terms double as
 patterns: a Metavariable node in a rule matches terms of its category, while
@@ -43,16 +44,18 @@ class UnknownMetavariable(LangxError):
 # terms
 
 class _Interned:
-    """Base of the term classes: building a node with the fields of a live one
-    returns that node, so == and hash are identity, O(1) at any depth.  Each
-    class keeps a table of weak references, from which a node's entry goes
-    when the node dies; building from several threads is unsupported."""
+    """Base of the term and state classes: building a node with the fields of
+    a live one returns that node, so == and hash are identity, O(1) at any
+    depth.  Each class keeps a table of weak references, from which a node's
+    entry goes when the node dies; building from several threads is
+    unsupported.  The fields are those of __match_args__; a class may have
+    further slots."""
 
     __slots__ = ("__weakref__",)
 
     def __init_subclass__(cls) -> None:
         cls._table = table = {}
-        cls._setters = [getattr(cls, f).__set__ for f in cls.__slots__]
+        cls._setters = [getattr(cls, f).__set__ for f in cls.__match_args__]
 
         def drop(ref: _Ref) -> None:
             # Freeing the key frees the node's children in turn.  The
@@ -66,11 +69,11 @@ class _Interned:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
 
 class _Ref(weakref.ref):
@@ -254,6 +257,67 @@ def context_holes(production: Constructor, context_name: str) -> list[int]:
     return [i for i, a in enumerate(production.args)
             if isinstance(a, Hole)
             or (isinstance(a, Metavariable) and a.category == context_name)]
+
+
+# ---------------------------------------------------------------------------
+# small-step states
+
+
+class Frame(_Interned):
+    """A stack of evaluation-context frames, innermost first: node, an
+    operator with HOLE at its argument hole_at, then the frames above it,
+    None above the root.  depth counts node's frame and those above it."""
+
+    __slots__ = ("node", "hole_at", "above", "depth")
+    __match_args__ = ("node", "hole_at", "above")
+
+    def __new__(cls, node: Constructor, hole_at: int, above: Optional[Frame]) -> Frame:
+        key = (node, hole_at, above)
+        frame = cls._table.get(key, _no_node)()
+        if frame is None:
+            frame = _intern(cls, key)
+            object.__setattr__(frame, "depth", 1 if above is None else above.depth + 1)
+        return frame
+
+    def fill(self, t: Term) -> Constructor:
+        """node with t in its hole."""
+        args, at = self.node.args, self.hole_at
+        return Constructor(self.node.name, args[:at] + (t,) + args[at + 1:])
+
+
+def plug_frames(frames: Optional[Frame], t: Term) -> Term:
+    """t in the hole of the innermost of frames, and the result in the hole
+    of each frame above it in turn."""
+    while frames is not None:
+        t = frames.fill(t)
+        frames = frames.above
+    return t
+
+
+class Focused(_Interned):
+    """A small-step state as its decomposition: the focus, and the frames
+    around it, innermost first, or None.  The whole term is plugged when
+    term() is first called, unless the state was built with it, and kept."""
+
+    __slots__ = ("focus", "frames", "_whole")
+    __match_args__ = ("focus", "frames")
+
+    def __new__(cls, focus: Term, frames: Optional[Frame],
+                whole: Optional[Term] = None) -> Focused:
+        key = (focus, frames)
+        state = cls._table.get(key, _no_node)() or _intern(cls, key)
+        if whole is not None:
+            object.__setattr__(state, "_whole", whole)
+        return state
+
+    def term(self) -> Term:
+        """The whole term: the focus plugged into the frames."""
+        try:
+            return self._whole
+        except AttributeError:
+            whole = plug_frames(self.frames, self.focus)
+            object.__setattr__(self, "_whole", whole)
+            return whole
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ from .ir import (
     BinderApp,
     Constructor,
     EnvExpr,
+    Focused,
     Formula,
+    Frame,
     GrammarCategory,
     Hole,
     InferenceRule,
@@ -343,6 +345,10 @@ class _P:
                         self.i += 1
                         items.append(self.term())
                 self.expect("RBRACK")
+                if self.res.mode == _PRODUCTION:   # the sugar declares what it builds
+                    self.res.constructors.setdefault("nil", 0)
+                    if items:
+                        self.res.constructors.setdefault("cons", 2)
                 chain: Term = Constructor("nil")
                 for item in reversed(items):
                     chain = Constructor("cons", (item, chain))
@@ -919,6 +925,101 @@ def render_state(state: Term | MachineConfig, spec: LanguageSpec,
         return (f"<{render_term(state.focus, spec, memo)} , "
                 f"{render_term(state.continuation, spec, memo)}>")
     return render_term(state, spec, memo)
+
+
+class TraceTexts:
+    """render_state's text of each state of one trace, rendered in the
+    trace's order.
+
+    A machine configuration is rendered with one memo for the whole trace:
+    a machine step builds a few new nodes, so the memo grows with the steps.
+    A small-step state, a Focused, is rendered from its frames.  A stack,
+    root first, holds each frame's text either side of its hole, rendered
+    when the frame is pushed.  A state renders its focus and the frames
+    that differ from the last state's, and joins the rest from the stack.
+    A memo would keep the text of every node of every path instead.
+
+    A (cons v [.]) frame prints as list sugar exactly when the text below it
+    is a list, as render_term decides: then the frame's left text opens the
+    list, and the text below loses its "[".  So the stack holds each text as
+    the line shows it, and when the text below a frame changes, the texts
+    are worked out again up the stack, as far as they change.
+    """
+
+    def __init__(self, spec: LanguageSpec):
+        self.spec = spec
+        self.memo: dict = {}
+        self.frames: list[Frame] = []
+        self.sides: list[tuple[str, str] | str] = []   # _frame_sides of each frame
+        self.lefts: list[str] = []
+        self.rights: list[str] = []
+
+    def render(self, state: Term | MachineConfig | Focused) -> str:
+        if type(state) is not Focused:
+            return render_state(state, self.spec,
+                                self.memo if isinstance(state, MachineConfig) else None)
+        frames, sides, lefts, rights = self.frames, self.sides, self.lefts, self.rights
+        pushed: list[Frame] = []
+        frame = state.frames
+        while frame is not None and not (
+                frame.depth <= len(frames) and frames[frame.depth - 1] is frame):
+            pushed.append(frame)
+            frame = frame.above
+        kept = 0 if frame is None else frame.depth
+        for stack in (frames, sides, lefts, rights):
+            del stack[kept:]
+        for frame in reversed(pushed):
+            frames.append(frame)
+            sides.append(_frame_sides(frame, self.spec))
+        lefts += [""] * len(pushed)
+        rights += [""] * len(pushed)
+
+        focus = state.focus
+        text = render_term(focus, self.spec)
+        focus_nil = focus is _NIL
+        focus_list = type(focus) is Constructor and focus.name == "cons" and text[0] == "["
+        below_nil, below_list = focus_nil, focus_list
+        for i in range(len(frames) - 1, -1, -1):
+            side = sides[i]
+            if type(side) is not str:
+                left, right = side
+            elif below_nil:
+                left, right = "[" + side, "]"
+            elif below_list:
+                left, right = "[" + side + ", ", ""
+            else:
+                left, right = "(cons " + side + " ", ")"
+            is_list = left[0] == "["
+            if is_list and i and type(sides[i - 1]) is str:
+                left = left[1:]   # the (cons v [.]) frame above opens the list
+            if i < kept and lefts[i] == left and rights[i] == right:
+                break   # this frame shows as before, and so do those above it
+            lefts[i], rights[i] = left, right
+            below_nil, below_list = False, is_list
+        if sides and type(sides[-1]) is str and (focus_nil or focus_list):
+            text = "" if focus_nil else text[1:]   # the frame above prints it
+        return "".join(lefts) + text + "".join(reversed(rights))
+
+
+_NIL = Constructor("nil")
+
+
+def _frame_sides(frame: Frame, spec: LanguageSpec) -> tuple[str, str] | str:
+    """The text of frame's node either side of its hole, as render_term
+    prints the node around any subterm; for a (cons v [.]) node, whose text
+    depends on the subterm, v's text alone."""
+    node, at = frame.node, frame.hole_at
+    kids = [render_term(a, spec) for a in node.args]
+    if node.name == "cons" and len(kids) == 2:
+        if at == 1:
+            return kids[0]
+        tail = node.args[1]
+        if tail is _NIL:
+            return "[", "]"
+        if type(tail) is Constructor and tail.name == "cons" and kids[1][0] == "[":
+            return "[", ", " + kids[1][1:]
+    return (f"({node.name}" + "".join(" " + k for k in kids[:at]) + " ",
+            "".join(" " + k for k in kids[at + 1:]) + ")")
 
 
 def render_formula(f: Formula, spec: LanguageSpec, memo: Optional[dict] = None) -> str:

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from conftest import FIXTURES, GOLDEN, load, swapped_order_machine_text
 from langx import cli
 from langx.ck import derive_ck
-from langx.engine import evaluate, iter_swarm_terms, member
+from langx.engine import MT, ck_eval, evaluate, iter_swarm_terms, member
+from langx.ir import MachineConfig
 from langx.parser import SpecParseError, parse_spec, parse_term, print_spec, render_term
 from oracles import oracle_compare, oracle_print_trace
 
@@ -286,6 +287,58 @@ def test_trace_printer_renders_a_step_that_starts_elsewhere(capsys, boollist):
     oracle_print_trace(trace, boollist, rep)
     assert shown == capsys.readouterr()
     assert shown.out.count("\n") == len(trace) == 3
+
+
+# nil is no value here, so a (cons v E) frame can hold it as the focus: the
+# frame prints as [v] around it, and as (cons v t) once nil steps to t.
+NIL_STEPS = """\
+language nilsteps
+
+variables x
+
+grammar
+  Expression e ::= x | t | nil | (lam x e) | (app e e) | (cons e e) | (hd e)
+  Value v ::= t | (lam x e) | (cons v v)
+  Context E ::= [.] | (app E e) | (app v E) | (cons E e) | (cons v E) | (hd E)
+
+binder lam 1
+
+rule beta
+  --------------------------------
+  (app (lam x e) v) --> e[v/x]
+
+rule hd-head
+  --------------------------------
+  (hd (cons v1 v2)) --> v1
+
+rule nil-t
+  --------------------------------
+  nil --> t
+"""
+
+
+@pytest.mark.parametrize("name", ["boollist", "langfunny", "nilsteps"])
+def test_trace_printer_renders_each_state_as_render_state_does(capsys, name):
+    # One trace of many runs, under both semantics, so that a step often
+    # starts from a state whose frames share nothing with the last one shown.
+    spec = parse_spec(NIL_STEPS) if name == "nilsteps" else load(name)
+    machine = derive_ck(spec)
+    terms = list(islice(iter_swarm_terms(spec, seed=3, max_size=14), 400))
+    # Under kept (cons v E) frames the text below turns into a list.
+    terms += [parse_term(text, spec, concrete=True) for text in {
+        "boollist": ["(cons t (cons f (if t [(and t f)] nil)))"],
+        "langfunny": [],
+        "nilsteps": ["(cons t (cons t (app (lam x [x, (hd [x])]) t)))"]}[name]]
+    trace = []
+    for term in terms:
+        trace += cli._outcome(evaluate, term, spec, 60)[2]
+        trace += cli._outcome(ck_eval, MachineConfig(term, MT), machine, 60)[2]
+    rep = cli.Reporter(False, cli.Style())
+    cli._print_trace(trace, spec, rep)
+    shown = capsys.readouterr()
+    oracle_print_trace(trace, spec, rep)
+    assert shown == capsys.readouterr()
+    assert shown.out.count("[") > 100
 
 
 OUTSIDE_THE_GRAMMAR = ("eval needs a term of category Expression; "

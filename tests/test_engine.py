@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from langx import cli, engine
+from langx import cli, engine, ir
 from langx.ck import derive_ck
 from langx.engine import (
     MT,
@@ -24,6 +24,7 @@ from langx.engine import (
     Stuck,
     StuckMachine,
     SubtypeFailure,
+    TraceStep,
     TypecheckError,
     UnboundVariable,
     categories,
@@ -50,6 +51,7 @@ from langx.ir import (
     HOLE,
     BinderApp,
     Constructor,
+    Focused,
     GrammarCategory,
     MachineConfig,
     MachineStep,
@@ -419,6 +421,19 @@ def test_evaluate_traces_each_contextual_step(boollist):
         assert before.after == after.before
 
 
+def test_a_step_holds_decompositions_and_reads_whole_terms(boollist):
+    start, end = conc("(and (and t t) f)", boollist), conc("(and t f)", boollist)
+    ts = evaluate(start, boollist)[1][0]
+    assert type(ts.start) is type(ts.end) is Focused
+    assert (ts.before, ts.after) == (start, end)
+    whole = TraceStep("contextual-reduction", "and-true", start, end)
+    assert ts == whole and hash(ts) == hash(whole) and repr(ts) == repr(whole)
+    assert ts != TraceStep("contextual-reduction", "and-true", start, start)
+    assert pickle.loads(pickle.dumps(ts)) == ts == copy.deepcopy(ts)
+    with pytest.raises(AttributeError, match="cannot assign to field 'after'"):
+        ts.after = start
+
+
 def test_evaluate_stuck(boollist):
     t = conc("(hd nil)", boollist)
     with pytest.raises(Stuck) as info:
@@ -552,6 +567,9 @@ OMEGA = "(app (lam x (app x x)) (lam x (app x x)))"
 BIG_LOOP_HALF = "(lam x (app (lam x1 (app x x)) (cons t (cons f (cons t nil)))))"
 BIG_LOOP = f"(app {BIG_LOOP_HALF} {BIG_LOOP_HALF})"
 SHORT_RUN = "(app (lam x (if x t f)) (and f (hd (cons t nil))))"
+# The root's (cons v E) frame holds a non-list until the last step makes a
+# list below it.
+LIST_FLIP = "(cons (and t t) (hd (cons (cons (and t f) nil) nil)))"
 
 # name: spec, term (None for a 300-deep identity chain), semantics, and how
 # the run ends: it repeats a state, runs out of fuel unseen, reaches a value,
@@ -567,6 +585,8 @@ RUNS = {
     "short-run-machine": ("boollist", SHORT_RUN, "ck", "value"),
     "identity-chain": ("stlc_consts", None, "smallstep", "value"),
     "identity-chain-machine": ("stlc_consts", None, "ck", "value"),
+    "list-flip": ("boollist", LIST_FLIP, "smallstep", "value"),
+    "list-flip-machine": ("boollist", LIST_FLIP, "ck", "value"),
     "stuck-run": ("boollist", "(hd (app (lam x x) nil))", "smallstep", "stuck"),
     "stuck-run-machine": ("boollist", "(hd (app (lam x x) nil))", "ck", "stuck"),
 }
@@ -711,6 +731,37 @@ def test_a_refocused_run_does_membership_work_linear_in_depth(monkeypatch, stlc_
     assert value == Constructor("ci") and len(trace) == depth
     # Decomposing every state from the root made 79,813 calls.
     assert calls[0] <= 4 * depth
+
+
+def random_name_chain(depth):
+    """identity_chain with each bound name drawn from x, x1, x2 and x'."""
+    rng = random.Random(0)
+    t = Constructor("ci")
+    for _ in range(depth):
+        name = rng.choice(("x", "x1", "x2", "x'"))
+        t = Constructor("app", (BinderApp("lam", name, (Constructor("int"), Var(name))), t))
+    return t
+
+
+def test_a_run_builds_nodes_linear_in_depth(monkeypatch, stlc_consts):
+    intern = ir._intern
+    built = {}
+    for depth in (500, 1000):
+        term = random_name_chain(depth)
+        calls = [0]
+
+        def counted(cls, key):
+            calls[0] += 1
+            return intern(cls, key)
+
+        monkeypatch.setattr(ir, "_intern", counted)
+        value, trace = evaluate(term, stlc_consts)
+        monkeypatch.setattr(ir, "_intern", intern)
+        assert value == Constructor("ci") and len(trace) == depth
+        built[depth] = calls[0]
+    # Rebuilding the path to the redex on every step built about four times
+    # as many nodes at twice the depth.
+    assert built[1000] < 2.5 * built[500]
 
 
 def test_a_run_skips_the_value_test_of_a_root_that_keeps_its_categories(

@@ -117,6 +117,25 @@ def test_list_sugar_desugars_and_resugars(langfunny):
     assert render_term(Constructor("nil"), langfunny) == "nil"
 
 
+@pytest.mark.parametrize("productions", ["c | [] | (cons e e)", "c | [e]"])
+def test_list_sugar_in_a_production_declares_the_constructors_it_builds(productions):
+    # The rule names nil, which only the sugar declares; with [e], cons too.
+    text = f"""\
+language sugar
+
+grammar
+  Expression e ::= {productions}
+
+rule cons-nil
+  --------------------------------
+  (cons c nil) --> c
+"""
+    spec = parse_spec(text)
+    assert spec.reduction_rules()[0].conclusion.lhs == Constructor(
+        "cons", (Constructor("c"), Constructor("nil")))
+    assert parse_spec(print_spec(spec)) == spec
+
+
 def test_cons_chain_without_nil_tail_not_sugared(langfunny):
     t = parse_term("(cons c1 c2)", langfunny, concrete=True)
     assert render_term(t, langfunny) == "(cons c1 c2)"
