@@ -27,7 +27,7 @@ from .ir import (
     Term,
     context_holes,
 )
-from .engine import _membership_table, is_value_pattern
+from .engine import MT, _membership_table, is_value_pattern
 
 CONTINUATION_CATEGORY = "Continuation"
 CONTINUATION_METAVAR = "k"
@@ -38,8 +38,7 @@ class CKError(LangxError):
 
 
 class BadContext(CKError):
-    def __init__(self, message: str):
-        super().__init__(message)
+    pass
 
 
 class NoStart(CKError):
@@ -155,7 +154,7 @@ def continuation_ops(spec: LanguageSpec) -> dict[str, list[ContinuationOp]]:
 
 
 def generate_continuation_grammar(spec: LanguageSpec) -> GrammarCategory:
-    productions: list[Term] = [Constructor("mt")]
+    productions: list[Term] = [MT]
     k = _k()
     for conts in continuation_ops(spec).values():
         for cont in conts:

@@ -9,6 +9,7 @@ discharges premises left to right under one growing substitution.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator, Optional, Union
@@ -100,6 +101,7 @@ class NotSyntaxDirected(TypecheckError):
         super().__init__(f"more than one typing rule concludes a {head} subject")
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class TraceStep:
     """One step of a run: its kind (contextual-reduction, machine-start,
     machine-order, machine-computation or machine-plug), the rule it used,
@@ -111,19 +113,10 @@ class TraceStep:
     Steps are equal when their kinds, rules and whole states are.
     """
 
-    __slots__ = ("kind", "rule_name", "start", "end")
-
-    def __init__(self, kind: str, rule_name: str,
-                 before: Union[Term, MachineConfig, Focused],
-                 after: Union[Term, MachineConfig, Focused]):
-        for set_field, value in zip(_STEP_SETTERS, (kind, rule_name, before, after)):
-            set_field(self, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return TraceStep, (self.kind, self.rule_name, self.start, self.end)
+    kind: str
+    rule_name: str
+    start: Union[Term, MachineConfig, Focused]
+    end: Union[Term, MachineConfig, Focused]
 
     @property
     def before(self) -> Union[Term, MachineConfig]:
@@ -147,9 +140,6 @@ class TraceStep:
     def __repr__(self) -> str:
         return ("TraceStep(kind={!r}, rule_name={!r}, before={!r}, after={!r})"
                 .format(*self._fields()))
-
-
-_STEP_SETTERS = [getattr(TraceStep, f).__set__ for f in TraceStep.__slots__]
 
 
 def _whole(state: Union[Term, MachineConfig, Focused]) -> Union[Term, MachineConfig]:
@@ -473,11 +463,15 @@ def _frame_views(spec: LanguageSpec) -> Optional[dict[tuple[str, int, int], froz
     categories that its nodes' membership reads of the argument there.  None
     when a production with the head of a context operator has a slot that is
     not a metavariable: such a slot reads more of its argument than its
-    categories, so a run then decomposes every state from the root."""
+    categories, so a run then decomposes every state from the root.  A
+    production that holds a hole, as (app [.] e) does, derives no run-time
+    term, so its slots read nothing."""
     table = spec.derived(_membership_table)
     views: dict[tuple[str, int, int], set[str]] = {}
     for name, arity in spec.derived(_context_table):
         for slots, _ in table[("con", name, arity)][1]:
+            if HOLE in slots:
+                continue
             for at, slot in enumerate(slots):
                 if type(slot) is not Metavariable:
                     return None

@@ -811,8 +811,6 @@ def _validate(
                         err(line, f"rule {rule.name!r} uses {s.token!r} in a type position")
             if isinstance(f, Typing) and len({v for v, _ in f.env.extensions}) != len(f.env.extensions):
                 err(line, f"rule {rule.name!r} repeats a variable in one environment")
-            if isinstance(f, Join) and len(f.operands) < 2:
-                err(line, f"rule {rule.name!r} joins fewer than two operands")
 
     # variance: marks match arity; table total over type constructors used in rules
     for ctor, marks in spec.variance.items():
@@ -1005,21 +1003,14 @@ _NIL = Constructor("nil")
 
 
 def _frame_sides(frame: Frame, spec: LanguageSpec) -> tuple[str, str] | str:
-    """The text of frame's node either side of its hole, as render_term
-    prints the node around any subterm; for a (cons v [.]) node, whose text
-    depends on the subterm, v's text alone."""
-    node, at = frame.node, frame.hole_at
-    kids = [render_term(a, spec) for a in node.args]
-    if node.name == "cons" and len(kids) == 2:
-        if at == 1:
-            return kids[0]
-        tail = node.args[1]
-        if tail is _NIL:
-            return "[", "]"
-        if type(tail) is Constructor and tail.name == "cons" and kids[1][0] == "[":
-            return "[", ", " + kids[1][1:]
-    return (f"({node.name}" + "".join(" " + k for k in kids[:at]) + " ",
-            "".join(" " + k for k in kids[at + 1:]) + ")")
+    """render_term's text of frame's node, split at its hole's "[.]",
+    which no run-time term's text contains; for a (cons v [.]) node, whose
+    text depends on the subterm, v's text alone."""
+    node = frame.node
+    if node.name == "cons" and len(node.args) == 2 and frame.hole_at == 1:
+        return render_term(node.args[0], spec)
+    left, _, right = render_term(node, spec).partition("[.]")
+    return left, right
 
 
 def render_formula(f: Formula, spec: LanguageSpec, memo: Optional[dict] = None) -> str:

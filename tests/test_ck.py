@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from conftest import load
+from conftest import GOLDEN, load
 from langx import cli
 from langx.ck import (
     AmbiguousStart,
@@ -177,6 +177,18 @@ def test_machine_trace_on_nested_term(langfunny):
             assert t.kind == "machine-plug"
     small, _ = evaluate(term, langfunny)
     assert small == value
+
+
+def test_a_machine_rule_named_outside_the_scheme_is_a_computation():
+    text = (GOLDEN / "stlc.ck.lang").read_text()
+    assert text.count("app-comp-1") == 1
+    machine = parse_spec(text.replace("app-comp-1", "beta"))
+    term = parse_term("(app (lam x B x) (lam x B x))", machine, concrete=True)
+    value, trace = ck_eval(MachineConfig(term, MT), machine)
+    assert value == term.args[1]
+    assert [(t.kind, t.rule_name) for t in trace] == [
+        ("machine-start", "app-start"), ("machine-order", "app-order-1"),
+        ("machine-computation", "beta")]
 
 
 def test_contextless_reduction_becomes_direct_rule():

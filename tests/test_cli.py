@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import runpy
 import string
 import subprocess
 import sys
@@ -756,6 +757,16 @@ def test_color_never_by_default_off_tty(capsys, monkeypatch):
     assert "\x1b[" not in err
 
 
+def test_color_never_holds_on_a_tty(capsys, monkeypatch):
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    monkeypatch.setenv("LANGX_COLOR", "auto")
+    code, out, err = run(capsys, "eval", fix("boollist.lang"), "(hd nil)")
+    assert code == 3 and "\x1b[31m" in err
+    monkeypatch.setenv("LANGX_COLOR", "never")
+    code, out, err = run(capsys, "eval", fix("boollist.lang"), "(hd nil)")
+    assert code == 3 and err and "\x1b[" not in err
+
+
 def test_fuel_must_be_positive(capsys):
     code, out, err = run(capsys, "eval", fix("boollist.lang"), "(and t f)",
                          "--fuel", "0")
@@ -776,6 +787,14 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout == "stlc: valid\n"
+
+
+def test_module_entry_point_in_process(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["langx", "check", fix("stlc.lang")])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("langx", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr() == ("stlc: valid\n", "")
 
 
 # -- structured output -------------------------------------------------------------

@@ -64,7 +64,7 @@ from langx.ir import (
 )
 from langx.parser import parse_spec, parse_term, render_term
 from langx.subtyping import add_subtyping
-from conftest import load, swapped_order_machine_text
+from conftest import FIXTURES, load, swapped_order_machine_text
 from oracles import (
     enumerate_closed_terms,
     enumerate_types,
@@ -79,6 +79,7 @@ from oracles import (
     oracle_substitute,
 )
 from test_ck import NUMS
+from test_subtyping import TAGS
 
 
 def conc(text, spec):
@@ -224,6 +225,14 @@ def test_binder_pattern_binds_the_bound_variable(stlc):
     assert sigma["T"] == Constructor("B")
     assert sigma["e"] == Var("x1")
     assert sigma["v"] == conc(ID, stlc)
+
+
+def test_a_binder_pattern_binds_its_variable_to_one_name(stlc_consts):
+    pattern = parse_term("(app (lam x T1 e1) (lam x T2 e2))", stlc_consts)
+    same = conc("(app (lam x int x) (lam x float x))", stlc_consts)
+    renamed = conc("(app (lam x int x) (lam x1 int x1))", stlc_consts)
+    assert match_pattern(pattern, same, stlc_consts)["x"] == Var("x")
+    assert match_pattern(pattern, renamed, stlc_consts) is None
 
 
 def test_match_extends_given_bindings(stlc):
@@ -434,12 +443,25 @@ def test_a_step_holds_decompositions_and_reads_whole_terms(boollist):
         ts.after = start
 
 
+def test_a_step_is_unequal_to_what_is_not_a_step(boollist):
+    ts = evaluate(conc("(and (and t t) f)", boollist), boollist)[1][0]
+    fields = (ts.kind, ts.rule_name, ts.before, ts.after)
+    assert ts.__eq__(fields) is NotImplemented
+    assert ts != fields and fields != ts
+
+
 def test_evaluate_stuck(boollist):
     t = conc("(hd nil)", boollist)
     with pytest.raises(Stuck) as info:
         evaluate(t, boollist)
     assert info.value.term == t
     assert info.value.trace == []
+
+
+@pytest.mark.parametrize("stream", [iter_random_terms, iter_swarm_terms])
+def test_a_spec_without_expressions_generates_no_terms(stream):
+    with pytest.raises(EngineError, match="spec has no Expression category"):
+        next(stream(parse_spec(TAGS)))
 
 
 def identity_chain(depth):
@@ -802,6 +824,9 @@ rule beta
 SPEC_TEXTS = {
     "nums-under-succ": NUMS.replace("(pred E)", "(succ E) | (pred E)"),
     "boxes": BOXES,
+    # stlc_consts with its context productions writing the hole as [.].
+    "stlc-consts-hole-contexts": (FIXTURES / "stlc_consts.lang").read_text().replace(
+        "(app E e) | (app v E)", "(app [.] e) | (app v [.])"),
 }
 
 # name: spec, term (None for the 60-deep mixed-name chain)
@@ -820,6 +845,7 @@ REFOCUSED = {
         "boxes", "(pair (box (app (lam x int x) (app (lam x int x) ci))) "
                  "(app (lam x int x) ci))"),
     "mixed-name-chain": ("stlc_consts", None),
+    "mixed-name-chain-under-hole-contexts": ("stlc-consts-hole-contexts", None),
 }
 
 
@@ -831,6 +857,20 @@ def test_refocused_runs_equal_the_oracle_at_every_fuel(spec_name, text):
     for fuel in range(1, len(trace) + 1):
         assert cli._outcome(evaluate, term, spec, fuel) == \
             cli._outcome(oracle_evaluate, term, spec, fuel), fuel
+
+
+def test_contexts_written_with_holes_keep_refocusing(monkeypatch):
+    text = SPEC_TEXTS["stlc-consts-hole-contexts"]
+    assert "(app [.] e) | (app v [.])" in text
+    spec = parse_spec(text)
+    calls = counted_categories(monkeypatch)
+    depth = 400
+    value, trace = evaluate(mixed_name_chain(depth), spec)
+    assert value == Constructor("ci") and len(trace) == depth
+    # Reading the productions' [.] slots as slots that are not metavariables
+    # turned refocusing off: decomposing every state from the root made
+    # 79,813 calls.
+    assert calls[0] <= 4 * depth
 
 
 def stepped(state, advance, finished):

@@ -15,6 +15,7 @@ from langx.ir import (
     Constructor,
     HOLE,
     Join,
+    LangxError,
     MachineStep,
     Metavariable,
     Reduction,
@@ -240,6 +241,13 @@ def test_map_formula_rebuilds_the_terms_formula_terms_yields():
                 assert list(formula_terms(map_formula(f, wrap))) == \
                     [wrap(t) for t in formula_terms(f)]
     assert kinds == {Typing, Reduction, MachineStep, Subtype, TypeEq, Join}
+
+
+def test_formula_terms_refuses_what_is_not_a_formula():
+    with pytest.raises(LangxError, match="not a formula"):
+        formula_terms(Constructor("c"))
+    with pytest.raises(LangxError, match="not a formula"):
+        map_formula(Constructor("c"), lambda t: t)
 
 
 @given(terms)

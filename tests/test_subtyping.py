@@ -288,6 +288,31 @@ def test_join_invariant_requires_equality(references):
     assert join_types(r1, r1, references) == r1
 
 
+# Types alone: no Expression category, and one constructor whose first
+# argument is invariant.
+TAGS = """\
+language tags
+
+grammar
+  Type T ::= int | top | (tag T T)
+
+variance
+  tag : inv co
+
+subtype-base
+  int <: top
+"""
+
+
+def test_join_keeps_an_equal_invariant_argument():
+    tags = parse_spec(TAGS)
+    t1 = parse_term("(tag int int)", tags, concrete=True)
+    t2 = parse_term("(tag int top)", tags, concrete=True)
+    assert join_types(t1, t2, tags) == t2
+    with pytest.raises(NoJoin):
+        join_types(t2, parse_term("(tag top top)", tags, concrete=True), tags)
+
+
 def test_join_incomparable_bases(references):
     with pytest.raises(NoJoin):
         join_types(Constructor("Bool"), Constructor("int"), references)

@@ -2,7 +2,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from langx.ir import COVARIANT, CONTRAVARIANT, INVARIANT, Constructor, Metavariable
+from langx.ir import (
+    COVARIANT,
+    CONTRAVARIANT,
+    INVARIANT,
+    Constructor,
+    LangxError,
+    Metavariable,
+)
 from langx.parser import parse_term
 from langx.variance import (
     MissingVariance,
@@ -50,6 +57,14 @@ def test_occurrence_variance_paths(references):
     assert occurrence_variance(ty, (0, 1), references) == CONTRAVARIANT
     assert occurrence_variance(ty, (1,), references) == COVARIANT
     assert occurrence_variance(ty, (1, 0), references) == INVARIANT
+
+
+@pytest.mark.parametrize("path", [(2,), (0, 0, 0), (1, 0, 0)])
+def test_occurrence_variance_of_a_path_that_leaves_the_type(references, path):
+    ty = parse_term("(arrow (arrow T1 T2) (Ref T3))", references)
+    with pytest.raises(LangxError) as info:
+        occurrence_variance(ty, path, references)
+    assert str(info.value) == f"path {path} does not exist in the given type"
 
 
 def test_missing_variance():
