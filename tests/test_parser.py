@@ -461,6 +461,60 @@ def test_diagnostics_of_mutated_specs_are_unchanged():
     assert digest.hexdigest() == "484506947fd775e42622239a804d4e3e8850e0dd7263e64f96aa50a371928e24"
 
 
+TERM_SPECS = [parse_spec((FIXTURES / f"{name}.lang").read_text())
+              for name in ("stlc_consts", "boollist", "langfunny")]
+
+
+def mutate_term(text, spec, rng):
+    """text with one edit: characters deleted, a character or spec token
+    inserted, two characters swapped, or a word replaced by a spec token."""
+    tokens = [*spec.constructor_arities(), *spec.binders, *spec.variables,
+              *(c.metavariable + rng.choice(("", "1", "'")) for c in spec.categories),
+              "(", ")", "[", "]", "[.]", ",", "/", " ", "x1", "?"]
+    kind = rng.randrange(4)
+    at = rng.randrange(len(text))
+    if kind == 0:
+        return text[:at] + text[at + rng.randint(1, 4):]
+    if kind == 1:
+        return text[:at] + rng.choice([*tokens, text[rng.randrange(len(text))]]) + text[at:]
+    if kind == 2:
+        other = rng.randrange(len(text))
+        chars = list(text)
+        chars[at], chars[other] = chars[other], chars[at]
+        return "".join(chars)
+    words = text.split(" ")
+    words[rng.randrange(len(words))] = rng.choice(tokens)
+    return " ".join(words)
+
+
+def term_outcome(text, spec, concrete):
+    """The rendered term a text parses to, or its diagnostics with their
+    lines and columns."""
+    try:
+        return render_term(parse_term(text, spec, concrete=concrete), spec)
+    except SpecParseError as e:
+        return str(e)
+
+
+def test_parses_of_mutated_terms_are_unchanged():
+    # Pins every parsed term and every diagnostic with its span, in concrete
+    # and rule mode, across 1,000 mutants of rendered swarm terms.
+    rng = random.Random(23)
+    texts = [(spec, render_term(t, spec)) for spec in TERM_SPECS
+             for t in islice(iter_swarm_terms(spec, seed=5, max_size=10), 100)]
+    digest = hashlib.sha256()
+    outcomes = {"parsed": 0, "refused": 0}
+    for _ in range(1000):
+        spec, text = rng.choice(texts)
+        mutant = mutate_term(text, spec, rng)
+        for concrete in (True, False):
+            out = term_outcome(mutant, spec, concrete)
+            outcomes["refused" if "error:" in out else "parsed"] += 1
+            digest.update(out.encode() + b"\0")
+    assert min(outcomes.values()) > 200
+    assert digest.hexdigest() == "29fb41bf9987be97a1a34dd6030b028468a0da204f9877ea1ea1794f5c978034"
+
+
 @settings(deadline=None)
 @given(st.builds(mutate, st.sampled_from(SPEC_TEXTS), st.randoms(use_true_random=False)))
 @example(stlc_with_production("(T)"))
