@@ -449,10 +449,7 @@ class LanguageSpec:
     # -- category lookups ---------------------------------------------------
 
     def category(self, name: str) -> Optional[GrammarCategory]:
-        for cat in self.categories:
-            if cat.name == name:
-                return cat
-        return None
+        return self.derived(_categories_by_name).get(name)
 
     @property
     def type_category(self) -> Optional[GrammarCategory]:
@@ -521,6 +518,11 @@ class LanguageSpec:
         return self.derived(_base_subtype_closure)
 
 
+def _categories_by_name(spec: LanguageSpec) -> dict[str, GrammarCategory]:
+    """Each category under its name; of two with one name, the first."""
+    return {cat.name: cat for cat in reversed(spec.categories)}
+
+
 def _rule_views(spec: LanguageSpec) -> dict[type, tuple[InferenceRule, ...]]:
     return {kind: tuple(r for r in spec.rules if isinstance(r.conclusion, kind))
             for kind in (Typing, Reduction, MachineStep)}
@@ -563,14 +565,12 @@ def _base_subtype_closure(spec: LanguageSpec) -> frozenset[tuple[str, str]]:
 # metavariable operations
 
 
-def _suffixed(token: str, base: str) -> bool:
-    """Is token base followed by digits and primes only?"""
-    return token.startswith(base) and _SUFFIX_RE.fullmatch(token, len(base)) is not None
-
-
 def is_variable(token: str, variables: Iterable[str]) -> bool:
-    """Is token one of the variable tokens, with an optional suffix?"""
-    return any(_suffixed(token, v) for v in variables)
+    """Is token a variable token followed by digits and primes only?"""
+    for v in variables:
+        if token.startswith(v) and _SUFFIX_RE.fullmatch(token, len(v)):
+            return True
+    return False
 
 
 def find_metavariable(token: str,
@@ -582,7 +582,8 @@ def find_metavariable(token: str,
     """
     best: Optional[Metavariable] = None
     for name, mv in categories:
-        if _suffixed(token, mv) and (best is None or len(mv) > len(best.base)):
+        if token.startswith(mv) and _SUFFIX_RE.fullmatch(token, len(mv)) \
+                and (best is None or len(mv) > len(best.base)):
             best = Metavariable(mv, token[len(mv):] or None, name)
     return best
 

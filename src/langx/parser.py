@@ -45,7 +45,6 @@ from .ir import (
     fold,
     formula_terms,
     is_variable,
-    spec_terms,
     subterms,
     term_head,
 )
@@ -150,35 +149,28 @@ _PUNCTUATION = {
     "/": "SLASH", "|": "PIPE", ":": "COLON", "=": "EQ",
 }
 
-_END = "END"
-
+_IDENT, _END = "IDENT", "END"
 
 # How many brackets a token opens (1) or closes (-1).
-_DEPTH_STEP = {"LPAREN": 1, "LBRACK": 1, "RPAREN": -1, "RBRACK": -1}
+_DEPTH_STEP = {"(": 1, "[": 1, ")": -1, "]": -1}
+
+# A line's tokens as flat lists of kinds, texts, 1-based columns, and the
+# brackets open just after each token, 0 outside every pair.
+_Tokens = tuple[list[str], list[str], list[int], list[int]]
 
 
-class _Tok:
-    __slots__ = ("kind", "text", "col", "end", "depth")
-
-    def __init__(self, kind: str, text: str, col: int, end: int, depth: int):
-        self.kind = kind
-        self.text = text
-        self.col = col      # 1-based
-        self.end = end      # column just past the token
-        self.depth = depth  # brackets open just after the token: 0 outside every pair
-
-
-def _tokenize(text: str, line_no: int) -> list[_Tok]:
-    toks: list[_Tok] = []
+def _tokenize(text: str, line_no: int) -> _Tokens:
+    toks = kinds, texts, cols, depths = [], [], [], []
     depth = 0
     for m in _TOKEN_RE.finditer(text):
-        start, end = m.span()
-        if m.lastindex:
-            raise _Fail(line_no, start + 1, f"unexpected character {text[start]!r}")
         t = m.group()
-        kind = _PUNCTUATION.get(t, "IDENT")
-        depth += _DEPTH_STEP.get(kind, 0)
-        toks.append(_Tok(kind, t, start + 1, end + 1, depth))
+        if m.lastindex:
+            raise _Fail(line_no, m.start() + 1, f"unexpected character {t!r}")
+        kinds.append(_PUNCTUATION.get(t, _IDENT))
+        texts.append(t)
+        cols.append(m.start() + 1)
+        depth += _DEPTH_STEP.get(t, 0)
+        depths.append(depth)
     return toks
 
 
@@ -209,15 +201,14 @@ class _Resolver:
     leaves: dict[tuple[str, str], Term] = field(default_factory=dict)
     operators: set[str] = field(default_factory=set)   # production heads found sound
 
-    def atom(self, tok: _Tok, line: int) -> Term:
-        key = (self.mode, tok.text)
+    def atom(self, t: str, line: int, col: int) -> Term:
+        key = (self.mode, t)
         leaf = self.leaves.get(key)
         if leaf is None:
-            leaf = self.leaves[key] = self._resolve(tok, line)
+            leaf = self.leaves[key] = self._resolve(t, line, col)
         return leaf
 
-    def _resolve(self, tok: _Tok, line: int) -> Term:
-        t = tok.text
+    def _resolve(self, t: str, line: int, col: int) -> Term:
         if self.mode == _PRODUCTION:
             mv = find_metavariable(t, self.categories)
             if mv is not None:
@@ -237,17 +228,16 @@ class _Resolver:
         mv = find_metavariable(t, self.categories)
         if mv is not None:
             if self.mode == _CONCRETE:
-                raise _Fail(line, tok.col, f"metavariable {t!r} not allowed in a concrete term")
+                raise _Fail(line, col, f"metavariable {t!r} not allowed in a concrete term")
             return mv
-        raise _Fail(line, tok.col, f"cannot resolve token {t!r}",
+        raise _Fail(line, col, f"cannot resolve token {t!r}",
                     ("a declared constructor", "a variable", "a metavariable"))
 
-    def operator(self, tok: _Tok, line: int) -> None:
+    def operator(self, t: str, line: int, col: int) -> None:
         """Refuse a production's constructor or binder name that is a
         metavariable or variable token: every rule would read the
         constructor for the metavariable, and the printed spec could not
         tell them apart."""
-        t = tok.text
         if t in self.operators:
             return
         if find_metavariable(t, self.categories) is not None:
@@ -258,134 +248,154 @@ class _Resolver:
             self.operators.add(t)
             return
         role = "binder" if t in self.binders else "constructor"
-        raise _Fail(line, tok.col, f"{role} name {t!r} is a {token} token")
+        raise _Fail(line, col, f"{role} name {t!r} is a {token} token")
+
+
+_NIL = Constructor("nil")
 
 
 class _P:
-    """Cursor over one line's tokens, which it ends with an END token at the
-    column just past the last one."""
+    """Cursor over one line's tokens.  It takes the token lists
+    over and ends them with an END token at the column just past the last
+    token, or at column 1 when there is none."""
 
-    def __init__(self, toks: list[_Tok], line: int, res: _Resolver):
-        end, depth = (toks[-1].end, toks[-1].depth) if toks else (1, 0)
-        self.toks = [*toks, _Tok(_END, "", end, end, depth)]
+    def __init__(self, toks: _Tokens, line: int, res: _Resolver):
+        self.kinds, self.texts, self.cols, self.depths = kinds, texts, cols, depths = toks
+        end, depth = (cols[-1] + len(texts[-1]), depths[-1]) if texts else (1, 0)
+        for column, last in zip(toks, (_END, "", end, depth)):
+            column.append(last)
         self.i = 0
         self.line = line
         self.res = res
 
-    def next(self) -> _Tok:
-        tok = self.toks[self.i]
-        if tok.kind == _END:
-            raise self.fail("unexpected end of line")
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> _Tok:
-        tok = self.toks[self.i]
-        if tok.kind != kind:
+    def expect(self, kind: str) -> int:
+        """The index of the next token, which must be of kind."""
+        i = self.i
+        if self.kinds[i] != kind:
             raise self.fail(f"expected {kind}", (kind,))
-        self.i += 1
-        return tok
+        self.i = i + 1
+        return i
 
     def fail(self, message: str, expected: tuple[str, ...] = ()) -> _Fail:
-        return self.fail_at(self.toks[self.i], message, expected)
+        return self.fail_at(self.i, message, expected)
 
-    def fail_at(self, tok: _Tok, message: str, expected: tuple[str, ...] = ()) -> _Fail:
-        return _Fail(self.line, tok.col, message, expected)
+    def fail_at(self, i: int, message: str, expected: tuple[str, ...] = ()) -> _Fail:
+        return _Fail(self.line, self.cols[i], message, expected)
 
     def done(self) -> None:
-        if self.toks[self.i].kind != _END:
+        if self.kinds[self.i] != _END:
             raise self.fail("trailing tokens after formula")
 
     # -- terms ---------------------------------------------------------------
 
     def term(self) -> Term:
-        t = self.primary()
-        toks = self.toks
+        """A term with the substitutions written after it.  The forms still
+        open are kept on a stack, so the term may be nested to any depth."""
+        kinds, texts, cols, res = self.kinds, self.texts, self.cols, self.res
+        # Per open form, the token due after its last part, and two slots:
+        # an application's head index and arguments, a list's None and
+        # items, or a substitution's target, while its replacement is read.
+        stack: list[tuple] = []
         while True:
-            nxt = toks[self.i]
-            if nxt.kind != "LBRACK" or toks[self.i - 1].end != nxt.col:
-                return t
-            if self.res.mode == _CONCRETE:
-                raise self.fail("substitution not allowed in a concrete term")
-            self.i += 1
-            repl = self.term()
-            self.expect("SLASH")
-            var = self.expect("IDENT")
-            if not is_variable(var.text, self.res.variables):
-                raise self.fail_at(
-                    var, f"substitution variable {var.text!r} is not a declared variable token")
-            self.expect("RBRACK")
-            t = Subst(t, repl, var.text)
-
-    def primary(self) -> Term:
-        tok = self.next()
-        toks = self.toks
-        match tok.kind:
-            case "IDENT":
-                return self.res.atom(tok, self.line)
-            case "LPAREN":
-                head = self.expect("IDENT")
-                if self.res.mode == _PRODUCTION:
-                    self.res.operator(head, self.line)
-                args: list[Term] = []
-                while toks[self.i].kind not in ("RPAREN", _END):
-                    args.append(self.term())
-                self.expect("RPAREN")
-                return self._apply(head, args)
-            case "HOLE":
-                if self.res.mode == _CONCRETE:
-                    self.i -= 1
+            i = self.i
+            kind = kinds[i]
+            self.i = i + 1
+            if kind == _IDENT:
+                t = res.atom(texts[i], self.line, cols[i])
+            elif kind == "HOLE" and res.mode != _CONCRETE:
+                t = HOLE
+            elif kind == "LPAREN" or kind == "LBRACK":
+                closer = "RPAREN" if kind == "LPAREN" else "RBRACK"
+                head = None
+                if kind == "LPAREN":
+                    head = self.expect(_IDENT)
+                    if res.mode == _PRODUCTION:
+                        res.operator(texts[head], self.line, cols[head])
+                stack.append((closer, head, []))
+                if kinds[self.i] not in (closer, _END):
+                    continue
+                t = None   # the form is empty and closes at once
+            else:
+                self.i = i
+                if kind == "HOLE":
                     raise self.fail("context hole not allowed in a concrete term")
-                return HOLE
-            case "LBRACK":
-                items: list[Term] = []
-                if toks[self.i].kind not in ("RBRACK", _END):
-                    items.append(self.term())
-                    while toks[self.i].kind == "COMMA":
-                        self.i += 1
-                        items.append(self.term())
-                self.expect("RBRACK")
-                if self.res.mode == _PRODUCTION:   # the sugar declares what it builds
-                    self.res.constructors.setdefault("nil", 0)
-                    if items:
-                        self.res.constructors.setdefault("cons", 2)
-                chain: Term = Constructor("nil")
-                for item in reversed(items):
-                    chain = Constructor("cons", (item, chain))
-                return chain
-            case _:
-                self.i -= 1
-                raise self.fail(f"unexpected token {tok.text!r}", ("a term",))
+                if kind == _END:
+                    raise self.fail("unexpected end of line")
+                raise self.fail(f"unexpected token {texts[i]!r}", ("a term",))
+            # t is whole: read the substitutions after it, then give it to
+            # the innermost open form, closing each form it completes
+            while True:
+                i = self.i
+                if kinds[i] == "LBRACK" and cols[i - 1] + len(texts[i - 1]) == cols[i]:
+                    if res.mode == _CONCRETE:
+                        raise self.fail("substitution not allowed in a concrete term")
+                    self.i = i + 1
+                    stack.append(("SLASH", t, None))
+                    break
+                if not stack:
+                    return t
+                closer, head, items = stack[-1]
+                if closer == "SLASH":
+                    self.expect("SLASH")
+                    var = self.expect(_IDENT)
+                    if not is_variable(texts[var], res.variables):
+                        raise self.fail_at(var, f"substitution variable {texts[var]!r} "
+                                                f"is not a declared variable token")
+                    self.expect("RBRACK")
+                    t = Subst(head, t, texts[var])
+                else:
+                    if t is not None:
+                        items.append(t)
+                    if closer == "RBRACK" and kinds[i] == "COMMA":
+                        self.i = i + 1
+                        break
+                    if closer == "RPAREN" and kinds[i] not in (closer, _END):
+                        break
+                    self.expect(closer)
+                    t = self._list(items) if head is None else self._apply(head, items)
+                stack.pop()
 
-    def _apply(self, head: _Tok, args: list[Term]) -> Term:
-        name = head.text
-        if name in self.res.binders:
-            pos = self.res.binders[name]
+    def _apply(self, head: int, args: list[Term]) -> Term:
+        name = self.texts[head]
+        res = self.res
+        pos = res.binders.get(name)
+        if pos is not None:
             if pos > len(args):
                 raise self.fail_at(head, f"binder {name!r} needs a bound variable at position {pos}")
             bound = args[pos - 1]
-            if not isinstance(bound, Var):
+            if type(bound) is not Var:
                 raise self.fail_at(head, f"argument {pos} of binder {name!r} must be a variable")
-            rest = tuple(a for i, a in enumerate(args) if i != pos - 1)
-            return BinderApp(name, bound.name, rest)
-        if self.res.mode == _PRODUCTION:
-            self.res.constructors.setdefault(name, len(args))
-        elif name not in self.res.constructors:
+            return BinderApp(name, bound.name, (*args[:pos - 1], *args[pos:]))
+        if res.mode == _PRODUCTION:
+            res.constructors.setdefault(name, len(args))
+        elif name not in res.constructors:
             raise self.fail_at(
                 head, f"constructor {name!r} is not declared in any grammar production")
         return Constructor(name, tuple(args))
 
+    def _list(self, items: list[Term]) -> Term:
+        """The cons chain list sugar stands for."""
+        if self.res.mode == _PRODUCTION:   # the sugar declares what it builds
+            self.res.constructors.setdefault("nil", 0)
+            if items:
+                self.res.constructors.setdefault("cons", 2)
+        chain: Term = _NIL
+        for item in reversed(items):
+            chain = Constructor("cons", (item, chain))
+        return chain
+
     # -- formulas ------------------------------------------------------------
 
     def formula(self) -> Formula:
-        kinds = {tok.kind for tok in self.toks if tok.depth == 0}
-        if self.toks[0].kind == "LANGLE":
+        kinds = self.kinds
+        outside = {kind for kind, depth in zip(kinds, self.depths) if not depth}
+        if kinds[0] == "LANGLE":
             lhs = self.config()
             self.expect("ARROW")
             rhs = self.config()
             self.done()
             return MachineStep(lhs, rhs)
-        if "TURNSTILE" in kinds:
+        if "TURNSTILE" in outside:
             env = self.env_expr()
             self.expect("TURNSTILE")
             subject = self.term()
@@ -393,23 +403,18 @@ class _P:
             ty = self.term()
             self.done()
             return Typing(env, subject, ty)
-        if "ARROW" in kinds:
-            lhs = self.term()
-            self.expect("ARROW")
-            rhs = self.term()
+        if "ARROW" in outside or "SUBTYPE" in outside:
+            op, build = ("ARROW", Reduction) if "ARROW" in outside else ("SUBTYPE", Subtype)
+            left = self.term()
+            self.expect(op)
+            right = self.term()
             self.done()
-            return Reduction(lhs, rhs)
-        if "SUBTYPE" in kinds:
-            sub = self.term()
-            self.expect("SUBTYPE")
-            sup = self.term()
-            self.done()
-            return Subtype(sub, sup)
-        if "EQ" in kinds:
+            return build(left, right)
+        if "EQ" in outside:
             left = self.term()
             self.expect("EQ")
             operands = [self.term()]
-            while self.toks[self.i].kind == "JOIN":
+            while kinds[self.i] == "JOIN":
                 self.i += 1
                 operands.append(self.term())
             self.done()
@@ -427,17 +432,18 @@ class _P:
         return MachineConfig(focus, continuation)
 
     def env_expr(self) -> EnvExpr:
-        root = self.expect("IDENT").text
+        texts = self.texts
+        root = texts[self.expect(_IDENT)]
         extensions: list[tuple[str, Term]] = []
-        while self.toks[self.i].kind == "COMMA":
+        while self.kinds[self.i] == "COMMA":
             self.i += 1
-            var = self.expect("IDENT")
-            if not is_variable(var.text, self.res.variables):
+            var = self.expect(_IDENT)
+            if not is_variable(texts[var], self.res.variables):
                 raise self.fail_at(
-                    var, f"environment extension variable {var.text!r} "
+                    var, f"environment extension variable {texts[var]!r} "
                          f"is not a declared variable token")
             self.expect("COLON")
-            extensions.append((var.text, self.term()))
+            extensions.append((texts[var], self.term()))
         return EnvExpr(root, tuple(extensions))
 
 
@@ -489,7 +495,7 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
     variables: list[str] = []
     binders: dict[str, int] = {}
     context_name: str | None = None
-    cat_headers: list[tuple[str, str, int, list[_Tok]]] = []
+    cat_headers: list[tuple[str, str, int, _Tokens]] = []
     variance_lines: list[tuple[int, str]] = []
     subtype_lines: list[tuple[int, str]] = []
     rule_blocks: list[_Block] = []
@@ -516,12 +522,11 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
             case "grammar":
                 for line_no, text in b.body:
                     with errors:
-                        toks = _tokenize(text, line_no)
-                        if (len(toks) < 3 or toks[0].kind != "IDENT"
-                                or toks[1].kind != "IDENT" or toks[2].kind != "COLONCOLONEQ"):
+                        toks = kinds, texts, _, _ = _tokenize(text, line_no)
+                        if kinds[:3] != [_IDENT, _IDENT, "COLONCOLONEQ"]:
                             raise _Fail(line_no, 1,
                                         "grammar line is '<Category> <metavar> ::= productions'")
-                        cat_headers.append((toks[0].text, toks[1].text, line_no, toks[3:]))
+                        cat_headers.append((texts[0], texts[1], line_no, toks))
             case "variance":
                 variance_lines.extend(b.body)
             case "subtype-base":
@@ -546,16 +551,17 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
         cat_spans[cat_name] = line_no
         prods: list[Term] = []
         with errors:
-            segments: list[list[_Tok]] = [[]]
-            for tok in toks:
-                if tok.kind == "PIPE" and tok.depth == 0:
-                    segments.append([])
-                else:
-                    segments[-1].append(tok)
-            for seg in segments:
-                p = _P(seg, line_no, res)
+            # Each production follows "::=" or a "|" outside every bracket.
+            # A term's brackets pair up, so no term reaches past such a "|".
+            # An empty production ends at column 1, as an empty line does.
+            p = _P(toks, line_no, res)
+            p.i = 2
+            while p.i == 2 or (p.kinds[p.i] == "PIPE" and not p.depths[p.i]):
+                p.i += 1
+                if p.kinds[p.i] in ("PIPE", _END) and not p.depths[p.i]:
+                    raise _Fail(line_no, 1, "unexpected end of line")
                 prods.append(p.term())
-                p.done()
+            p.done()
         categories.append(GrammarCategory(cat_name, metavar, tuple(prods)))
     res.mode = _RULE
 
@@ -563,26 +569,23 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
     variance: dict[str, tuple[str, ...]] = {}
     for line_no, text in variance_lines:
         with errors:
-            toks = _tokenize(text, line_no)
-            if len(toks) < 2 or toks[0].kind != "IDENT" or toks[1].kind != "COLON":
+            kinds, texts, cols, _ = _tokenize(text, line_no)
+            if kinds[:2] != [_IDENT, "COLON"]:
                 raise _Fail(line_no, 1, "variance line is '<constructor> : <marks>'")
-            marks = []
-            for tok in toks[2:]:
-                if tok.text not in VARIANCE_MARKS:
-                    raise _Fail(line_no, tok.col,
+            for mark, col in zip(texts[2:], cols[2:]):
+                if mark not in VARIANCE_MARKS:
+                    raise _Fail(line_no, col,
                                 f"variance mark must be one of {', '.join(VARIANCE_MARKS)}")
-                marks.append(tok.text)
-            variance[toks[0].text] = tuple(marks)
+            variance[texts[0]] = tuple(texts[2:])
 
     # declared base subtype axioms
     base_subtypes: list[tuple[str, str]] = []
     for line_no, text in subtype_lines:
         with errors:
-            toks = _tokenize(text, line_no)
-            if (len(toks) != 3 or toks[0].kind != "IDENT"
-                    or toks[1].kind != "SUBTYPE" or toks[2].kind != "IDENT"):
+            kinds, texts, _, _ = _tokenize(text, line_no)
+            if kinds != [_IDENT, "SUBTYPE", _IDENT]:
                 raise _Fail(line_no, 1, "subtype-base line is '<base> <: <base>'")
-            base_subtypes.append((toks[0].text, toks[2].text))
+            base_subtypes.append((texts[0], texts[2]))
 
     # rules
     rules: list[InferenceRule] = []
@@ -592,18 +595,17 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
             if len(b.args) != 1 or not _NAME_RE.fullmatch(b.args[0]):
                 raise _Fail(b.head_line, 1, "rule header takes exactly one name")
             rule_name = b.args[0]
-            formulas: list[tuple[int, str]] = []
+            lines: list[tuple[int, str]] = []
             sep_at: int | None = None
             for line_no, text in b.body:
                 if _is_separator(text):
                     if sep_at is not None:
                         raise _Fail(line_no, 1, "duplicate rule separator")
-                    sep_at = len(formulas)
+                    sep_at = len(lines)
                 else:
-                    formulas.append((line_no, text))
-            parsed: list[Formula] = []
-            for line_no, text in formulas:
-                parsed.append(_P(_tokenize(text, line_no), line_no, res).formula())
+                    lines.append((line_no, text))
+            parsed = [_P(_tokenize(text, line_no), line_no, res).formula()
+                      for line_no, text in lines]
             if sep_at is None:
                 if len(parsed) != 1:
                     raise _Fail(b.head_line, 1, f"rule {rule_name!r} has no separator line")
@@ -616,11 +618,21 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
             rules.append(InferenceRule(rule_name, tuple(premises), conclusion))
             rule_spans.setdefault(rule_name, b.head_line)
 
-    nodes = _list_nodes(categories, rules)
+    formulas = [[_formula_terms(f) for f in (*rule.premises, rule.conclusion)]
+                for rule in rules]
+    nodes = _list_nodes(categories, formulas)
 
-    # Type constructors the rules use without a variance line take the usual
-    # variance when their arity agrees; _validate reports the others.
-    type_ctors = _type_constructors(rules, nodes)
+    # Constructors with arguments in the rules' type positions, in order of
+    # first use, each with the name of the last rule that uses it.  Those
+    # without a variance line take the usual variance when their arity
+    # agrees; _validate reports the others.
+    type_ctors: dict[str, str] = {}
+    for rule, rule_formulas in zip(rules, formulas):
+        for _, _, type_terms in rule_formulas:
+            for t in type_terms:
+                for s in nodes[t]:
+                    if type(s) is Constructor and s.args:
+                        type_ctors[s.name] = rule.name
     for ctor in type_ctors:
         default = DEFAULT_VARIANCE.get(ctor)
         if ctor not in variance and default is not None \
@@ -637,7 +649,7 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
         binders=binders,
         context_name=context_name,
     )
-    _validate(spec, cat_spans, rule_spans, nodes, type_ctors, errors)
+    _validate(spec, cat_spans, rule_spans, formulas, nodes, type_ctors, errors)
     errors.raise_if_any(filename)
     return spec
 
@@ -646,44 +658,30 @@ def parse_spec(source: str, filename: str = "<string>") -> LanguageSpec:
 # validation
 
 
-def _type_position_terms(f: Formula) -> tuple[Term, ...]:
-    """The terms of f that stand for types: all but a typing's subject, and
-    none of a step's."""
+def _formula_terms(f: Formula) -> tuple[Formula, tuple[Term, ...], tuple[Term, ...]]:
+    """f, its formula_terms, and those that stand for types: all but a
+    typing's subject, and none of a step's."""
     terms = formula_terms(f)
     if isinstance(f, Typing):
-        return terms[:-2] + terms[-1:]
-    return () if isinstance(f, (Reduction, MachineStep)) else terms
+        return f, terms, terms[:-2] + terms[-1:]
+    return f, terms, () if isinstance(f, (Reduction, MachineStep)) else terms
 
 
 def _list_nodes(categories: list[GrammarCategory],
-                rules: list[InferenceRule]) -> dict[Term, list[Term]]:
+                formulas: list[list[tuple]]) -> dict[Term, list[Term]]:
     """The nodes of each production and formula term, in pre-order, keyed by
-    the term.  The checks read these lists and walk no term again."""
-    nodes: dict[Term, list[Term]] = {}
-    for t in spec_terms(categories, rules):
-        if t not in nodes:
-            nodes[t] = list(subterms(t))
-    return nodes
-
-
-def _type_constructors(rules: list[InferenceRule],
-                       nodes: dict[Term, list[Term]]) -> dict[str, str]:
-    """Constructors with arguments in the rules' type positions, in order of
-    first use, each with the name of the last rule that uses it."""
-    used: dict[str, str] = {}
-    for rule in rules:
-        for f in (*rule.premises, rule.conclusion):
-            for t in _type_position_terms(f):
-                for s in nodes[t]:
-                    if isinstance(s, Constructor) and s.args:
-                        used[s.name] = rule.name
-    return used
+    the term, in the order of spec_terms.  The checks read these lists and
+    walk no term again."""
+    terms = [p for cat in categories for p in cat.productions]
+    terms += [t for rule_formulas in formulas for _, ts, _ in rule_formulas for t in ts]
+    return {t: list(subterms(t)) for t in dict.fromkeys(terms)}
 
 
 def _validate(
     spec: LanguageSpec,
     cat_spans: dict[str, int],
     rule_spans: dict[str, int],
+    formulas: list[list[tuple]],
     nodes: dict[Term, list[Term]],
     type_ctors: dict[str, str],
     errors: _Errors,
@@ -706,19 +704,22 @@ def _validate(
     if spec.context_name is not None and spec.category(spec.context_name) is None:
         err(1, f"contexts directive names unknown category {spec.context_name!r}")
 
-    # arity consistency and binder/constructor separation
-    arities = spec.constructor_arities()
+    # Arity consistency and binder/constructor separation.  The walk visits
+    # the terms in the order of spec_terms, so each constructor's arity is
+    # the one at its first occurrence, as in spec.constructor_arities().
+    arities: dict[str, int] = {}
     binder_arities: dict[str, int] = {}
 
     def walk(term: Term, line: int) -> None:
         for s in nodes[term]:
-            if isinstance(s, Constructor):
+            kind = type(s)
+            if kind is Constructor:
                 if s.name in spec.binders:
                     err(line, f"{s.name!r} is declared as a binder but used without a bound variable")
-                a = arities[s.name]
+                a = arities.setdefault(s.name, len(s.args))
                 if a != len(s.args):
                     err(line, f"constructor {s.name!r} used with arities {a} and {len(s.args)}")
-            elif isinstance(s, BinderApp):
+            elif kind is BinderApp:
                 a = binder_arities.setdefault(s.binder, len(s.args))
                 if a != len(s.args):
                     err(line, f"binder {s.binder!r} used with inconsistent arity")
@@ -726,10 +727,10 @@ def _validate(
     for cat in spec.categories:
         for p in cat.productions:
             walk(p, cat_spans.get(cat.name, 1))
-    for rule in spec.rules:
+    for rule, rule_formulas in zip(spec.rules, formulas):
         line = rule_spans.get(rule.name, 1)
-        for f in (*rule.premises, rule.conclusion):
-            for t in formula_terms(f):
+        for _, terms, _ in rule_formulas:
+            for t in terms:
                 walk(t, line)
 
     # holes live only in context-category productions; substitutions only
@@ -737,12 +738,12 @@ def _validate(
     ctx = spec.context_category
     for cat in spec.categories:
         for p in cat.productions:
-            if any(isinstance(s, Subst) for s in nodes[p]):
+            kinds = {type(s) for s in nodes[p]}
+            if Subst in kinds:
                 err(cat_spans.get(cat.name, 1),
                     f"production {render_term(p, spec)!r} contains a substitution; "
                     f"substitutions belong on rule right-hand sides")
-            if (ctx is None or cat.name != ctx.name) \
-                    and any(isinstance(s, Hole) for s in nodes[p]):
+            if (ctx is None or cat.name != ctx.name) and Hole in kinds:
                 err(cat_spans.get(cat.name, 1),
                     f"hole production outside the evaluation-context category {cat.name!r}")
     if ctx is not None:
@@ -765,22 +766,22 @@ def _validate(
                     f"operator application with the hole as a direct argument")
 
     rule_names: set[str] = set()
-    for rule in spec.rules:
+    for rule, rule_formulas in zip(spec.rules, formulas):
         line = rule_spans.get(rule.name, 1)
         if rule.name in rule_names:
             err(line, f"duplicate rule name {rule.name!r}")
         rule_names.add(rule.name)
 
-        for f in (*rule.premises, rule.conclusion):
-            for t in formula_terms(f):
+        for _, terms, _ in rule_formulas:
+            for t in terms:
                 for s in nodes[t]:
-                    if isinstance(s, Hole):
+                    if type(s) is Hole:
                         err(line, f"rule {rule.name!r} mentions a context hole")
 
         if isinstance(rule.conclusion, (Reduction, MachineStep)):
             if any(not isinstance(p, (Reduction, MachineStep)) for p in rule.premises):
                 err(line, f"rule {rule.name!r} concludes a step but has a non-step premise")
-            terms = formula_terms(rule.conclusion)   # the left side, then the right
+            terms = rule_formulas[-1][1]   # the left side, then the right
             lhs_terms, rhs_terms = terms[:len(terms) // 2], terms[len(terms) // 2:]
             lhs_mvs: list[str] = []
             lhs_bound: list[str] = []
@@ -804,10 +805,10 @@ def _validate(
                         err(line, f"rule {rule.name!r} substitutes unbound variable {s.var!r}")
 
         # type positions carry type-category metavariables only
-        for f in (*rule.premises, rule.conclusion):
-            for t in _type_position_terms(f):
+        for f, _, type_terms in rule_formulas:
+            for t in type_terms:
                 for s in nodes[t]:
-                    if isinstance(s, Metavariable) and s.category != "Type":
+                    if type(s) is Metavariable and s.category != "Type":
                         err(line, f"rule {rule.name!r} uses {s.token!r} in a type position")
             if isinstance(f, Typing) and len({v for v, _ in f.env.extensions}) != len(f.env.extensions):
                 err(line, f"rule {rule.name!r} repeats a variable in one environment")
@@ -998,8 +999,6 @@ class TraceTexts:
             text = "" if focus_nil else text[1:]   # the frame above prints it
         return "".join(lefts) + text + "".join(reversed(rights))
 
-
-_NIL = Constructor("nil")
 
 
 def _frame_sides(frame: Frame, spec: LanguageSpec) -> tuple[str, str] | str:

@@ -164,16 +164,19 @@ def test_eval_term_file(capsys, tmp_path):
     assert out == "f\n"
 
 
-@pytest.mark.parametrize("depth,machine", [(600, "smallstep"), (600, "ck")])
-def test_eval_of_a_deeply_nested_term_ends_in_a_diagnostic(tmp_path, depth, machine):
+@pytest.mark.parametrize("machine", ["smallstep", "ck"])
+@pytest.mark.parametrize("depth", [600, 5000])
+def test_eval_of_a_very_deeply_nested_term_succeeds(tmp_path, depth, machine):
+    # The term parser keeps its open applications on a stack, and the
+    # machine takes 3 transitions per level.
     term = tmp_path / "deep.txt"
     term.write_text("(app (lam x int x) " * depth + "ci" + ")" * depth)
     result = subprocess.run(
         [sys.executable, "-m", "langx", "eval", fix("stlc_consts.lang"),
-         "--term-file", str(term), "--machine", machine],
+         "--term-file", str(term), "--machine", machine, "--fuel", "20000"],
         capture_output=True, text=True)
-    assert result.returncode == 1
-    assert "nested too deeply" in result.stderr
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ci\n"
     assert "Traceback" not in result.stderr
 
 
@@ -868,8 +871,7 @@ STRUCTURED_PATHS = {
                         "--trace"]),
     "fuel-0": (1, ["eval", fix("boollist.lang"), "(and t f)", "--fuel", "0"]),
     "count-0": (1, ["compare", fix("boollist.lang"), "--count", "0"]),
-    "nested-too-deeply": (1, ["eval", fix("stlc_consts.lang"),
-                              "--term-file", "{tmp}/deep.txt"]),
+    "nested-too-deeply": (1, ["add-subtyping", "{tmp}/deep.lang"]),
 }
 
 
@@ -887,8 +889,12 @@ def structured_paths(capsys, tmp_path):
         (FIXTURES / "stlc.lang").read_text()
         .replace("(app e e)", "(app e e) | (wrap e) | (unwrap e)")
         .replace("(app v E)", "(app v E) | (unwrap (wrap E))"))
-    (tmp_path / "deep.txt").write_text(
-        "(app (lam x int x) " * 600 + "ci" + ")" * 600)
+    # add-subtyping splits premise types with ir.map_leaves, which recurses
+    # once per level
+    (tmp_path / "deep.lang").write_text(
+        (FIXTURES / "stlc.lang").read_text().replace(
+            "G |- e1 : (arrow T1 T2)",
+            "G |- e1 : (arrow T1 " + "(arrow B " * 600 + "T2" + ")" * 601))
     return tmp_path
 
 

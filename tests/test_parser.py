@@ -515,6 +515,26 @@ def test_parses_of_mutated_terms_are_unchanged():
     assert digest.hexdigest() == "29fb41bf9987be97a1a34dd6030b028468a0da204f9877ea1ea1794f5c978034"
 
 
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.lang")), ids=lambda p: p.stem)
+def test_a_rendered_swarm_term_parses_back_to_itself(path):
+    spec = parse_spec(path.read_text())
+    assert spec.expression_category is not None
+    for t in islice(iter_swarm_terms(spec, max_size=10), 2000):
+        assert parse_term(render_term(t, spec), spec, concrete=True) is t
+
+
+@pytest.mark.parametrize("path", SPEC_FILES, ids=lambda p: p.name)
+def test_every_spec_term_parses_back_to_itself_in_rule_mode(path):
+    spec = parse_spec(path.read_text())
+    terms = [p for cat in spec.categories for p in cat.productions]
+    terms += [t for rule in spec.rules for f in (*rule.premises, rule.conclusion)
+              for t in formula_terms(f)]
+    for t in terms:
+        again = parse_term(render_term(t, spec), spec)
+        # a substitution is a plain record; every other node is interned
+        assert again == t if isinstance(t, Subst) else again is t
+
+
 @settings(deadline=None)
 @given(st.builds(mutate, st.sampled_from(SPEC_TEXTS), st.randoms(use_true_random=False)))
 @example(stlc_with_production("(T)"))
