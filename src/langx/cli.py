@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional
 
 from .ck import CKError, derive_ck
@@ -97,7 +98,7 @@ class Style:
 
 class Reporter:
     """Uniform text / line-delimited JSON output; every line the CLI prints
-    goes through emit."""
+    goes through emit, or emit_indexed for a record encoded in part."""
 
     def __init__(self, structured: bool, style: Style):
         self.structured = structured
@@ -110,6 +111,20 @@ class Reporter:
             print(json.dumps(record))
         elif text is not None:
             print(text, file=sys.stderr if err else sys.stdout)
+
+    def encode(self, **fields) -> str:
+        """fields as JSON text for emit_indexed, or "" in text mode."""
+        return json.dumps(fields)[1:-1] if self.structured else ""
+
+    def emit_indexed(self, text: Optional[str], kind: str, index: int,
+                     fields: str) -> None:
+        """emit a record of kind and index followed by encoded fields: the
+        line is the json.dumps of the whole record."""
+        if self.structured:
+            sys.stdout.write(
+                f'{{"kind": {encode_basestring_ascii(kind)}, "index": {index:d}, {fields}}}\n')
+        else:
+            self.emit(text)
 
     def diagnostic(self, message: str, span: Optional[str] = None) -> None:
         self.emit(message, err=True, kind="diagnostic", message=message, span=span)
@@ -192,11 +207,12 @@ def _print_trace(trace, spec: LanguageSpec, rep: Reporter) -> None:
         previous, shown = step.end, after
 
 
-def _outcome(run, state, spec: LanguageSpec, fuel: int):
+def _outcome(run, state, spec: LanguageSpec, fuel: int, **memo):
     """How run (evaluate or ck_eval) ends on state, as (kind, value or the
-    state the run stopped at, trace); kind is value, stuck or out-of-fuel."""
+    state the run stopped at, trace); kind is value, stuck or out-of-fuel.
+    memo holds run's cats, when given."""
     try:
-        value, trace = run(state, spec, fuel=fuel)
+        value, trace = run(state, spec, fuel=fuel, **memo)
         return "value", value, trace
     except Stuck as exc:
         return "stuck", exc.term, exc.trace
@@ -319,21 +335,28 @@ def cmd_compare(args, rep: Reporter) -> int:
 
     # Equal terms run and render alike, and most compared terms repeat an
     # earlier one, so each distinct term's row is worked out once per call.
-    rows: dict[Term, tuple[bool, str, str, str]] = {}
+    # Each side keeps one membership memo for the call: terms are interned
+    # and immutable, so a subterm's categories never change.
+    rows: dict[Term, tuple[bool, str, str, str, str]] = {}
+    source_cats: dict = {}
+    machine_cats: dict = {}
 
-    def row(term: Term) -> tuple[bool, str, str, str]:
-        """Whether the sides agree on term, then the texts of term and of
-        each side's outcome; agreement compares (kind, value), the stopping
-        state plays no part."""
+    def row(term: Term) -> tuple[bool, str, str, str, str]:
+        """Whether the sides agree on term, the texts of term and of each
+        side's outcome, and the encoded fields of its record after kind and
+        index; agreement compares (kind, value), the stopping state plays no
+        part."""
         found = rows.get(term)
         if found is None:
-            source = _outcome(evaluate, term, spec, args.fuel)[:2]
+            source = _outcome(evaluate, term, spec, args.fuel, cats=source_cats)[:2]
             machine = _outcome(ck_eval, MachineConfig(term, MT), machine_spec,
-                               machine_fuel)[:2]
-            found = rows[term] = (outcomes_agree(source, machine),
-                                  render_term(term, spec),
-                                  _outcome_text(source, spec),
-                                  _outcome_text(machine, machine_spec))
+                               machine_fuel, cats=machine_cats)[:2]
+            ok = outcomes_agree(source, machine)
+            shown = render_term(term, spec)
+            source_text = _outcome_text(source, spec)
+            machine_text = _outcome_text(machine, machine_spec)
+            found = rows[term] = (ok, shown, source_text, machine_text, rep.encode(
+                term=shown, source=source_text, machine=machine_text, agree=ok))
         return found
 
     def disagrees(term: Term) -> bool:
@@ -344,15 +367,14 @@ def cmd_compare(args, rep: Reporter) -> int:
     first_failure = None
     for index, term in enumerate(well_typed_terms(
             spec, args.count, args.seed, args.max_size)):
-        ok, shown, source_text, machine_text = row(term)
+        ok, shown, source_text, machine_text, fields = row(term)
         total += 1
         agreed += ok
-        rep.emit(None if ok else rep.style.bad(
-                     f"disagreement on term {index}: {shown}\n"
-                     f"  small-step: {source_text}\n"
-                     f"  machine:    {machine_text}"),
-                 kind="compare", index=index, term=shown, source=source_text,
-                 machine=machine_text, agree=ok)
+        rep.emit_indexed(None if ok else rep.style.bad(
+                             f"disagreement on term {index}: {shown}\n"
+                             f"  small-step: {source_text}\n"
+                             f"  machine:    {machine_text}"),
+                         "compare", index, fields)
         if not ok and first_failure is None:
             first_failure = term
 

@@ -260,9 +260,15 @@ def _member(t: Term, name: Optional[str], table: dict, cats: Categories) -> bool
     return name in _categories(t, table, cats)
 
 
-def is_value(t: Term, spec: LanguageSpec, cats: Optional[Categories] = None) -> bool:
+def _value_test(spec: LanguageSpec) -> tuple[Optional[str], dict]:
+    """What a value test reads: the Value category's name, and the table."""
     value = spec.value_category
-    return value is not None and member(t, value.name, spec, cats)
+    return (value.name if value is not None else None), spec.derived(_membership_table)
+
+
+def is_value(t: Term, spec: LanguageSpec, cats: Optional[Categories] = None) -> bool:
+    value, table = spec.derived(_value_test)
+    return _member(t, value, table, {} if cats is None else cats)
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +294,16 @@ def _match(pattern: Term, subject: Term, sigma: Substitution,
     matches the subjects with its head whose children its own match; a
     binder binds its bound variable too.  A hole or a substitution matches
     nothing."""
+    value, table = spec.derived(_value_test)
+    return _matches(pattern, subject, sigma, value, table, {} if cats is None else cats)
+
+
+def _matches(pattern: Term, subject: Term, sigma: Substitution,
+             value: Optional[str], table: dict, cats: Categories) -> bool:
+    """_match with the spec's value test resolved once per match."""
     kind = type(pattern)
     if kind is Metavariable:
-        value = spec.value_category
-        if value is not None and pattern.category == value.name \
-                and not is_value(subject, spec, cats):
+        if pattern.category == value and not _member(subject, value, table, cats):
             return False
         return sigma.setdefault(pattern.token, subject) == subject
     if kind is Var:
@@ -303,7 +314,7 @@ def _match(pattern: Term, subject: Term, sigma: Substitution,
         bound = Var(subject.bound_var)
         if sigma.setdefault(pattern.bound_var, bound) != bound:
             return False
-    return all(_match(p, s, sigma, spec, cats)
+    return all(_matches(p, s, sigma, value, table, cats)
                for p, s in zip(children(pattern), children(subject)))
 
 
@@ -488,19 +499,14 @@ def plug(context: Term, filler: Term) -> Term:
 # small-step evaluation
 
 
-def _contract(state: Focused, spec: LanguageSpec,
-              cats: Categories) -> Optional[tuple[TraceStep, bool]]:
-    """Contract the focus of state by the first reduction rule that matches
-    it, and refocus: the step taken, and whether the root of the state it
-    ends in keeps the categories of state's root.  None when no rule
-    applies."""
-    redex = state.focus
+def _contract(redex: Term, spec: LanguageSpec,
+              cats: Categories) -> Optional[tuple[InferenceRule, Term]]:
+    """The first reduction rule that matches redex, and the reduct it
+    builds; None when no rule applies."""
     for rule in spec.reduction_rules():
         sigma: Substitution = {}
         if _match(rule.conclusion.lhs, redex, sigma, spec, cats):
-            reduct = instantiate(rule.conclusion.rhs, sigma, spec)
-            after, kept = _refocus(state.frames, reduct, redex, spec, cats)
-            return TraceStep("contextual-reduction", rule.name, state, after), kept
+            return rule, instantiate(rule.conclusion.rhs, sigma, spec)
     return None
 
 
@@ -509,11 +515,14 @@ def step(t: Term, spec: LanguageSpec,
     """One contextual reduction of t, or None when no rule applies.  cats is
     the membership memo of t's subterms, shared with the caller."""
     cats = {} if cats is None else cats
-    reduced = _contract(_descend(t, None, spec, cats), spec, cats)
-    return None if reduced is None else reduced[0]
+    state = _descend(t, None, spec, cats)
+    contracted = _contract(state.focus, spec, cats)
+    return None if contracted is None else TraceStep(
+        "contextual-reduction", contracted[0].name, t, plug_frames(state.frames, contracted[1]))
 
 
-def evaluate(t: Term, spec: LanguageSpec, fuel: int = 10000) -> tuple[Term, list[TraceStep]]:
+def evaluate(t: Term, spec: LanguageSpec, fuel: int = 10000,
+             cats: Optional[Categories] = None) -> tuple[Term, list[TraceStep]]:
     """Iterate step until a value; raises Stuck or OutOfFuel.
 
     The run's state is the decomposition of its term, a Focused: after a
@@ -522,9 +531,10 @@ def evaluate(t: Term, spec: LanguageSpec, fuel: int = 10000) -> tuple[Term, list
     plugged only when asked for: the value, the term of a Stuck or
     OutOfFuel, or a step's before or after when read.  The value test is
     skipped on a state whose root keeps the categories of the state before
-    it, which was no value.
+    it, which was no value.  cats is the membership memo, which calls on
+    terms of one spec may share: a term's categories never change.
     """
-    cats: Categories = {}
+    cats = {} if cats is None else cats
     if is_value(t, spec, cats):   # most compared terms are: decompose none of them
         return t, []
     # The last state known to be no value: the first, or one whose root
@@ -536,12 +546,13 @@ def evaluate(t: Term, spec: LanguageSpec, fuel: int = 10000) -> tuple[Term, list
 
     def advance(state: Focused) -> Optional[TraceStep]:
         nonlocal no_value
-        reduced = _contract(state, spec, cats)
-        if reduced is None:
+        contracted = _contract(state.focus, spec, cats)
+        if contracted is None:
             return None
-        taken, kept = reduced
-        no_value = taken.end if kept else None
-        return taken
+        rule, reduct = contracted
+        after, kept = _refocus(state.frames, reduct, state.focus, spec, cats)
+        no_value = after if kept else None
+        return TraceStep("contextual-reduction", rule.name, state, after)
 
     final, trace = _run(no_value, fuel, finished, advance, Stuck)
     return final.term(), trace
@@ -554,7 +565,8 @@ def _run(state: Union[Focused, MachineConfig], fuel: int, finished, advance,
     when no rule applies, which raises stuck with the whole state and the
     trace.  Both share the run's one membership memo: terms are immutable,
     so a subterm a step shares with the state before it keeps its
-    categories, and every node the memo keeps is in the trace already.
+    categories.  A run's own memo keeps only nodes its trace holds already;
+    one its caller shares keeps them until the caller drops it.
 
     Both semantics are deterministic, so a run that meets a state it has
     already been in loops forever.  The loop keeps one saved state, moved
@@ -662,11 +674,12 @@ def machine_step(config: MachineConfig, spec: LanguageSpec,
     return None
 
 
-def ck_eval(config: MachineConfig, spec: LanguageSpec,
-            fuel: int = 10000) -> tuple[Term, list[TraceStep]]:
+def ck_eval(config: MachineConfig, spec: LanguageSpec, fuel: int = 10000,
+            cats: Optional[Categories] = None) -> tuple[Term, list[TraceStep]]:
     """Iterate machine_step until the terminal ⟨value, mt⟩ configuration;
-    raises StuckMachine or OutOfFuel."""
-    cats: Categories = {}
+    raises StuckMachine or OutOfFuel.  cats is the membership memo, as for
+    evaluate."""
+    cats = {} if cats is None else cats
     final, trace = _run(config, fuel,
                         lambda c: c.continuation == MT and is_value(c.focus, spec, cats),
                         lambda c: machine_step(c, spec, cats), StuckMachine)
@@ -959,7 +972,8 @@ def _draw(plan: _GenerationPlan, kept: _Mask, seed: int, max_size: int,
     # Random.choice and Random.randint come down to this draw in
     # Random._randbelow; making it here skips their call layers and keeps
     # the stream.  n must be positive: a row a draw reaches is never empty,
-    # as each slot's budget is at least the slot's smallest size.
+    # as each slot's budget is at least the slot's smallest size.  gen
+    # inlines it at its two picks per node, the row's and the slot budget's.
     def below(n: int) -> int:
         k = n.bit_length()
         r = getrandbits(k)
@@ -977,7 +991,10 @@ def _draw(plan: _GenerationPlan, kept: _Mask, seed: int, max_size: int,
             options = choice.rows.get(budget)
             if options is None:
                 options = choice.fitting(budget)
-            node = options[below(len(options))]
+            n, k = len(options), len(options).bit_length()
+            while (r := getrandbits(k)) >= n:
+                pass
+            node = options[r]
         kind = type(node)
         if kind is _Build:
             production = node.production
@@ -989,8 +1006,11 @@ def _draw(plan: _GenerationPlan, kept: _Mask, seed: int, max_size: int,
             remaining = budget - 1
             for slot, low, reserve in node.slots:
                 # A width-1 draw still takes its random bits, as randint does.
-                arg, size = gen(slot, low + below(max(0, remaining - reserve - low) + 1),
-                                scope, depth)
+                n = max(0, remaining - reserve - low) + 1
+                k = n.bit_length()
+                while (r := getrandbits(k)) >= n:
+                    pass
+                arg, size = gen(slot, low + r, scope, depth)
                 args.append(arg)
                 remaining -= size
             if binds:

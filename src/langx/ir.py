@@ -224,10 +224,22 @@ def subterms(t: Term) -> Iterator[Term]:
 
 def map_leaves(t: Term, leaf: Callable[[Term], Term]) -> Term:
     """t rebuilt with leaf applied to each node without children, in
-    pre-order, once per occurrence.  It recurses once per level, so it is for
-    rule terms, which are shallow; fold walks run-time terms."""
-    kids = children(t)
-    return rebuild(t, tuple(map_leaves(k, leaf) for k in kids)) if kids else leaf(t)
+    pre-order, once per occurrence, on an explicit stack: a node is popped
+    once to push its children and once, marked done, to rebuild it."""
+    built: list[Term] = []
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        node, done = stack.pop()
+        kids = children(node)
+        if not kids:
+            built.append(leaf(node))
+        elif done:
+            at = len(built) - len(kids)
+            built[at:] = [rebuild(node, tuple(built[at:]))]
+        else:
+            stack.append((node, True))
+            stack.extend((kid, False) for kid in reversed(kids))
+    return built[0]
 
 
 def term_head(t: Term) -> tuple:

@@ -68,19 +68,22 @@ def output_type_metavariables(
 ) -> Iterator[tuple[int, tuple[int, ...], Metavariable]]:
     """(premise index, path, metavariable) for every metavariable in the
     output type of a Typing premise, in premise order and pre-order within
-    one type.  The bound types of environment extensions are not visited."""
-    def walk(t: Term, path: tuple[int, ...]):
-        match t:
-            case Metavariable():
-                yield path, t
-            case Constructor(_, args):
-                for i, arg in enumerate(args):
-                    yield from walk(arg, path + (i,))
+    one type.  The bound types of environment extensions are not visited.
 
+    The walk runs on an explicit stack and keeps one path list, below a
+    dummy root entry: each stack entry holds the length of its parent's
+    path and its own position there."""
     for i, premise in enumerate(premises):
         if isinstance(premise, Typing):
-            for path, mv in walk(premise.ty, ()):
-                yield i, path, mv
+            path: list[int] = []
+            stack: list[tuple[Term, int, int]] = [(premise.ty, 0, 0)]
+            while stack:
+                t, above, at = stack.pop()
+                path[above:] = (at,)
+                if isinstance(t, Metavariable):
+                    yield i, tuple(path[1:]), t
+                elif isinstance(t, Constructor):
+                    stack.extend((t.args[j], len(path), j) for j in reversed(range(len(t.args))))
 
 
 def collect_occurrences(rule: InferenceRule, token: str, spec: LanguageSpec) -> tuple[Occurrence, ...]:

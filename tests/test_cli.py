@@ -206,6 +206,20 @@ def test_non_utf8_input_ends_in_a_diagnostic(tmp_path):
     assert result.stderr == f"cannot read {spec}: not UTF-8 at byte 0\n"
 
 
+def test_add_subtyping_of_a_very_deeply_nested_premise_type_succeeds(tmp_path):
+    # The occurrence walk and the split both run on explicit stacks; the
+    # split premise keeps its nesting, and the rest is stlc's golden.
+    deep = "(arrow B " * 5000 + "T2" + ")" * 5000
+    spec = tmp_path / "deep.lang"
+    spec.write_text((FIXTURES / "stlc.lang").read_text().replace(
+        "G |- e1 : (arrow T1 T2)", f"G |- e1 : (arrow T1 {deep})"))
+    result = subprocess.run([sys.executable, "-m", "langx", "add-subtyping", str(spec)],
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == (GOLDEN / "stlc.sub.lang").read_text().replace(
+        "G |- e1 : (arrow T11 T2)", f"G |- e1 : (arrow T11 {deep})")
+
+
 @pytest.mark.parametrize("depth", [300, 450])
 def test_small_step_eval_of_a_deeply_nested_term_succeeds(tmp_path, depth):
     term = tmp_path / "deep.txt"
@@ -742,6 +756,65 @@ def test_compare_output_equals_the_memo_free_oracle(capsys, tmp_path, name,
     assert err == ""
 
 
+def test_compare_keeps_one_membership_memo_per_spec(capsys, tmp_path):
+    # The machine's grammar leaves cf out of Value, so the categories the
+    # small-step side records for cf must not answer for the machine.
+    spec = load("stlc_consts")
+    text = print_spec(derive_ck(spec)).replace(
+        "Value v ::= ci | cf | (lam x T e)", "Value v ::= ci | (lam x T e)")
+    path = tmp_path / "narrow.ck.lang"
+    path.write_text(text)
+    machine_spec = parse_spec(text, filename=str(path))
+    code, out, err = run(capsys, "--format", "structured", "compare",
+                         fix("stlc_consts.lang"), "--ck", str(path), "--count", "500",
+                         "--max-size", "10", "--seed", "0")
+    assert code == 5
+    assert (code, out) == oracle_compare(spec, machine_spec, 500, 0, 10)
+
+
+# Each compare line is built from its record's fields after kind and index,
+# encoded once per distinct term.  The criterion-12 mutant disagrees at
+# seed 0.
+ENCODED_COMPARES = {
+    f"{name}-{seed}": (name, None, seed)
+    for name in ("langfunny", "boollist", "stlc_consts") for seed in (0, 3)
+} | {"swapped-order-0": ("langfunny", swapped_order_machine, 0)}
+
+
+@pytest.mark.parametrize("name,machine,seed", ENCODED_COMPARES.values(),
+                         ids=ENCODED_COMPARES)
+def test_compare_lines_are_the_json_dumps_of_their_records(capsys, tmp_path, name,
+                                                          machine, seed):
+    argv = ["--format", "structured", "compare", fix(f"{name}.lang")]
+    if machine is not None:
+        argv += ["--ck", str(machine(tmp_path, capsys))]
+    code, out, err = run(capsys, *argv, "--count", "5000", "--max-size", "10",
+                         "--seed", str(seed))
+    assert code == (0 if machine is None else 5)
+    lines = out.splitlines()
+    for line in lines:
+        assert line == json.dumps(json.loads(line)), line
+    compared = [json.loads(line) for line in lines[:5000]]
+    assert [list(record) for record in compared] == \
+        [["kind", "index", "term", "source", "machine", "agree"]] * 5000
+    assert [record["index"] for record in compared] == list(range(5000))
+    assert all(record["agree"] for record in compared) == (machine is None)
+
+
+def test_an_indexed_record_prints_as_json_dumps_of_the_whole_record(capsys):
+    rep = cli.Reporter(True, cli.Style())
+    fields = {"term": 'λ "x"\n', "source": "value ∅", "agree": False, "span": None}
+    for kind, index in (("compare", 0), ("cömpare", 12345), ('"', -1)):
+        rep.emit_indexed("unused", kind, index, rep.encode(**fields))
+        assert capsys.readouterr().out == \
+            json.dumps({"kind": kind, "index": index, **fields}) + "\n"
+    text = cli.Reporter(False, cli.Style())
+    assert text.encode(**fields) == ""
+    text.emit_indexed("shown", "compare", 0, "")
+    text.emit_indexed(None, "compare", 1, "")
+    assert capsys.readouterr() == ("shown\n", "")
+
+
 # -- global options ------------------------------------------------------------------
 
 def test_color_always(capsys, monkeypatch):
@@ -871,7 +944,7 @@ STRUCTURED_PATHS = {
                         "--trace"]),
     "fuel-0": (1, ["eval", fix("boollist.lang"), "(and t f)", "--fuel", "0"]),
     "count-0": (1, ["compare", fix("boollist.lang"), "--count", "0"]),
-    "nested-too-deeply": (1, ["add-subtyping", "{tmp}/deep.lang"]),
+    "nested-too-deeply": (1, ["compare", "{tmp}/deep.lang", "--count", "5"]),
 }
 
 
@@ -889,12 +962,12 @@ def structured_paths(capsys, tmp_path):
         (FIXTURES / "stlc.lang").read_text()
         .replace("(app e e)", "(app e e) | (wrap e) | (unwrap e)")
         .replace("(app v E)", "(app v E) | (unwrap (wrap E))"))
-    # add-subtyping splits premise types with ir.map_leaves, which recurses
-    # once per level
+    # typecheck builds a rule's conclusion type with instantiate, which
+    # recurses once per level
     (tmp_path / "deep.lang").write_text(
         (FIXTURES / "stlc.lang").read_text().replace(
-            "G |- e1 : (arrow T1 T2)",
-            "G |- e1 : (arrow T1 " + "(arrow B " * 600 + "T2" + ")" * 601))
+            "G |- (lam x T1 e) : (arrow T1 T2)",
+            "G |- (lam x T1 e) : (arrow T1 " + "(arrow B " * 3000 + "T2" + ")" * 3001))
     return tmp_path
 
 

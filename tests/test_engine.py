@@ -859,6 +859,32 @@ def test_refocused_runs_equal_the_oracle_at_every_fuel(spec_name, text):
             cli._outcome(oracle_evaluate, term, spec, fuel), fuel
 
 
+# name: spec, and the machine its terms run on
+SHARED_MEMO_RUNS = {
+    "stlc": ("stlc", None),
+    "stlc_consts": ("stlc_consts", None),
+    "boollist": ("boollist", None),
+    "langfunny": ("langfunny", None),
+    "langfunny-swapped-order": ("langfunny", swapped_order_machine_text),
+}
+
+
+@pytest.mark.parametrize("spec_name,machine_text", SHARED_MEMO_RUNS.values(),
+                         ids=SHARED_MEMO_RUNS)
+def test_runs_sharing_one_memo_per_spec_equal_fresh_runs(spec_name, machine_text):
+    # compare keeps one membership memo per spec for all its runs.
+    spec = load(spec_name)
+    machine = derive_ck(spec) if machine_text is None else parse_spec(machine_text())
+    source_cats, machine_cats = {}, {}
+    for term in cli.well_typed_terms(spec, 2000, 0, 10):
+        assert cli._outcome(evaluate, term, spec, 10000, cats=source_cats) == \
+            cli._outcome(evaluate, term, spec, 10000), term
+        config = MachineConfig(term, MT)
+        assert cli._outcome(ck_eval, config, machine, 30000, cats=machine_cats) == \
+            cli._outcome(ck_eval, config, machine, 30000), term
+    assert source_cats and machine_cats
+
+
 def test_contexts_written_with_holes_keep_refocusing(monkeypatch):
     text = SPEC_TEXTS["stlc-consts-hole-contexts"]
     assert "(app [.] e) | (app v [.])" in text

@@ -32,8 +32,10 @@ from langx.ir import (
     formula_terms,
     fresh,
     map_formula,
+    map_leaves,
     metavariable_tokens,
     resolve_metavariable,
+    rebuild,
     subterms,
     term_size,
 )
@@ -248,6 +250,41 @@ def test_formula_terms_refuses_what_is_not_a_formula():
         formula_terms(Constructor("c"))
     with pytest.raises(LangxError, match="not a formula"):
         map_formula(Constructor("c"), lambda t: t)
+
+
+def numbered_leaves(calls):
+    """A leaf function that records each leaf and replaces it by its number."""
+    def leaf(t):
+        calls.append(t)
+        return Constructor(f"n{len(calls)}")
+    return leaf
+
+
+def recursive_map_leaves(t, leaf):
+    kids = children(t)
+    return rebuild(t, tuple(recursive_map_leaves(k, leaf) for k in kids)) if kids else leaf(t)
+
+
+@given(terms)
+def test_map_leaves_calls_leaf_in_pre_order_once_per_occurrence(t):
+    seen, expected = [], []
+    assert map_leaves(t, numbered_leaves(seen)) == \
+        recursive_map_leaves(t, numbered_leaves(expected))
+    assert seen == expected
+
+
+def test_map_leaves_works_at_any_depth():
+    depth = 5000
+    t = Metavariable("T", "2", "Type")
+    for _ in range(depth):
+        t = Constructor("arrow", (Constructor("B"), t))
+    seen = []
+    mapped = map_leaves(t, numbered_leaves(seen))
+    assert seen == [Constructor("B")] * depth + [Metavariable("T", "2", "Type")]
+    expected = Constructor(f"n{depth + 1}")
+    for n in range(depth, 0, -1):
+        expected = Constructor("arrow", (Constructor(f"n{n}"), expected))
+    assert mapped is expected
 
 
 @given(terms)
