@@ -36,6 +36,7 @@ from .ir import (
     children,
     context_holes,
     fold,
+    formula_terms,
     plug_frames,
     rebuild,
     subterms,
@@ -273,6 +274,102 @@ def is_value(t: Term, spec: LanguageSpec, cats: Optional[Categories] = None) -> 
 
 # ---------------------------------------------------------------------------
 # pattern matching and instantiation
+#
+# A pattern runs as a flat program of (opcode, a, b) instructions, so no
+# pattern depth meets the recursion limit; _Programs compiles each rule's
+# once per spec.  A match program checks the pattern's nodes in pre-order,
+# each against a subject popped from an explicit stack.  A build program
+# holds them in postfix, each pushing what it builds from its children's.
+
+_BIND, _CONSTRUCTOR, _BINDER, _VAR, _NEVER, _TERM, _SUBST = range(7)
+
+
+def _match_program(patterns: tuple[Term, ...], value: Optional[str]) -> tuple:
+    """The checks that match patterns against as many subjects, in turn."""
+    return tuple(
+        (_BIND, p.token, p.category == value) if type(p) is Metavariable
+        else (_VAR, p.name, p) if type(p) is Var
+        else (_CONSTRUCTOR, p.name, len(p.args)) if type(p) is Constructor
+        else (_BINDER, (p.binder, len(p.args)), p.bound_var) if type(p) is BinderApp
+        else (_NEVER, None, None)
+        for pattern in patterns for p in subterms(pattern))
+
+
+def _run_match(program: tuple, stack: list[Term], sigma: Substitution,
+               value: Optional[str], table: dict, cats: Categories) -> bool:
+    """Match the subjects on stack, the first on top, extending sigma: a
+    metavariable binds or compares, one of the Value category only values;
+    a variable compares with what its binder bound; a hole or a substitution
+    matches nothing.  False at the first check that fails."""
+    pop = stack.pop
+    for op, a, b in program:
+        s = pop()
+        if op == _BIND:
+            if (b and not _member(s, value, table, cats)) or sigma.setdefault(a, s) != s:
+                return False
+        elif op == _CONSTRUCTOR:
+            if type(s) is not Constructor or s.name != a or len(s.args) != b:
+                return False
+            stack.extend(reversed(s.args))
+        elif op == _BINDER:
+            if type(s) is not BinderApp or (s.binder, len(s.args)) != a:
+                return False
+            bound = Var(s.bound_var)
+            if sigma.setdefault(b, bound) != bound:
+                return False
+            stack.extend(reversed(s.args))
+        elif op == _NEVER or sigma.get(a, b) != s:
+            return False
+    return True
+
+
+def _build_program(patterns: tuple[Term, ...]) -> tuple:
+    """The instructions that build patterns' instances, in turn: postfix is
+    the reverse of a pre-order that visits children right to left."""
+    program, stack = [], list(patterns)
+    while stack:
+        p = stack.pop()
+        kind = type(p)
+        program.append(
+            (_BIND, p.token, None) if kind is Metavariable
+            else (_VAR, p.name, p) if kind is Var
+            else (_TERM, p, None) if kind is Hole or (kind is Constructor and not p.args)
+            else (_CONSTRUCTOR, p.name, len(p.args)) if kind is Constructor
+            else (_BINDER, p, len(p.args)) if kind is BinderApp
+            else (_SUBST, p.var, 2))
+        stack.extend(children(p))
+    return tuple(reversed(program))
+
+
+def _run_build(program: tuple, sigma: Substitution) -> list[Term]:
+    """The terms a build program builds under a match.  A variable or a
+    binder's bound variable is renamed as the match bound it."""
+    stack: list[Term] = []
+    push = stack.append
+    for op, a, b in program:
+        if op == _BIND:
+            bound = sigma.get(a)
+            if bound is None:
+                raise EngineError(f"unbound metavariable {a!r} in a right-hand side")
+            push(bound)
+        elif op == _TERM:
+            push(a)
+        elif op == _VAR:
+            bound = sigma.get(a)
+            push(bound if type(bound) is Var else b)
+        else:
+            at = len(stack) - b
+            kids = tuple(stack[at:])
+            del stack[at:]
+            if op == _CONSTRUCTOR:
+                push(Constructor(a, kids))
+            elif op == _BINDER:
+                bound = sigma.get(a.bound_var)
+                push(BinderApp(a.binder, bound.name if type(bound) is Var else a.bound_var, kids))
+            else:
+                bound = sigma.get(a)
+                push(substitute(kids[0], bound.name if type(bound) is Var else a, kids[1]))
+    return stack
 
 
 def match_pattern(pattern: Term, subject: Term, spec: LanguageSpec,
@@ -283,39 +380,51 @@ def match_pattern(pattern: Term, subject: Term, spec: LanguageSpec,
     metavariables match any term.
     """
     sigma = dict(bindings) if bindings is not None else {}
-    if _match(pattern, subject, sigma, spec):
-        return sigma
-    return None
-
-
-def _match(pattern: Term, subject: Term, sigma: Substitution,
-           spec: LanguageSpec, cats: Optional[Categories] = None) -> bool:
-    """A metavariable binds, a variable compares, and any other pattern
-    matches the subjects with its head whose children its own match; a
-    binder binds its bound variable too.  A hole or a substitution matches
-    nothing."""
     value, table = spec.derived(_value_test)
-    return _matches(pattern, subject, sigma, value, table, {} if cats is None else cats)
+    return sigma if _run_match(_match_program((pattern,), value), [subject], sigma,
+                               value, table, {}) else None
 
 
-def _matches(pattern: Term, subject: Term, sigma: Substitution,
-             value: Optional[str], table: dict, cats: Categories) -> bool:
-    """_match with the spec's value test resolved once per match."""
-    kind = type(pattern)
-    if kind is Metavariable:
-        if pattern.category == value and not _member(subject, value, table, cats):
-            return False
-        return sigma.setdefault(pattern.token, subject) == subject
-    if kind is Var:
-        return sigma.get(pattern.name, pattern) == subject
-    if kind is Hole or kind is Subst or term_head(pattern) != term_head(subject):
-        return False
-    if kind is BinderApp:
-        bound = Var(subject.bound_var)
-        if sigma.setdefault(pattern.bound_var, bound) != bound:
-            return False
-    return all(_matches(p, s, sigma, value, table, cats)
-               for p, s in zip(children(pattern), children(subject)))
+def instantiate(pattern: Term, sigma: Substitution, spec: LanguageSpec) -> Term:
+    """Build the term a rule pattern denotes under a match: a right-hand side,
+    or a typing premise's subject or type."""
+    return _run_build(_build_program((pattern,)), sigma)[0]
+
+
+class _Programs:
+    """One spec's rules, compiled once: each reduction rule with its match
+    and build programs; for a focus that is no value and for one that is,
+    the machine rules by continuation head (_by_continuation), each with its
+    name, step kind, and programs matching and building focus and
+    continuation together; and each typing-rule pattern, both ways."""
+
+    def __init__(self, spec: LanguageSpec):
+        value, self.table = spec.derived(_value_test)
+        self.value = value
+        self.reduction = tuple((rule, _match_program((rule.conclusion.lhs,), value),
+                                _build_program((rule.conclusion.rhs,)))
+                               for rule in spec.reduction_rules())
+        by_focus: tuple[list, list] = ([], [])
+        for rule in spec.machine_rules():
+            lhs, rhs = rule.conclusion.lhs, rule.conclusion.rhs
+            by_focus[is_value_pattern(lhs.focus, spec)].append((lhs.continuation, (
+                rule.name, _machine_kind(rule.name),
+                _match_program((lhs.focus, lhs.continuation), value),
+                _build_program((rhs.focus, rhs.continuation)))))
+        self.machine = tuple(map(_by_continuation, by_focus))
+        typing = spec.typing_rules()
+        patterns = {t for rule in typing for f in (*rule.premises, rule.conclusion)
+                    for t in formula_terms(f)}
+        patterns.update(Var(var) for rule in typing for f in rule.premises
+                        if type(f) is Typing for var, _ in f.env.extensions)
+        self.matching = {p: _match_program((p,), value) for p in patterns}
+        self.building = {p: _build_program((p,)) for p in patterns}
+
+    def matches(self, pattern: Term, subject: Term, sigma: Substitution) -> bool:
+        return _run_match(self.matching[pattern], [subject], sigma, self.value, self.table, {})
+
+    def build(self, pattern: Term, sigma: Substitution) -> Term:
+        return _run_build(self.building[pattern], sigma)[0]
 
 
 def free_vars(t: Term, memo: Optional[dict[Term, frozenset[str]]] = None) -> frozenset[str]:
@@ -363,28 +472,6 @@ def substitute(t: Term, var: str, replacement: Term) -> Term:
             for a in node.args))
 
     return fold(t, combine, {})
-
-
-def instantiate(pattern: Term, sigma: Substitution, spec: LanguageSpec) -> Term:
-    """Build the term a rule pattern denotes under a match: a right-hand side,
-    or a typing premise's subject or type."""
-    kind = type(pattern)
-    if kind is Metavariable:
-        if pattern.token not in sigma:
-            raise EngineError(f"unbound metavariable {pattern.token!r} in a right-hand side")
-        return sigma[pattern.token]
-    if kind is Var:
-        bound = sigma.get(pattern.name)
-        return bound if isinstance(bound, Var) else pattern
-    kids = tuple([instantiate(a, sigma, spec) for a in children(pattern)])
-    if kind is Subst:
-        bound = sigma.get(pattern.var)
-        return substitute(kids[0], bound.name if isinstance(bound, Var) else pattern.var, kids[1])
-    if kind is BinderApp:   # the bound variable is renamed as the match bound it
-        bound = sigma.get(pattern.bound_var)
-        if isinstance(bound, Var):
-            return BinderApp(pattern.binder, bound.name, kids)
-    return rebuild(pattern, kids)
 
 
 # ---------------------------------------------------------------------------
@@ -499,14 +586,14 @@ def plug(context: Term, filler: Term) -> Term:
 # small-step evaluation
 
 
-def _contract(redex: Term, spec: LanguageSpec,
+def _contract(redex: Term, programs: _Programs,
               cats: Categories) -> Optional[tuple[InferenceRule, Term]]:
     """The first reduction rule that matches redex, and the reduct it
     builds; None when no rule applies."""
-    for rule in spec.reduction_rules():
+    for rule, lhs, rhs in programs.reduction:
         sigma: Substitution = {}
-        if _match(rule.conclusion.lhs, redex, sigma, spec, cats):
-            return rule, instantiate(rule.conclusion.rhs, sigma, spec)
+        if _run_match(lhs, [redex], sigma, programs.value, programs.table, cats):
+            return rule, _run_build(rhs, sigma)[0]
     return None
 
 
@@ -516,7 +603,7 @@ def step(t: Term, spec: LanguageSpec,
     the membership memo of t's subterms, shared with the caller."""
     cats = {} if cats is None else cats
     state = _descend(t, None, spec, cats)
-    contracted = _contract(state.focus, spec, cats)
+    contracted = _contract(state.focus, spec.derived(_Programs), cats)
     return None if contracted is None else TraceStep(
         "contextual-reduction", contracted[0].name, t, plug_frames(state.frames, contracted[1]))
 
@@ -540,13 +627,14 @@ def evaluate(t: Term, spec: LanguageSpec, fuel: int = 10000,
     # The last state known to be no value: the first, or one whose root
     # kept the categories of the state before it.
     no_value: Optional[Focused] = _descend(t, None, spec, cats)
+    programs = spec.derived(_Programs)
 
     def finished(state: Focused) -> bool:
         return state is not no_value and is_value(state.term(), spec, cats)
 
     def advance(state: Focused) -> Optional[TraceStep]:
         nonlocal no_value
-        contracted = _contract(state.focus, spec, cats)
+        contracted = _contract(state.focus, programs, cats)
         if contracted is None:
             return None
         rule, reduct = contracted
@@ -639,14 +727,16 @@ def _machine_kind(rule_name: str) -> str:
 MT = Constructor("mt")
 
 
-def _machine_rules_by_focus(
-        spec: LanguageSpec) -> tuple[list[InferenceRule], list[InferenceRule]]:
-    """The machine rules whose focus pattern is value-shaped, and the rest."""
-    value_rules, other_rules = [], []
-    for rule in spec.machine_rules():
-        is_val = is_value_pattern(rule.conclusion.lhs.focus, spec)
-        (value_rules if is_val else other_rules).append(rule)
-    return value_rules, other_rules
+def _by_continuation(rules: list[tuple[Term, tuple]]) -> tuple[dict, tuple]:
+    """Rules given with their continuation patterns, in order, by the head a
+    continuation needs to match them, and the rules a continuation of any
+    other head tries: a constructor or binder pattern matches its head only."""
+    keyed = [(term_head(c) if type(c) in (Constructor, BinderApp) else None, e)
+             for c, e in rules]
+
+    def trying(head: Optional[tuple]) -> tuple:
+        return tuple(e for k, e in keyed if k is None or k == head)
+    return {k: trying(k) for k, _ in keyed if k is not None}, trying(None)
 
 
 def machine_step(config: MachineConfig, spec: LanguageSpec,
@@ -659,18 +749,18 @@ def machine_step(config: MachineConfig, spec: LanguageSpec,
     plug), a non-value focus only the rest (start).  Plain first-match order
     would re-enter the rebuilding rules of value formers forever.
     """
-    cats = {} if cats is None else cats
-    value_rules, other_rules = spec.derived(_machine_rules_by_focus)
-    for rule in (value_rules if is_value(config.focus, spec, cats) else other_rules):
-        lhs = rule.conclusion.lhs
+    return _machine_step(config, spec.derived(_Programs), {} if cats is None else cats)
+
+
+def _machine_step(config: MachineConfig, programs: _Programs,
+                  cats: Categories) -> Optional[TraceStep]:
+    value, table = programs.value, programs.table
+    focus, continuation = config.focus, config.continuation
+    index, rest = programs.machine[_member(focus, value, table, cats)]
+    for name, kind, lhs, rhs in index.get(term_head(continuation), rest):
         sigma: Substitution = {}
-        if not (_match(lhs.focus, config.focus, sigma, spec, cats)
-                and _match(lhs.continuation, config.continuation, sigma, spec, cats)):
-            continue
-        rhs = rule.conclusion.rhs
-        after = MachineConfig(instantiate(rhs.focus, sigma, spec),
-                              instantiate(rhs.continuation, sigma, spec))
-        return TraceStep(_machine_kind(rule.name), rule.name, config, after)
+        if _run_match(lhs, [continuation, focus], sigma, value, table, cats):
+            return TraceStep(kind, name, config, MachineConfig(*_run_build(rhs, sigma)))
     return None
 
 
@@ -680,9 +770,10 @@ def ck_eval(config: MachineConfig, spec: LanguageSpec, fuel: int = 10000,
     raises StuckMachine or OutOfFuel.  cats is the membership memo, as for
     evaluate."""
     cats = {} if cats is None else cats
+    programs = spec.derived(_Programs)
     final, trace = _run(config, fuel,
                         lambda c: c.continuation == MT and is_value(c.focus, spec, cats),
-                        lambda c: machine_step(c, spec, cats), StuckMachine)
+                        lambda c: _machine_step(c, programs, cats), StuckMachine)
     return final.focus, trace
 
 
@@ -717,6 +808,8 @@ def typecheck(t: Term, spec: LanguageSpec,
               env: Optional[dict[str, Term]] = None) -> Term:
     """Type of a term under syntax-directed rules; raises TypecheckError."""
     table = spec.derived(_rules_by_head)
+    programs = spec.derived(_Programs)
+    build = programs.build
     env = env or {}
     if isinstance(t, Var):
         if t.name in env:
@@ -724,7 +817,7 @@ def typecheck(t: Term, spec: LanguageSpec,
         raise UnboundVariable(t.name)
     rule = table.get(term_head(t))
     sigma: Substitution = {}
-    if rule is None or not _match(rule.conclusion.subject, t, sigma, spec):
+    if rule is None or not programs.matches(rule.conclusion.subject, t, sigma):
         raise NoRuleApplies(t)
     try:
         for premise in rule.premises:
@@ -732,26 +825,25 @@ def typecheck(t: Term, spec: LanguageSpec,
                 case Typing(penv, subject, ty):
                     inner_env = dict(env)
                     for var, vty in penv.extensions:
-                        name = instantiate(Var(var), sigma, spec).name
-                        inner_env[name] = instantiate(vty, sigma, spec)
-                    actual = typecheck(instantiate(subject, sigma, spec), spec, inner_env)
-                    if not _match(ty, actual, sigma, spec):
+                        inner_env[build(Var(var), sigma).name] = build(vty, sigma)
+                    actual = typecheck(build(subject, sigma), spec, inner_env)
+                    if not programs.matches(ty, actual, sigma):
                         raise NoRuleApplies(t)
                 case Subtype(sub, sup):
-                    a, b = instantiate(sub, sigma, spec), instantiate(sup, sigma, spec)
+                    a, b = build(sub, sigma), build(sup, sigma)
                     if not check_subtype(a, b, spec):
                         raise SubtypeFailure(a, b)
                 case TypeEq(left, right):
                     if isinstance(right, Metavariable) and right.token not in sigma:
                         left, right = right, left
-                    _bind_or_compare(left, instantiate(right, sigma, spec), sigma, spec)
+                    _bind_or_compare(left, build(right, sigma), sigma, build)
                 case Join(result, operands):
-                    joined = join_all(tuple(instantiate(o, sigma, spec) for o in operands), spec)
-                    _bind_or_compare(result, joined, sigma, spec)
+                    joined = join_all(tuple(build(o, sigma) for o in operands), spec)
+                    _bind_or_compare(result, joined, sigma, build)
                 case _:
                     raise TypecheckError(
                         f"rule {rule.name!r} has an unsupported premise for checking")
-        return instantiate(rule.conclusion.ty, sigma, spec)
+        return build(rule.conclusion.ty, sigma)
     except TypecheckError:   # the premises' own verdicts, and the subterms'
         raise
     except EngineError:   # a metavariable the rule leaves unbound: it cannot type t
@@ -760,14 +852,13 @@ def typecheck(t: Term, spec: LanguageSpec,
         raise SubtypeFailure(exc.t1, exc.t2) from None
 
 
-def _bind_or_compare(pattern: Term, value: Term, sigma: Substitution,
-                     spec: LanguageSpec) -> None:
+def _bind_or_compare(pattern: Term, value: Term, sigma: Substitution, build) -> None:
     """Discharge one side of an equality or join premise, value being what
     the other side built: a metavariable sigma leaves unbound takes value,
     and any other pattern must build to it."""
     if isinstance(pattern, Metavariable) and pattern.token not in sigma:
         sigma[pattern.token] = value
-    elif (built := instantiate(pattern, sigma, spec)) != value:
+    elif (built := build(pattern, sigma)) != value:
         raise SubtypeFailure(built, value)
 
 

@@ -21,16 +21,16 @@ from langx.engine import (
     TraceStep,
     TypecheckError,
     _machine_kind,
-    _machine_rules_by_focus,
-    _match,
     _min_sizes,
     _production_size,
     ck_eval,
+    decompose,
     evaluate,
-    instantiate,
     is_value,
+    is_value_pattern,
     iter_swarm_terms,
-    step,
+    plug,
+    substitute,
     typecheck,
 )
 from langx.ir import (
@@ -47,7 +47,10 @@ from langx.ir import (
     Subst,
     Term,
     Var,
+    children,
     context_holes,
+    rebuild,
+    term_head,
     term_size,
 )
 from langx.parser import render_state, render_term
@@ -184,27 +187,86 @@ def oracle_decompose(t, spec):
     return context, t
 
 
+def oracle_match(pattern, subject, sigma, spec, cats):
+    """engine's matching as it was before patterns were compiled, recursing
+    once per pattern level: a metavariable binds, a variable compares, and
+    any other pattern matches the subjects with its head whose children its
+    own match; a binder binds its bound variable too.  A hole or a
+    substitution matches nothing."""
+    kind = type(pattern)
+    if kind is Metavariable:
+        value = spec.value_category
+        if value is not None and pattern.category == value.name \
+                and not is_value(subject, spec, cats):
+            return False
+        return sigma.setdefault(pattern.token, subject) == subject
+    if kind is Var:
+        return sigma.get(pattern.name, pattern) == subject
+    if kind is Hole or kind is Subst or term_head(pattern) != term_head(subject):
+        return False
+    if kind is BinderApp:
+        bound = Var(subject.bound_var)
+        if sigma.setdefault(pattern.bound_var, bound) != bound:
+            return False
+    return all(oracle_match(p, s, sigma, spec, cats)
+               for p, s in zip(children(pattern), children(subject)))
+
+
+def oracle_instantiate(pattern, sigma):
+    """engine's instantiation as it was before patterns were compiled,
+    recursing once per pattern level."""
+    kind = type(pattern)
+    if kind is Metavariable:
+        if pattern.token not in sigma:
+            raise EngineError(f"unbound metavariable {pattern.token!r} in a right-hand side")
+        return sigma[pattern.token]
+    if kind is Var:
+        bound = sigma.get(pattern.name)
+        return bound if isinstance(bound, Var) else pattern
+    kids = tuple([oracle_instantiate(a, sigma) for a in children(pattern)])
+    if kind is Subst:
+        bound = sigma.get(pattern.var)
+        return substitute(kids[0], bound.name if isinstance(bound, Var) else pattern.var, kids[1])
+    if kind is BinderApp:   # the bound variable is renamed as the match bound it
+        bound = sigma.get(pattern.bound_var)
+        if isinstance(bound, Var):
+            return BinderApp(pattern.binder, bound.name, kids)
+    return rebuild(pattern, kids)
+
+
 def oracle_evaluate(t, spec, fuel=10000):
-    """Small-step evaluation that takes every step its fuel allows."""
+    """Small-step evaluation that takes every step its fuel allows, each
+    decomposing its term from the root and contracting the focus by the
+    first reduction rule oracle_match matches."""
     trace = []
     current = t
     for _ in range(fuel):
         cats = {}
         if is_value(current, spec, cats):
             return current, trace
-        ts = step(current, spec, cats)
-        if ts is None:
+        context, redex = decompose(current, spec)
+        for rule in spec.reduction_rules():
+            sigma = {}
+            if oracle_match(rule.conclusion.lhs, redex, sigma, spec, cats):
+                after = plug(context, oracle_instantiate(rule.conclusion.rhs, sigma))
+                trace.append(TraceStep("contextual-reduction", rule.name, current, after))
+                current = after
+                break
+        else:
             raise Stuck(current, trace)
-        trace.append(ts)
-        current = ts.after
     if is_value(current, spec):
         return current, trace
     raise OutOfFuel(current, trace)
 
 
 def oracle_ck_eval(config, spec, fuel=10000):
-    """Machine evaluation that takes every transition its fuel allows."""
-    value_rules, other_rules = spec.derived(_machine_rules_by_focus)
+    """Machine evaluation that takes every transition its fuel allows, each
+    by the first rule oracle_match matches among those for its focus: a
+    value focus takes the rules with value-shaped focus patterns, any other
+    focus the rest."""
+    rules = {focus_is_value: [r for r in spec.machine_rules()
+                              if is_value_pattern(r.conclusion.lhs.focus, spec) == focus_is_value]
+             for focus_is_value in (False, True)}
     trace = []
     current = config
     for _ in range(fuel):
@@ -213,17 +275,15 @@ def oracle_ck_eval(config, spec, fuel=10000):
         if focus_is_value and current.continuation == MT:
             return current.focus, trace
         stepped = None
-        for rule in (value_rules if focus_is_value else other_rules):
+        for rule in rules[focus_is_value]:
             lhs = rule.conclusion.lhs
             sigma = {}
-            if not (_match(lhs.focus, current.focus, sigma, spec, cats)
-                    and _match(lhs.continuation, current.continuation, sigma, spec, cats)):
+            if not (oracle_match(lhs.focus, current.focus, sigma, spec, cats)
+                    and oracle_match(lhs.continuation, current.continuation, sigma, spec, cats)):
                 continue
             rhs = rule.conclusion.rhs
-            after = MachineConfig(
-                instantiate(rhs.focus, sigma, spec),
-                instantiate(rhs.continuation, sigma, spec),
-            )
+            after = MachineConfig(oracle_instantiate(rhs.focus, sigma),
+                                  oracle_instantiate(rhs.continuation, sigma))
             stepped = TraceStep(_machine_kind(rule.name), rule.name, current, after)
             break
         if stepped is None:

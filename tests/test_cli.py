@@ -180,6 +180,23 @@ def test_eval_of_a_very_deeply_nested_term_succeeds(tmp_path, depth, machine):
     assert "Traceback" not in result.stderr
 
 
+def test_compare_with_a_very_deeply_nested_conclusion_type_succeeds(tmp_path):
+    # Rule patterns are matched and built by flat programs, so typecheck
+    # builds the t-lam type 5,000 levels deep under the default recursion
+    # limit.
+    spec = tmp_path / "deep.lang"
+    spec.write_text((FIXTURES / "stlc.lang").read_text().replace(
+        "G |- (lam x T1 e) : (arrow T1 T2)",
+        "G |- (lam x T1 e) : (arrow T1 " + "(arrow B " * 5000 + "T2" + ")" * 5001))
+    result = subprocess.run(
+        [sys.executable, "-m", "langx", "--format", "structured", "compare", str(spec),
+         "--count", "5"],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert json.loads(result.stdout.splitlines()[-1])["message"] == "5/5 agree"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["derive-ck", fix("stlc.lang"), "-o", "{tmp}"], "cannot write {tmp}: Is a directory"),
     (["add-subtyping", fix("stlc.lang"), "-o", "{tmp}/nodir/out.lang"],
@@ -962,12 +979,11 @@ def structured_paths(capsys, tmp_path):
         (FIXTURES / "stlc.lang").read_text()
         .replace("(app e e)", "(app e e) | (wrap e) | (unwrap e)")
         .replace("(app v E)", "(app v E) | (unwrap (wrap E))"))
-    # typecheck builds a rule's conclusion type with instantiate, which
-    # recurses once per level
+    # term generation sizes a production with a walk that recurses once per
+    # level of the production
     (tmp_path / "deep.lang").write_text(
         (FIXTURES / "stlc.lang").read_text().replace(
-            "G |- (lam x T1 e) : (arrow T1 T2)",
-            "G |- (lam x T1 e) : (arrow T1 " + "(arrow B " * 3000 + "T2" + ")" * 3001))
+            "(app e e)\n", "(app e e) | " + "(wrap " * 3000 + "e" + ")" * 3000 + "\n"))
     return tmp_path
 
 

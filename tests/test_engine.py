@@ -64,7 +64,7 @@ from langx.ir import (
 )
 from langx.parser import parse_spec, parse_term, render_term
 from langx.subtyping import add_subtyping
-from conftest import FIXTURES, load, swapped_order_machine_text
+from conftest import FIXTURES, GOLDEN, load, swapped_order_machine_text
 from oracles import (
     enumerate_closed_terms,
     enumerate_types,
@@ -74,7 +74,9 @@ from oracles import (
     oracle_evaluate,
     oracle_free_vars,
     oracle_iter_random_terms,
+    oracle_instantiate,
     oracle_iter_swarm_terms,
+    oracle_match,
     oracle_member,
     oracle_substitute,
 )
@@ -282,6 +284,60 @@ def test_instantiate_substitution_term(stlc):
                     Metavariable("v", None, "Value"), "x")
     sigma = {"e": Var("x"), "v": lam, "x": Var("x")}
     assert instantiate(pattern, sigma, stlc) == lam
+
+
+def built_or_error(build):
+    """What build() returns, or the class and message of its EngineError."""
+    try:
+        return build()
+    except EngineError as exc:
+        return type(exc), str(exc)
+
+
+# Every fixture, every golden and the criterion-12 mutant, by name.
+RULE_SPECS = {
+    **{name: lambda name=name: load(name) for name in SPEC_FIXTURES},
+    **{path.name: lambda path=path: parse_spec(path.read_text())
+       for path in sorted(GOLDEN.glob("*.lang"))},
+    "criterion-12-mutant": lambda: parse_spec(swapped_order_machine_text()),
+}
+
+
+@pytest.mark.parametrize("name", RULE_SPECS)
+def test_rule_patterns_match_and_build_as_the_recursive_oracle(name):
+    # Each rule pattern against each subterm of the spec's first 2,000 swarm
+    # terms and of their types, those with the pattern's head: the same
+    # bindings or the same refusal.  Under each match and under no
+    # bindings, every pattern of the rule builds the identical term or
+    # raises the same EngineError.
+    spec = RULE_SPECS[name]()
+    subjects: dict[tuple, dict] = {}
+    for term in islice(iter_swarm_terms(spec, seed=0, max_size=10), 2000):
+        terms = [term]
+        try:
+            terms.append(typecheck(term, spec))
+        except TypecheckError:
+            pass
+        for s in (s for t in terms for s in subterms(t)):
+            subjects.setdefault(ir.term_head(s), {})[s] = None
+    everything = [s for by_head in subjects.values() for s in by_head]
+    for rule in spec.rules:
+        patterns = [t for f in (*rule.premises, rule.conclusion) for t in ir.formula_terms(f)]
+        sigmas = [{}]
+        for p in patterns:
+            nested = type(p) in (Constructor, BinderApp)
+            for s in subjects.get(ir.term_head(p), {}) if nested else everything:
+                expected = {}
+                if not oracle_match(p, s, expected, spec, {}):
+                    expected = None
+                assert match_pattern(p, s, spec) == expected, (rule.name, p, s)
+                if nested and expected is not None:
+                    sigmas.append(expected)
+        for sigma in sigmas:
+            for p in patterns:
+                got = built_or_error(lambda: instantiate(p, sigma, spec))
+                want = built_or_error(lambda: oracle_instantiate(p, sigma))
+                assert got is want or (type(want) is tuple and got == want), (rule.name, p)
 
 
 # -- substitution ----------------------------------------------------------------
@@ -940,6 +996,18 @@ def test_step_and_machine_step_take_the_runs_transitions_one_at_a_time(
     if ending == "stuck":
         assert small[1] == []
         assert [s.rule_name for s in big[1]] == ["hd-start"]
+
+
+def test_a_machine_rule_for_any_continuation_keeps_its_place_in_rule_order():
+    # Machine rules are tried by the head of the continuation; one whose
+    # continuation pattern is a metavariable is tried under every head, in
+    # its place among the rules for that head.
+    machine = parse_spec((GOLDEN / "stlc.ck.lang").read_text().replace(
+        "rule app-order-1", "rule drop\n  ---\n  <v , k> --> <v , mt>\n\nrule app-order-1"))
+    config = MachineConfig(conc(f"(app {ID} {ID})", machine), MT)
+    outcome = cli._outcome(ck_eval, config, machine, 100)
+    assert [s.rule_name for s in outcome[2]] == ["app-start", "drop"]
+    assert outcome == cli._outcome(oracle_ck_eval, config, machine, 100)
 
 
 def test_equal_terms_built_apart_are_one_object(stlc_consts):
