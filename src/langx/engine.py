@@ -37,6 +37,7 @@ from .ir import (
     context_holes,
     fold,
     formula_terms,
+    metavariable_tokens,
     plug_frames,
     rebuild,
     subterms,
@@ -396,7 +397,7 @@ class _Programs:
     and build programs; for a focus that is no value and for one that is,
     the machine rules by continuation head (_by_continuation), each with its
     name, step kind, and programs matching and building focus and
-    continuation together; and each typing-rule pattern, both ways."""
+    continuation together."""
 
     def __init__(self, spec: LanguageSpec):
         value, self.table = spec.derived(_value_test)
@@ -412,19 +413,6 @@ class _Programs:
                 _match_program((lhs.focus, lhs.continuation), value),
                 _build_program((rhs.focus, rhs.continuation)))))
         self.machine = tuple(map(_by_continuation, by_focus))
-        typing = spec.typing_rules()
-        patterns = {t for rule in typing for f in (*rule.premises, rule.conclusion)
-                    for t in formula_terms(f)}
-        patterns.update(Var(var) for rule in typing for f in rule.premises
-                        if type(f) is Typing for var, _ in f.env.extensions)
-        self.matching = {p: _match_program((p,), value) for p in patterns}
-        self.building = {p: _build_program((p,)) for p in patterns}
-
-    def matches(self, pattern: Term, subject: Term, sigma: Substitution) -> bool:
-        return _run_match(self.matching[pattern], [subject], sigma, self.value, self.table, {})
-
-    def build(self, pattern: Term, sigma: Substitution) -> Term:
-        return _run_build(self.building[pattern], sigma)[0]
 
 
 def free_vars(t: Term, memo: Optional[dict[Term, frozenset[str]]] = None) -> frozenset[str]:
@@ -792,74 +780,132 @@ def check_subtype(t1: Term, t2: Term, spec: LanguageSpec) -> bool:
 
 # ---------------------------------------------------------------------------
 # typechecking
+#
+# Each typing rule compiles once per spec to its subject's match program, its
+# premises' steps and its type's build program.  typecheck discharges them in
+# frames on an explicit stack, passing environments down and types up.
+
+_TYPING, _SUBTYPE, _JOIN = range(3)
 
 
-def _rules_by_head(spec: LanguageSpec) -> dict[tuple, InferenceRule]:
-    table: dict[tuple, InferenceRule] = {}
+def _typing_rules(spec: LanguageSpec) -> tuple[dict, Optional[str], dict]:
+    """The typing rules compiled, by the head of their subject, with the
+    value test their matches read; raises NotSyntaxDirected when two rules
+    conclude subjects with one head.  An equality is a join of one operand
+    into the side still unbound, which the rule tells, as each match binds
+    every metavariable of its pattern."""
+    value, membership = spec.derived(_value_test)
+    table: dict[tuple, tuple[tuple, list, tuple]] = {}
     for rule in spec.typing_rules():
-        head = term_head(rule.conclusion.subject)
+        subject, head = rule.conclusion.subject, term_head(rule.conclusion.subject)
         if head in table:
             raise NotSyntaxDirected(str(head[1] if len(head) > 1 else head[0]))
-        table[head] = rule
-    return table
+        bound, steps = set(metavariable_tokens(subject)), []
+        for f in rule.premises:
+            if type(f) is Typing:
+                bound.update(metavariable_tokens(f.ty))
+                built = (f.subject, *(t for v, ty in f.env.extensions for t in (Var(v), ty)))
+                steps.append((_TYPING, _build_program(built), _match_program((f.ty,), value), None))
+            elif type(f) is Subtype:
+                steps.append((_SUBTYPE, _build_program((f.sub,)), _build_program((f.sup,)), None))
+            elif type(f) is TypeEq or type(f) is Join:
+                result, *operands = formula_terms(f)
+                if type(f) is TypeEq and type(f.right) is Metavariable and f.right.token not in bound:
+                    result, operands = f.right, [f.left]
+                token = result.token if type(result) is Metavariable \
+                    and result.token not in bound else None
+                bound.add(token)
+                steps.append((_JOIN, token, _build_program((result,)),
+                              tuple(_build_program((o,)) for o in operands)))
+            else:
+                steps.append((None, f"rule {rule.name!r} has an unsupported premise for checking",
+                              None, None))
+        table[head] = (_match_program((subject,), value), steps,
+                       _build_program((rule.conclusion.ty,)))
+    return table, value, membership
 
 
 def typecheck(t: Term, spec: LanguageSpec,
               env: Optional[dict[str, Term]] = None) -> Term:
     """Type of a term under syntax-directed rules; raises TypecheckError."""
-    table = spec.derived(_rules_by_head)
-    programs = spec.derived(_Programs)
-    build = programs.build
-    env = env or {}
-    if isinstance(t, Var):
-        if t.name in env:
-            return env[t.name]
-        raise UnboundVariable(t.name)
-    rule = table.get(term_head(t))
-    sigma: Substitution = {}
-    if rule is None or not programs.matches(rule.conclusion.subject, t, sigma):
-        raise NoRuleApplies(t)
+    typed = _type_of(t, env or {}, spec)
+    if isinstance(typed, TypecheckError):
+        raise typed
+    return typed
+
+
+def _type_of(t: Term, env: dict[str, Term], spec: LanguageSpec) -> Union[Term, TypecheckError]:
+    """The type of t under env, or the failure that refuses it.  A frame,
+    [subterm, rule, sigma, env, step], discharges a subterm's rule: a typing
+    step descends into its subject under the environment it extends, and
+    the type that comes back must match the step's."""
+    rules, value, table = spec.derived(_typing_rules)
+    cats: Categories = {}
+    frames: list[list] = []
     try:
-        for premise in rule.premises:
-            match premise:
-                case Typing(penv, subject, ty):
-                    inner_env = dict(env)
-                    for var, vty in penv.extensions:
-                        inner_env[build(Var(var), sigma).name] = build(vty, sigma)
-                    actual = typecheck(build(subject, sigma), spec, inner_env)
-                    if not programs.matches(ty, actual, sigma):
-                        raise NoRuleApplies(t)
-                case Subtype(sub, sup):
-                    a, b = build(sub, sigma), build(sup, sigma)
-                    if not check_subtype(a, b, spec):
-                        raise SubtypeFailure(a, b)
-                case TypeEq(left, right):
-                    if isinstance(right, Metavariable) and right.token not in sigma:
-                        left, right = right, left
-                    _bind_or_compare(left, build(right, sigma), sigma, build)
-                case Join(result, operands):
-                    joined = join_all(tuple(build(o, sigma) for o in operands), spec)
-                    _bind_or_compare(result, joined, sigma, build)
-                case _:
-                    raise TypecheckError(
-                        f"rule {rule.name!r} has an unsupported premise for checking")
-        return build(rule.conclusion.ty, sigma)
-    except TypecheckError:   # the premises' own verdicts, and the subterms'
-        raise
-    except EngineError:   # a metavariable the rule leaves unbound: it cannot type t
-        raise NoRuleApplies(t) from None
+        while True:
+            if type(t) is Var:
+                if t.name not in env:
+                    return UnboundVariable(t.name)
+                typed, returned = env[t.name], True
+            else:
+                rule, sigma = rules.get(term_head(t)), {}
+                if rule is None or not _run_match(rule[0], [t], sigma, value, table, cats):
+                    return NoRuleApplies(t)
+                if rule[1]:
+                    frames.append([t, rule, sigma, env, 0])
+                    returned = False
+                else:   # an axiom: its type goes up at once
+                    node = t
+                    typed, returned = _run_build(rule[2], sigma)[0], True
+            while frames:
+                frame = frames[-1]
+                node, (_, steps, build), sigma, scope, at = frame
+                if returned:   # typed is the type of steps[at]'s subject
+                    if not _run_match(steps[at][2], [typed], sigma, value, table, cats):
+                        return NoRuleApplies(node)
+                    at += 1
+                while at < len(steps):
+                    op, a, b, c = steps[at]
+                    if op == _TYPING:   # descend into its subject, under its extensions
+                        frame[4], (t, *bound) = at, _run_build(a, sigma)
+                        env = dict(scope, **{v.name: ty for v, ty in zip(bound[::2], bound[1::2])}) \
+                            if bound else scope
+                        break
+                    failed = _premise(op, a, b, c, sigma, spec)
+                    if failed is not None:
+                        return failed
+                    at += 1
+                else:
+                    typed, returned = _run_build(build, sigma)[0], True
+                    frames.pop()
+                    continue
+                break
+            else:
+                return typed
+    except EngineError:   # a metavariable the rule leaves unbound: it cannot type the node
+        return NoRuleApplies(node)
+
+
+def _premise(op: Optional[int], a, b, c, sigma: Substitution,
+             spec: LanguageSpec) -> Optional[TypecheckError]:
+    """Discharge a subtype step, or a join step, which binds its result's
+    token if it has one and compares with its result if not; the failure,
+    if any."""
+    if op == _SUBTYPE:
+        sub, sup = _run_build(a, sigma)[0], _run_build(b, sigma)[0]
+        return None if check_subtype(sub, sup, spec) else SubtypeFailure(sub, sup)
+    if op is None:
+        return TypecheckError(a)
+    try:
+        joined = join_all(tuple(_run_build(o, sigma)[0] for o in c), spec)
     except NoJoin as exc:
-        raise SubtypeFailure(exc.t1, exc.t2) from None
-
-
-def _bind_or_compare(pattern: Term, value: Term, sigma: Substitution, build) -> None:
-    """Discharge one side of an equality or join premise, value being what
-    the other side built: a metavariable sigma leaves unbound takes value,
-    and any other pattern must build to it."""
-    if isinstance(pattern, Metavariable) and pattern.token not in sigma:
-        sigma[pattern.token] = value
-    elif (built := build(pattern, sigma)) != value:
-        raise SubtypeFailure(built, value)
+        return SubtypeFailure(exc.t1, exc.t2)
+    if a is not None:
+        sigma[a] = joined
+    elif (built := _run_build(b, sigma)[0]) != joined:
+        return SubtypeFailure(built, joined)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -871,18 +917,21 @@ _BIG = 10 ** 9
 
 def _production_size(p: Term, open_sizes: dict[str, int],
                      closed_sizes: dict[str, int], closed: bool) -> int:
-    """Smallest size of a term built from production p, by the given tables.
+    """Smallest size of a term built from production p, by the given tables."""
+    return fold(p, partial(_smallest, (open_sizes, closed_sizes)), {})[closed]
 
-    Slots under a binder always see a variable in scope, so they use the
-    open table even when the surrounding term is closed.
-    """
+
+def _smallest(sizes: _Sizes, p: Term, kids: tuple) -> tuple[int, int]:
+    """A fold's step: the smallest sizes of a term built from production
+    node p, open and closed, from its children's and the (open, closed)
+    tables.  Slots under a binder always see a variable in scope, so they
+    use the open table even when the surrounding term is closed."""
     kind = type(p)
     if kind is Metavariable:
-        return (closed_sizes if closed else open_sizes).get(p.category, _BIG)
+        return sizes[0].get(p.category, _BIG), sizes[1].get(p.category, _BIG)
     if kind is Var:
-        return _BIG if closed else 1
-    closed = closed and kind is not BinderApp
-    return 1 + sum([_production_size(a, open_sizes, closed_sizes, closed) for a in children(p)])
+        return 1, _BIG
+    return 1 + sum(kid[0] for kid in kids), 1 + sum(kid[kind is not BinderApp] for kid in kids)
 
 
 def _size_fixpoint(grammar: list[tuple[str, tuple[Term, ...]]],
@@ -937,19 +986,21 @@ def _expression_cycle(spec: LanguageSpec) -> tuple[str, ...]:
                  if cat.name in drawn and expr.name in reach(cat.name))
 
 
-class _Choice:
+class _Choice(dict):
     """A category in a generation plan, for closed or open terms: its
-    productions with their smallest sizes, and per budget the ones that fit,
-    each row filled the first time that budget is drawn."""
+    productions with their smallest sizes, and by budget the row of those
+    that fit, as (options, their number, its bit length), filled the first
+    time that budget is drawn."""
 
-    __slots__ = ("sized", "rows")
+    __slots__ = ("sized",)
 
-    def __init__(self):
-        self.sized: tuple[tuple[_Node, int], ...] = ()
-        self.rows: dict[int, tuple[_Node, ...]] = {}
+    def __init__(self, sized: tuple[tuple[_Node, int], ...]):
+        super().__init__()
+        self.sized = sized
 
-    def fitting(self, budget: int) -> tuple[_Node, ...]:
-        row = self.rows[budget] = tuple(p for p, size in self.sized if size <= budget)
+    def __missing__(self, budget: int) -> tuple[tuple[_Node, ...], int, int]:
+        options = tuple(p for p, size in self.sized if size <= budget)
+        row = self[budget] = options, len(options), len(options).bit_length()
         return row
 
 
@@ -971,17 +1022,20 @@ if TYPE_CHECKING:
     _Node = Union[int, _Build, Var, tuple[Term, int]]
     # The Expression productions a swarm grammar keeps, by index; None keeps all.
     _Mask = Optional[tuple[int, ...]]
+    _Sizes = tuple[dict[str, int], dict[str, int]]
 
 
 class _GenerationPlan:
     """How one spec's grammar is drawn from, whole or with Expression
-    narrowed by a mask.  A production compiles to a _Build, a Var, a (term,
-    size) pair drawn as it is, or, for a metavariable, the index of its
-    category's _Choice in choices; a category is compiled when first
-    reached.  A mask has its own sizes and choices only for the categories
-    of the Expression cycle; the others share the unmasked ones.
+    narrowed by a mask.  A draw reads the _Choice of each category, for open
+    or closed terms, at that pair's fixed slot id (indices) in its mask's
+    list (masks).  A production compiles once per size table to a _Build, a
+    Var, a (term, size) pair drawn as it is, or, for a metavariable, its
+    category's slot id.  Only the Expression cycle's sizes and choices
+    depend on a mask; a mask that keeps their unmasked sizes shares the
+    unmasked choices of the rest of the cycle.
 
-    Indices in place of references keep a recursive grammar's plan free of
+    Slot ids in place of references keep a recursive grammar's plan free of
     reference cycles, so it is freed with its spec by reference counting,
     not by a later run of the cycle collector.
     """
@@ -991,10 +1045,21 @@ class _GenerationPlan:
         self.expression = spec.expression_category
         self.var_base = spec.variables[0] if spec.variables else "x"
         self.cycle = _expression_cycle(spec)
-        self.size_tables: dict[_Mask, tuple[dict[str, int], dict[str, int]]] = {
-            None: spec.derived(_min_sizes)}
-        self.choices: list[_Choice] = []
-        self.indices: dict[tuple[str, bool, _Mask], int] = {}
+        self.indices = {(name, closed): 2 * i + closed
+                        for i, name in enumerate(self.categories) for closed in (False, True)}
+        unmasked = spec.derived(_min_sizes)
+        self.size_tables: dict[_Mask, _Sizes] = {None: unmasked}
+        # The productions that reach a cycle category's unmasked smallest
+        # sizes other than through a unit production of the cycle: a mask
+        # that keeps one of each keeps the unmasked sizes.
+        self.reaching = {(name, closed): {
+            i for i, p in enumerate(self.categories[name].productions)
+            if not isinstance(p, Hole) and not (type(p) is Metavariable and p.category in self.cycle)
+            and _production_size(p, *unmasked, closed) == unmasked[closed][name]}
+            for name in self.cycle for closed in (False, True)}
+        self.plans: dict[tuple, dict] = {}   # a fold memo per size table
+        self.masks = {None: [self.choice(name, closed, unmasked, None)
+                             for name, closed in self.indices]}
 
     def productions(self, cat_name: str, kept: _Mask) -> tuple[Term, ...]:
         productions = self.categories[cat_name].productions
@@ -1002,48 +1067,61 @@ class _GenerationPlan:
             return productions
         return tuple(productions[i] for i in kept)
 
-    def sizes(self, kept: _Mask) -> tuple[dict[str, int], dict[str, int]]:
+    def sizes(self, kept: _Mask) -> _Sizes:
         """Smallest open and closed sizes per category under the mask."""
         sizes = self.size_tables.get(kept)
         if sizes is None:
             sizes = self.size_tables[kept] = self.size_mask(kept)
         return sizes
 
-    def size_mask(self, kept: _Mask) -> tuple[dict[str, int], dict[str, int]]:
+    def size_mask(self, kept: _Mask) -> _Sizes:
+        unmasked = self.size_tables[None]
+        if all(not reach.isdisjoint(kept if name == self.expression.name else reach)
+               for (name, _), reach in self.reaching.items()):
+            return unmasked
         # Only the cycle's sizes depend on the mask: refit them, the rest fixed.
-        open_sizes, closed_sizes = (dict(table) for table in self.size_tables[None])
+        open_sizes, closed_sizes = (dict(table) for table in unmasked)
         for name in self.cycle:
             open_sizes[name] = closed_sizes[name] = _BIG
         _size_fixpoint([(name, self.productions(name, kept)) for name in self.cycle],
                        open_sizes, closed_sizes)
         return open_sizes, closed_sizes
 
-    def choice(self, cat_name: str, closed: bool, kept: _Mask) -> int:
-        if cat_name not in self.cycle:
-            kept = None
-        index = self.indices.get((cat_name, closed, kept))
-        if index is None:
-            # Indexed before it is filled: a recursive grammar reaches it again.
-            index = self.indices[cat_name, closed, kept] = len(self.choices)
-            choice = _Choice()
-            self.choices.append(choice)
+    def choices(self, kept: _Mask) -> list[_Choice]:
+        found = self.masks.get(kept)
+        if found is None:
             sizes = self.sizes(kept)
-            choice.sized = tuple(
-                (self.compile(p, closed, kept), _production_size(p, *sizes, closed))
-                for p in self.productions(cat_name, kept) if not isinstance(p, Hole))
-        return index
+            found = self.masks[kept] = list(self.masks[None])
+            for name in self.cycle:
+                if name == self.expression.name or sizes is not self.size_tables[None]:
+                    for closed in (False, True):
+                        found[self.indices[name, closed]] = self.choice(name, closed, sizes, kept)
+        return found
 
-    def compile(self, p: Term, closed: bool, kept: _Mask) -> _Node:
-        if isinstance(p, Metavariable):
-            return self.choice(p.category, closed, kept)
-        if isinstance(p, Var):
-            return p
-        if isinstance(p, BinderApp) or (isinstance(p, Constructor) and p.args):
-            closed = closed and isinstance(p, Constructor)
-            mins = [_production_size(s, *self.sizes(kept), closed) for s in p.args]
-            return _Build(p, tuple((self.compile(s, closed, kept), low, sum(mins[i + 1:]))
-                                   for i, (s, low) in enumerate(zip(p.args, mins))))
-        return p, term_size(p)   # a nullary constructor or a hole, drawn as it is
+    def choice(self, cat_name: str, closed: bool, sizes: _Sizes, kept: _Mask) -> _Choice:
+        compile_ = partial(self.compile, sizes)
+        memo = self.plans.setdefault(tuple(t[name] for t in sizes for name in self.cycle), {})
+        return _Choice(tuple((plans[closed], smallest[closed]) for plans, smallest in (
+            fold(p, compile_, memo) for p in self.productions(cat_name, kept)
+            if not isinstance(p, Hole))))
+
+    def compile(self, sizes: _Sizes, p: Term, kids: tuple) -> tuple[tuple, tuple[int, int]]:
+        """A fold's step: a production node's plans, for open and for closed
+        terms, from its children's, with its smallest sizes."""
+        smallest, kind = _smallest(sizes, p, [kid[1] for kid in kids]), type(p)
+        if kind is Metavariable:
+            return (self.indices[p.category, False], self.indices[p.category, True]), smallest
+        if kind is Var:
+            return (p, p), smallest
+        if kind is not BinderApp and not (kind is Constructor and p.args):
+            return ((p, term_size(p)),) * 2, smallest   # drawn as it is
+        plans = []
+        for closed in (False, True):
+            inner = closed and kind is Constructor
+            lows = [kid[1][inner] for kid in kids]
+            plans.append(_Build(p, tuple((kid[0][inner], low, sum(lows[i + 1:]))
+                                         for i, (kid, low) in enumerate(zip(kids, lows)))))
+        return tuple(plans), smallest
 
 
 def _draw(plan: _GenerationPlan, kept: _Mask, seed: int, max_size: int,
@@ -1060,29 +1138,17 @@ def _draw(plan: _GenerationPlan, kept: _Mask, seed: int, max_size: int,
     getrandbits = random.Random(seed).getrandbits
     var_base = plan.var_base
 
-    # Random.choice and Random.randint come down to this draw in
-    # Random._randbelow; making it here skips their call layers and keeps
-    # the stream.  n must be positive: a row a draw reaches is never empty,
-    # as each slot's budget is at least the slot's smallest size.  gen
-    # inlines it at its two picks per node, the row's and the slot budget's.
-    def below(n: int) -> int:
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return r
-
+    # Each pick below of r in range(n) is Random.choice's and Random.randint's
+    # draw in Random._randbelow, made in place: it skips their call layers
+    # and keeps the stream.  n must be positive: a row a draw reaches is
+    # never empty, as each slot's budget is at least the slot's smallest size.
     # gen returns the term it builds with its size, so a _Build need not
     # measure the arguments it has just built.  It runs once per node drawn,
     # hence the exact-class tests in place of a match statement.
     def gen(node: _Node, budget: int, scope: tuple[str, ...],
             depth: int) -> tuple[Term, int]:
         while type(node) is int:
-            choice = choices[node]
-            options = choice.rows.get(budget)
-            if options is None:
-                options = choice.fitting(budget)
-            n, k = len(options), len(options).bit_length()
+            options, n, k = choices[node][budget]
             while (r := getrandbits(k)) >= n:
                 pass
             node = options[r]
@@ -1097,25 +1163,41 @@ def _draw(plan: _GenerationPlan, kept: _Mask, seed: int, max_size: int,
             remaining = budget - 1
             for slot, low, reserve in node.slots:
                 # A width-1 draw still takes its random bits, as randint does.
-                n = max(0, remaining - reserve - low) + 1
+                n = remaining - reserve - low + 1
+                if n < 1:
+                    n = 1
                 k = n.bit_length()
                 while (r := getrandbits(k)) >= n:
                     pass
-                arg, size = gen(slot, low + r, scope, depth)
+                give = low + r
+                if type(slot) is int:   # pick here: a leaf needs no call of gen
+                    options, n, k = choices[slot][give]
+                    while (r := getrandbits(k)) >= n:
+                        pass
+                    slot = options[r]
+                arg, size = slot if type(slot) is tuple else gen(slot, give, scope, depth)
                 args.append(arg)
                 remaining -= size
             if binds:
                 return BinderApp(production.binder, bound, tuple(args)), budget - remaining
             return Constructor(production.name, tuple(args)), budget - remaining
         if kind is Var:
-            return Var(scope[below(len(scope))]), 1
+            n = len(scope)
+            k = n.bit_length()
+            while (r := getrandbits(k)) >= n:
+                pass
+            return Var(scope[r]), 1
         return node   # a leaf's (term, size) pair
 
-    root, choices = plan.choice(expr.name, True, kept), plan.choices
+    root, choices = plan.indices[expr.name, True], plan.choices(kept)
     floor = max(smallest, min(min_budget, max_size))
+    widths = max_size - floor + 1
+    k = widths.bit_length()
     try:
         while True:
-            yield gen(root, floor + below(max_size - floor + 1), (), 0)[0]
+            while (r := getrandbits(k)) >= widths:
+                pass
+            yield gen(root, floor + r, (), 0)[0]
     finally:
         # gen reaches itself through its closure; breaking that cycle here
         # lets a closed stream free its Random by reference counting.

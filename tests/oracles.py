@@ -15,17 +15,26 @@ from langx.cli import (
 from langx.engine import (
     MT,
     EngineError,
+    NoRuleApplies,
+    NotSyntaxDirected,
     OutOfFuel,
     Stuck,
     StuckMachine,
+    SubtypeFailure,
     TraceStep,
     TypecheckError,
+    UnboundVariable,
     _machine_kind,
+    _match_program,
     _min_sizes,
     _production_size,
+    _run_match,
+    _value_test,
+    check_subtype,
     ck_eval,
     decompose,
     evaluate,
+    instantiate,
     is_value,
     is_value_pattern,
     iter_swarm_terms,
@@ -41,11 +50,15 @@ from langx.ir import (
     Constructor,
     GrammarCategory,
     Hole,
+    Join,
     LanguageSpec,
     MachineConfig,
     Metavariable,
     Subst,
+    Subtype,
     Term,
+    TypeEq,
+    Typing,
     Var,
     children,
     context_holes,
@@ -54,7 +67,7 @@ from langx.ir import (
     term_size,
 )
 from langx.parser import render_state, render_term
-from langx.subtyping import NoJoin
+from langx.subtyping import NoJoin, join_all
 
 
 def oracle_term_size(t):
@@ -449,6 +462,79 @@ def oracle_check_subtype(t1, t2, spec):
                 return False
         return True
     return False
+
+
+def _rules_by_head(spec):
+    table = {}
+    for rule in spec.typing_rules():
+        head = term_head(rule.conclusion.subject)
+        if head in table:
+            raise NotSyntaxDirected(str(head[1] if len(head) > 1 else head[0]))
+        table[head] = rule
+    return table
+
+
+def oracle_typecheck(t, spec, env=None):
+    """engine.typecheck as it was before its rules ran as typing steps on an
+    explicit stack: it recurses once per level of t's typing derivation,
+    discharging each rule's premises in order under one substitution and
+    raising where a premise fails."""
+    table = _rules_by_head(spec)
+    value, membership = spec.derived(_value_test)
+
+    def matches(pattern, subject, sigma):
+        return _run_match(_match_program((pattern,), value), [subject], sigma,
+                          value, membership, {})
+
+    def build(pattern, sigma):
+        return instantiate(pattern, sigma, spec)
+
+    def bind_or_compare(pattern, ty, sigma):
+        if isinstance(pattern, Metavariable) and pattern.token not in sigma:
+            sigma[pattern.token] = ty
+        elif (built := build(pattern, sigma)) != ty:
+            raise SubtypeFailure(built, ty)
+
+    env = env or {}
+    if isinstance(t, Var):
+        if t.name in env:
+            return env[t.name]
+        raise UnboundVariable(t.name)
+    rule = table.get(term_head(t))
+    sigma = {}
+    if rule is None or not matches(rule.conclusion.subject, t, sigma):
+        raise NoRuleApplies(t)
+    try:
+        for premise in rule.premises:
+            match premise:
+                case Typing(penv, subject, ty):
+                    inner_env = dict(env)
+                    for var, vty in penv.extensions:
+                        inner_env[build(Var(var), sigma).name] = build(vty, sigma)
+                    actual = oracle_typecheck(build(subject, sigma), spec, inner_env)
+                    if not matches(ty, actual, sigma):
+                        raise NoRuleApplies(t)
+                case Subtype(sub, sup):
+                    a, b = build(sub, sigma), build(sup, sigma)
+                    if not check_subtype(a, b, spec):
+                        raise SubtypeFailure(a, b)
+                case TypeEq(left, right):
+                    if isinstance(right, Metavariable) and right.token not in sigma:
+                        left, right = right, left
+                    bind_or_compare(left, build(right, sigma), sigma)
+                case Join(result, operands):
+                    joined = join_all(tuple(build(o, sigma) for o in operands), spec)
+                    bind_or_compare(result, joined, sigma)
+                case _:
+                    raise TypecheckError(
+                        f"rule {rule.name!r} has an unsupported premise for checking")
+        return build(rule.conclusion.ty, sigma)
+    except TypecheckError:   # the premises' own verdicts, and the subterms'
+        raise
+    except EngineError:   # a metavariable the rule leaves unbound: it cannot type t
+        raise NoRuleApplies(t) from None
+    except NoJoin as exc:
+        raise SubtypeFailure(exc.t1, exc.t2) from None
 
 
 def oracle_compare(spec, machine_spec, count, seed, max_size, fuel=10000):

@@ -197,6 +197,22 @@ def test_compare_with_a_very_deeply_nested_conclusion_type_succeeds(tmp_path):
     assert json.loads(result.stdout.splitlines()[-1])["message"] == "5/5 agree"
 
 
+def test_compare_with_a_very_deeply_nested_production_succeeds(tmp_path):
+    # Term generation sizes and compiles each production on explicit
+    # stacks, so a production 3,000 levels deep, which no term of at most
+    # --max-size nodes can use, is planned under the default recursion
+    # limit.
+    spec = tmp_path / "deep.lang"
+    spec.write_text(DEEP_PRODUCTION)
+    result = subprocess.run(
+        [sys.executable, "-m", "langx", "--format", "structured", "compare", str(spec),
+         "--count", "5"],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert json.loads(result.stdout.splitlines()[-1])["message"] == "5/5 agree"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["derive-ck", fix("stlc.lang"), "-o", "{tmp}"], "cannot write {tmp}: Is a directory"),
     (["add-subtyping", fix("stlc.lang"), "-o", "{tmp}/nodir/out.lang"],
@@ -961,8 +977,13 @@ STRUCTURED_PATHS = {
                         "--trace"]),
     "fuel-0": (1, ["eval", fix("boollist.lang"), "(and t f)", "--fuel", "0"]),
     "count-0": (1, ["compare", fix("boollist.lang"), "--count", "0"]),
-    "nested-too-deeply": (1, ["compare", "{tmp}/deep.lang", "--count", "5"]),
+    "nested-too-deeply": (1, ["eval", "{tmp}/deep.lang", "--term-file", "{tmp}/deep.term"]),
 }
+
+
+# stlc whose Expression grammar holds a production nested 3,000 levels deep.
+DEEP_PRODUCTION = (FIXTURES / "stlc.lang").read_text().replace(
+    "(app e e)\n", "(app e e) | " + "(wrap " * 3000 + "e" + ")" * 3000 + "\n")
 
 
 @pytest.fixture
@@ -979,11 +1000,10 @@ def structured_paths(capsys, tmp_path):
         (FIXTURES / "stlc.lang").read_text()
         .replace("(app e e)", "(app e e) | (wrap e) | (unwrap e)")
         .replace("(app v E)", "(app v E) | (unwrap (wrap E))"))
-    # term generation sizes a production with a walk that recurses once per
-    # level of the production
-    (tmp_path / "deep.lang").write_text(
-        (FIXTURES / "stlc.lang").read_text().replace(
-            "(app e e)\n", "(app e e) | " + "(wrap " * 3000 + "e" + ")" * 3000 + "\n"))
+    # membership reads a nested production slot with a walk that recurses
+    # once per level of the production
+    (tmp_path / "deep.lang").write_text(DEEP_PRODUCTION)
+    (tmp_path / "deep.term").write_text("(wrap " * 3000 + "(lam x B x)" + ")" * 3000 + "\n")
     return tmp_path
 
 

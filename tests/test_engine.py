@@ -5,6 +5,7 @@ import gc
 import hashlib
 import pickle
 import random
+import subprocess
 import sys
 import weakref
 from itertools import islice
@@ -53,6 +54,7 @@ from langx.ir import (
     Constructor,
     Focused,
     GrammarCategory,
+    Hole,
     MachineConfig,
     MachineStep,
     Metavariable,
@@ -63,7 +65,7 @@ from langx.ir import (
     term_size,
 )
 from langx.parser import parse_spec, parse_term, render_term
-from langx.subtyping import add_subtyping
+from langx.subtyping import SubtypingError, add_subtyping
 from conftest import FIXTURES, GOLDEN, load, swapped_order_machine_text
 from oracles import (
     enumerate_closed_terms,
@@ -79,6 +81,7 @@ from oracles import (
     oracle_match,
     oracle_member,
     oracle_substitute,
+    oracle_typecheck,
 )
 from test_ck import NUMS
 from test_subtyping import TAGS
@@ -1325,6 +1328,108 @@ rule t-lam
     assert isinstance(info.value, TypecheckError)
 
 
+def typing_outcome(check, t, spec, env=None):
+    """What check makes of t: its type, or the class of the TypecheckError
+    it raises with the fields that say what failed, and its message."""
+    try:
+        return check(t, spec, env)
+    except TypecheckError as exc:
+        fields = ("term", "t1", "t2", "name", "head")
+        return type(exc), {f: getattr(exc, f) for f in fields if hasattr(exc, f)}, str(exc)
+
+
+# d's rule and lam's leave a metavariable of their type unbound.
+UNBOUND_TYPES = """\
+language unbound
+
+variables x
+
+grammar
+  Type T ::= B | (arrow T T)
+  Expression e ::= x | c | d | (lam x e) | (app e e)
+
+binder lam 1
+
+rule t-c
+  --------------------------------
+  G |- c : B
+
+rule t-d
+  --------------------------------
+  G |- d : T
+
+rule t-lam
+  G, x : T1 |- e : T2
+  --------------------------------
+  G |- (lam x e) : (arrow T1 T2)
+
+rule t-app
+  G |- e1 : (arrow T1 T2)
+  G |- e2 : T1
+  --------------------------------
+  G |- (app e1 e2) : T2
+"""
+
+
+def typing_specs():
+    """Every fixture and golden, add-subtyping of each fixture it accepts,
+    the premise and unbound-type specs above, and stlc with a second rule
+    for lam, which is not syntax-directed."""
+    for path in (*sorted(FIXTURES.glob("*.lang")), *sorted(GOLDEN.glob("*.lang"))):
+        spec = parse_spec(path.read_text(), filename=path.name)
+        yield path.name, spec
+        if path.parent == FIXTURES:
+            try:
+                yield f"{path.name} subtyped", add_subtyping(spec)
+            except SubtypingError:
+                pass
+    yield "premises", parse_spec(PREMISES)
+    yield "unbound", parse_spec(UNBOUND_TYPES)
+    stlc = load("stlc")
+    yield "twice", stlc.with_rules((*stlc.rules, dataclasses.replace(stlc.rules[0], name="t-lam2")))
+
+
+def test_typecheck_agrees_with_the_recursive_oracle():
+    # The distinct draws among 2,000 swarm terms of each spec, then their
+    # open subterms under no environment (an unbound variable) and with
+    # each free variable at one of two types.  The .sub goldens and the
+    # subtyped fixtures carry subtype and join premises.
+    seen = {}
+    for name, spec in typing_specs():
+        draws = dict.fromkeys(islice(iter_swarm_terms(spec, seed=0, max_size=10), 2000))
+        types = [Constructor(b) for b in spec.base_types()[:2]]
+        cases = [(t, None) for t in draws]
+        for t in {s for d in draws for s in subterms(d) if free_vars(s)}:
+            cases += [(t, None), *((t, dict.fromkeys(free_vars(t), ty)) for ty in types)]
+        for t, env in cases:
+            expected = typing_outcome(oracle_typecheck, t, spec, env)
+            assert typing_outcome(typecheck, t, spec, env) == expected, (name, t, env)
+            kind = expected[0] if type(expected) is tuple else "typed"
+            seen[kind] = seen.get(kind, 0) + 1
+    assert {"typed", NoRuleApplies, UnboundVariable, SubtypeFailure, NotSyntaxDirected,
+            TypecheckError} <= set(seen), seen
+
+
+def test_a_5000_deep_chain_typechecks_under_the_default_recursion_limit():
+    # typecheck keeps its frames on a stack of its own; the recursive body
+    # it replaced raised RecursionError from depth 990.
+    program = "\n".join([
+        "import sys",
+        "from langx.engine import typecheck",
+        "from langx.ir import BinderApp, Constructor, Var",
+        "from langx.parser import parse_spec",
+        f"spec = parse_spec(open({str(FIXTURES / 'stlc_consts.lang')!r}).read())",
+        "t = Constructor('ci')",
+        "for _ in range(5000):",
+        "    t = Constructor('app', (BinderApp('lam', 'x', (Constructor('int'), Var('x'))), t))",
+        "assert sys.getrecursionlimit() < 5000",
+        "print(typecheck(t, spec))",
+    ])
+    result = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == repr(Constructor("int")) + "\n"
+
+
 # -- random term generation -------------------------------------------------------
 
 def test_random_terms_deterministic_and_prefix_stable(langfunny):
@@ -1454,8 +1559,14 @@ def test_swarm_masks_every_category_of_the_expression_cycle():
                 == _draws(oracle_iter_swarm_terms, spec, *args), args
     plan = spec.derived(engine._GenerationPlan)
     assert plan.cycle == ("Expression", "Value")
-    assert any(cat == "Value" and kept is not None for cat, _, kept in plan.indices)
-    assert all(kept is None for cat, _, kept in plan.indices if cat == "Type")
+    # A mask refits Value's sizes with Expression's, never Type's, and every
+    # mask shares Type's choices with the whole grammar.
+    unmasked, whole = plan.size_tables[None], plan.masks[None]
+    assert any(sizes[1]["Value"] != unmasked[1]["Value"] for sizes in plan.size_tables.values())
+    assert all(sizes[closed]["Type"] == unmasked[closed]["Type"]
+               for sizes in plan.size_tables.values() for closed in (False, True))
+    assert all(choices[plan.indices["Type", closed]] is whole[plan.indices["Type", closed]]
+               for choices in plan.masks.values() for closed in (False, True))
 
 
 def test_swarm_sizes_each_mask_once(monkeypatch):
@@ -1485,6 +1596,32 @@ def test_swarm_sizes_each_mask_once(monkeypatch):
     assert set(masks) == set(plan.size_tables) - {None}
     # Sizing a new spec per narrowed grammar made 48,987 calls.
     assert calls <= 12000
+
+
+def test_swarm_compiles_each_production_once_per_size_table(monkeypatch):
+    # Every langfunny mask keeps a constant leaf, which reaches Expression's
+    # smallest closed and open sizes, so all masks share the unmasked table,
+    # and each node of each production is compiled once, for open and closed
+    # terms together.  Compiling per mask made about 2,600 calls per
+    # 5,000-term compare.
+    calls = []
+    compile_ = engine._GenerationPlan.compile
+
+    def recorded(plan, sizes, p, kids):
+        calls.append((p, id(sizes)))
+        return compile_(plan, sizes, p, kids)
+
+    monkeypatch.setattr(engine._GenerationPlan, "compile", recorded)
+    spec = load("langfunny")
+    for _ in islice(iter_swarm_terms(spec, seed=0, max_size=10), 10000):
+        pass
+    plan = spec.derived(engine._GenerationPlan)
+    unmasked = plan.size_tables[None]
+    assert len(plan.masks) > 100
+    assert all(sizes is unmasked for sizes in plan.size_tables.values())
+    assert sorted(calls, key=repr) == sorted(
+        {(s, id(unmasked)) for cat in spec.categories for p in cat.productions
+         if not isinstance(p, Hole) for s in subterms(p)}, key=repr)
 
 
 def test_generation_sizes_productions_once_per_spec(monkeypatch):
@@ -1543,8 +1680,7 @@ def test_generation_plans_are_freed_with_their_specs():
         for _ in islice(iter_swarm_terms(spec, seed=0, max_size=10), 500):
             pass
         plan = spec.__dict__[engine._GenerationPlan]
-        assert any(cat == "Expression" and kept is not None
-                   for cat, _, kept in plan.indices)
+        assert any(kept is not None for kept in plan.masks)
         plan = weakref.ref(plan)
         del spec
         assert plan() is None
