@@ -151,13 +151,16 @@ def _whole(state: Union[Term, MachineConfig, Focused]) -> Union[Term, MachineCon
 # ---------------------------------------------------------------------------
 # grammar membership
 #
-# A bottom-up tree automaton: a node's categories follow from its head and
-# its children's categories, so a fold computes them once per node.
+# A bottom-up tree automaton: a node's states follow from its head and its
+# children's states, so a fold computes them once per node.  A state is a
+# category's name, or a production slot that is not a metavariable, as the
+# (app v v) of Value v ::= (box (app v v)), held by the nodes it derives.
 
-# Categories of nodes, by node: a fold's memo.
-Categories = dict[Term, frozenset[str]]
+# States of nodes, by node: a fold's memo.  They are the nodes' categories,
+# and more only in a spec with nested slots; categories() returns the names.
+Categories = dict[Term, frozenset]
 
-_NO_CATEGORIES: frozenset[str] = frozenset()
+_NO_CATEGORIES: frozenset = frozenset()
 
 
 def _unit_closure(spec: LanguageSpec) -> dict[str, frozenset[str]]:
@@ -177,21 +180,33 @@ def _unit_closure(spec: LanguageSpec) -> dict[str, frozenset[str]]:
     return {name: frozenset(names) for name, names in reached_by.items()}
 
 
-def _membership_table(spec: LanguageSpec) -> dict[tuple, tuple[
-        frozenset[str], tuple[tuple[tuple[Term, ...], frozenset[str]], ...]]]:
-    """Non-unit productions by the head of the node they derive.
+def _state(slot: Term) -> Union[str, Term]:
+    """The state a production slot reads of its argument: a metavariable's
+    category, or else the slot itself."""
+    return slot.category if type(slot) is Metavariable else slot
 
-    Each head maps to every category that derives some node with that head,
-    and to its productions' distinct slot tuples, each with every category
-    that reaches such a production directly or through unit productions.
+
+def _membership_table(spec: LanguageSpec) -> dict[tuple, tuple[
+        frozenset, tuple[tuple[tuple, frozenset], ...]]]:
+    """Transitions by the head of the node they derive.
+
+    A non-unit production derives, from the states its slots read, every
+    category that reaches it directly or through unit productions; a nested
+    slot is one more transition, which derives its own state.  A
+    substitution derives nothing.  Each head maps to every state that some
+    node with that head derives, and to its transitions' distinct tuples of
+    slot states, each with the states they derive.
     """
     reached_by = spec.derived(_unit_closure)
-    by_head: dict[tuple, dict[tuple[Term, ...], set[str]]] = {}
-    for cat in spec.categories:
-        for p in cat.productions:
-            if not isinstance(p, (Metavariable, Subst)):   # unit productions are closed over above
-                by_head.setdefault(term_head(p), {}).setdefault(
-                    children(p), set()).update(reached_by[cat.name])
+    by_head: dict[tuple, dict[tuple, set]] = {}
+    stack = [(p, reached_by[cat.name]) for cat in spec.categories for p in cat.productions
+             if not isinstance(p, (Metavariable, Subst))]   # unit productions are closed over above
+    while stack:
+        p, names = stack.pop()
+        slots = children(p)
+        by_head.setdefault(term_head(p), {}).setdefault(
+            tuple(map(_state, slots)), set()).update(names)
+        stack.extend((s, (s,)) for s in slots if not isinstance(s, (Metavariable, Subst)))
     return {head: (frozenset().union(*entries.values()),
                    tuple((slots, frozenset(names)) for slots, names in entries.items()))
             for head, entries in by_head.items()}
@@ -204,42 +219,30 @@ def categories(t: Term, spec: LanguageSpec,
     Pass one cats dict to calls on the same, unchanged terms to share their
     subterms' results.
     """
-    return _categories(t, spec.derived(_membership_table), {} if cats is None else cats)
+    states = _categories(t, spec.derived(_membership_table), {} if cats is None else cats)
+    return frozenset(s for s in states if type(s) is str)
 
 
-def _categories(t: Term, table: dict, cats: Categories) -> frozenset[str]:
+def _categories(t: Term, table: dict, cats: Categories) -> frozenset:
+    """The states of t, in one fold over the nodes not in cats."""
     hit = cats.get(t)
     if hit is not None:
         return hit
-    return fold(t, partial(_derived_by, table, cats), cats)
+    return fold(t, partial(_derived_by, table), cats)
 
 
-def _derived_by(table: dict, cats: Categories, t: Term, kids: tuple) -> frozenset[str]:
-    """The categories of t, those of its subterms being in cats already: the
-    slots read them there through _categories, as a nested slot must."""
+def _derived_by(table: dict, t: Term, kids: tuple[frozenset, ...]) -> frozenset:
+    """A fold's step: the states of t, from its head and its children's."""
     entry = table.get(term_head(t))
     if entry is None:
         return _NO_CATEGORIES
     if not kids:
-        return entry[0]   # a leaf: no production of its head has slots
+        return entry[0]   # a leaf: no transition of its head has slots
     found = _NO_CATEGORIES
     for slots, names in entry[1]:
-        if not names <= found and all(
-                _slot_derives(s, a, table, cats) for s, a in zip(slots, children(t))):
+        if not names <= found and all(s in k for s, k in zip(slots, kids)):
             found = found | names
     return found
-
-
-def _slot_derives(slot: Term, t: Term, table: dict, cats: Categories) -> bool:
-    """Does a production slot derive t?  A metavariable slot reads t's
-    categories; any other derives the terms with its head whose children its
-    own derive, so nested slots recurse only as deep as the production.  A
-    substitution, whose head a metavariable shares, derives nothing."""
-    kind = type(slot)
-    if kind is Metavariable:
-        return slot.category in _categories(t, table, cats)
-    return kind is not Subst and term_head(slot) == term_head(t) and all(
-        _slot_derives(s, a, table, cats) for s, a in zip(children(slot), children(t)))
 
 
 def member(t: Term, category_name: str, spec: LanguageSpec,
@@ -249,10 +252,10 @@ def member(t: Term, category_name: str, spec: LanguageSpec,
                    {} if cats is None else cats)
 
 
-def _member(t: Term, name: Optional[str], table: dict, cats: Categories) -> bool:
-    """member on a resolved table: the memo first, then the head's
-    categories, and a walk of t only when neither settles it.  A name of
-    None derives nothing."""
+def _member(t: Term, name: Union[str, Term, None], table: dict, cats: Categories) -> bool:
+    """member on a resolved table, of a category's name or another state:
+    the memo first, then the head's states, and a walk of t only when
+    neither settles it.  A name of None derives nothing."""
     hit = cats.get(t)
     if hit is not None:
         return name in hit
@@ -490,7 +493,7 @@ def _descend(t: Term, frames: Optional[Frame], spec: LanguageSpec,
             # other slots, however big, are not walked.
             args = t.args
             if not _member(args[hole_at], value, table, cats) \
-                    and all(_slot_derives(slot, args[i], table, cats) for i, slot in others):
+                    and all(state in _categories(args[i], table, cats) for i, state in others):
                 node = Constructor(t.name, args[:hole_at] + (HOLE,) + args[hole_at + 1:])
                 frames = Frame(node, hole_at, frames)
                 t = args[hole_at]
@@ -505,24 +508,22 @@ def _refocus(frames: Optional[Frame], reduct: Term, redex: Term, spec: LanguageS
     """The decomposition of the term frames make around reduct, where they
     held redex; and whether its root keeps the categories it had with redex.
 
-    A node's categories follow from its head and its arguments' categories,
-    and a decomposition reads no more of a node than these.  So the walk
-    pops frames up from the reduct and stops at the first whose slots read
-    the same categories of the argument that changed below it: that node
-    keeps its categories, every frame above it stays as it was, and the
-    descent resumes at the node itself, whose own context may now be
-    another.  Only the frames the walk passes are filled or pushed.
+    A node's states follow from its head and its arguments' states, and a
+    decomposition reads no more of a node than these.  So the walk pops
+    frames up from the reduct and stops at the first whose transitions read
+    the same states of the argument that changed below it: that node keeps
+    its states, every frame above it stays as it was, and the descent
+    resumes at the node itself, whose own context may now be another.  Only
+    the frames the walk passes are filled or pushed.
     """
     views = spec.derived(_frame_views)
-    if views is None:
-        return _descend(plug_frames(frames, reduct), None, spec, cats), False
     table = spec.derived(_membership_table)
     new, old = reduct, redex
     while frames is not None:
         frame, frames = frames, frames.above
         node = frame.node
-        kept = all(_member(new, name, table, cats) == _member(old, name, table, cats)
-                   for name in views[node.name, len(node.args), frame.hole_at])
+        kept = all(_member(new, state, table, cats) == _member(old, state, table, cats)
+                   for state in views[node.name, len(node.args), frame.hole_at])
         new = frame.fill(new)
         if kept:
             return _descend(new, frames, spec, cats), True
@@ -532,37 +533,31 @@ def _refocus(frames: Optional[Frame], reduct: Term, redex: Term, spec: LanguageS
 
 def _context_table(spec: LanguageSpec) -> dict[tuple[str, int], list[tuple[int, list]]]:
     """Operator context productions by (name, arity), in grammar order, each as
-    its hole position and its other (position, slot) pairs."""
+    its hole position and its other slots as (position, state) pairs."""
     ctx = spec.context_category
     table: dict[tuple[str, int], list[tuple[int, list]]] = {}
     for prod in ctx.productions if ctx is not None else ():
         if isinstance(prod, Constructor):
             holes = context_holes(prod, ctx.name)
             if holes:
-                others = [(i, a) for i, a in enumerate(prod.args) if i != holes[0]]
+                others = [(i, _state(a)) for i, a in enumerate(prod.args) if i != holes[0]]
                 table.setdefault((prod.name, len(prod.args)), []).append((holes[0], others))
     return table
 
 
-def _frame_views(spec: LanguageSpec) -> Optional[dict[tuple[str, int, int], frozenset[str]]]:
-    """Per context operator (name, arity) and argument position, the
-    categories that its nodes' membership reads of the argument there.  None
-    when a production with the head of a context operator has a slot that is
-    not a metavariable: such a slot reads more of its argument than its
-    categories, so a run then decomposes every state from the root.  A
-    production that holds a hole, as (app [.] e) does, derives no run-time
+def _frame_views(spec: LanguageSpec) -> dict[tuple[str, int, int], frozenset]:
+    """Per context operator (name, arity) and argument position, the states
+    that the transitions of its head read of the argument there.  A
+    transition that reads a hole, as (app [.] e) does, derives no run-time
     term, so its slots read nothing."""
-    table = spec.derived(_membership_table)
-    views: dict[tuple[str, int, int], set[str]] = {}
-    for name, arity in spec.derived(_context_table):
+    table, contexts = spec.derived(_membership_table), spec.derived(_context_table)
+    views = {(name, arity, at): set() for name, arity in contexts for at in range(arity)}
+    for name, arity in contexts:
         for slots, _ in table[("con", name, arity)][1]:
-            if HOLE in slots:
-                continue
-            for at, slot in enumerate(slots):
-                if type(slot) is not Metavariable:
-                    return None
-                views.setdefault((name, arity, at), set()).add(slot.category)
-    return {key: frozenset(names) for key, names in views.items()}
+            if HOLE not in slots:
+                for at, state in enumerate(slots):
+                    views[name, arity, at].add(state)
+    return {key: frozenset(states) for key, states in views.items()}
 
 
 def plug(context: Term, filler: Term) -> Term:

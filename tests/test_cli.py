@@ -203,7 +203,7 @@ def test_compare_with_a_very_deeply_nested_production_succeeds(tmp_path):
     # --max-size nodes can use, is planned under the default recursion
     # limit.
     spec = tmp_path / "deep.lang"
-    spec.write_text(DEEP_PRODUCTION)
+    spec.write_text(deep_production(3000))
     result = subprocess.run(
         [sys.executable, "-m", "langx", "--format", "structured", "compare", str(spec),
          "--count", "5"],
@@ -211,6 +211,23 @@ def test_compare_with_a_very_deeply_nested_production_succeeds(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stderr
     assert json.loads(result.stdout.splitlines()[-1])["message"] == "5/5 agree"
+
+
+def test_eval_of_a_term_of_a_deeply_nested_production_ends_stuck(tmp_path):
+    # Membership reads a nested production slot as one more state of the
+    # grammar, one level per node, so a 1,000-deep production derives its
+    # term under the default recursion limit; no rule reduces wrap.  Each
+    # wrap node checks every wrap transition, so time grows with the square
+    # of the depth, which keeps this test at 1,000 levels.
+    spec, term = tmp_path / "deep.lang", tmp_path / "deep.term"
+    spec.write_text(deep_production(1000))
+    term.write_text("(wrap " * 1000 + "(lam x B x)" + ")" * 1000 + "\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "langx", "eval", str(spec), "--term-file", str(term)],
+        capture_output=True, text=True)
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith("stuck: (wrap (wrap ")
+    assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -977,13 +994,31 @@ STRUCTURED_PATHS = {
                         "--trace"]),
     "fuel-0": (1, ["eval", fix("boollist.lang"), "(and t f)", "--fuel", "0"]),
     "count-0": (1, ["compare", fix("boollist.lang"), "--count", "0"]),
-    "nested-too-deeply": (1, ["eval", "{tmp}/deep.lang", "--term-file", "{tmp}/deep.term"]),
+    "nested-too-deeply": (1, ["compare", "{tmp}/deep.lang", "--count", "300",
+                              "--max-size", "5"]),
 }
 
 
-# stlc whose Expression grammar holds a production nested 3,000 levels deep.
-DEEP_PRODUCTION = (FIXTURES / "stlc.lang").read_text().replace(
-    "(app e e)\n", "(app e e) | " + "(wrap " * 3000 + "e" + ")" * 3000 + "\n")
+def deep_production(depth):
+    """stlc whose Expression grammar holds a production nested depth levels deep."""
+    return (FIXTURES / "stlc.lang").read_text().replace(
+        "(app e e)\n", "(app e e) | " + "(wrap " * depth + "e" + ")" * depth + "\n")
+
+
+def deep_join_spec(capsys):
+    """stlc_consts with subtyping, whose ci has type (arrow D_float int) and
+    cf type D_int, D_leaf being (arrow int (arrow int ... leaf)) 3,000 levels
+    deep: typing (app ci cf) joins the two deep types."""
+    code, out, _ = run(capsys, "add-subtyping", fix("stlc_consts.lang"))
+    assert code == 0
+
+    def deep(leaf):
+        return "(arrow int " * 3000 + leaf + ")" * 3000
+
+    text = out.replace("G |- ci : int", f"G |- ci : (arrow {deep('float')} int)") \
+              .replace("G |- cf : float", f"G |- cf : {deep('int')}")
+    assert text.count("(arrow int " * 3000) == 2
+    return text
 
 
 @pytest.fixture
@@ -1000,10 +1035,9 @@ def structured_paths(capsys, tmp_path):
         (FIXTURES / "stlc.lang").read_text()
         .replace("(app e e)", "(app e e) | (wrap e) | (unwrap e)")
         .replace("(app v E)", "(app v E) | (unwrap (wrap E))"))
-    # membership reads a nested production slot with a walk that recurses
-    # once per level of the production
-    (tmp_path / "deep.lang").write_text(DEEP_PRODUCTION)
-    (tmp_path / "deep.term").write_text("(wrap " * 3000 + "(lam x B x)" + ")" * 3000 + "\n")
+    # the subtype check of (app ci cf) joins two types with a walk that
+    # recurses once per level of them
+    (tmp_path / "deep.lang").write_text(deep_join_spec(capsys))
     return tmp_path
 
 

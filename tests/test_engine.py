@@ -745,15 +745,22 @@ def test_runs_equal_the_per_step_memo_oracles_on_well_typed_terms(name):
 
 
 def counted_categories(monkeypatch):
-    """A one-item list counting the calls of engine._categories from now on."""
+    """A one-item list counting, from now on, the calls of engine._categories,
+    which reads a slot's states, and of engine._derived_by, which
+    categorises one node."""
     calls = [0]
-    walk = engine._categories
 
-    def counted(*args):
-        calls[0] += 1
-        return walk(*args)
+    def counting(name):
+        walk = getattr(engine, name)
 
-    monkeypatch.setattr(engine, "_categories", counted)
+        def counted(*args):
+            calls[0] += 1
+            return walk(*args)
+
+        monkeypatch.setattr(engine, name, counted)
+
+    counting("_categories")
+    counting("_derived_by")
     return calls
 
 
@@ -805,12 +812,15 @@ def mixed_name_chain(depth):
     return t
 
 
-def test_a_refocused_run_does_membership_work_linear_in_depth(monkeypatch, stlc_consts):
+@pytest.mark.parametrize("spec_name", ["stlc_consts", "boxes"])
+def test_a_refocused_run_does_membership_work_linear_in_depth(monkeypatch, spec_name):
+    spec = parse_spec(SPEC_TEXTS[spec_name]) if spec_name in SPEC_TEXTS else load(spec_name)
     calls = counted_categories(monkeypatch)
     depth = 400
-    value, trace = evaluate(mixed_name_chain(depth), stlc_consts)
+    value, trace = evaluate(mixed_name_chain(depth), spec)
     assert value == Constructor("ci") and len(trace) == depth
-    # Decomposing every state from the root made 79,813 calls.
+    # Decomposing every state from the root, as boxes used to since its
+    # (box (app v v)) nests a slot, made about 79,800 calls.
     assert calls[0] <= 4 * depth
 
 
@@ -879,8 +889,28 @@ rule beta
   (app (lam x T e) v) --> e[v/x]
 """
 
+# foo is a context operator that no category derives a node of, so no
+# membership reads its argument: the (foo [.]) frame stays as it is.
+NO_FOO_TERMS = """\
+language nofoo
+
+grammar
+  Expression e ::= c | d | (bar e)
+  Value v ::= c | d
+  Context E ::= [.] | (foo [.]) | (bar E)
+
+rule unfold
+  --------------------------------
+  (bar c) --> (foo (bar d))
+
+rule drop
+  --------------------------------
+  (bar d) --> d
+"""
+
 # Specs written out here, by name; any other name is a fixture.
 SPEC_TEXTS = {
+    "no-foo-terms": NO_FOO_TERMS,
     "nums-under-succ": NUMS.replace("(pred E)", "(succ E) | (pred E)"),
     "boxes": BOXES,
     # stlc_consts with its context productions writing the hole as [.].
@@ -903,6 +933,8 @@ REFOCUSED = {
     "nested-value-production": (
         "boxes", "(pair (box (app (lam x int x) (app (lam x int x) ci))) "
                  "(app (lam x int x) ci))"),
+    # The reduct d leaves the (foo [.]) frame, whose node is in no category.
+    "frame-of-no-category": ("no-foo-terms", "(bar c)"),
     "mixed-name-chain": ("stlc_consts", None),
     "mixed-name-chain-under-hole-contexts": ("stlc-consts-hole-contexts", None),
 }
