@@ -234,8 +234,11 @@ def cmd_eval(args, rep: Reporter) -> int:
     if free:
         noun = "variable" if len(free) == 1 else "variables"
         raise LangxError(f"eval needs a closed term; free {noun}: {', '.join(free)}")
+    # The small-step run starts from the categories this test found; the
+    # machine's spec may have another grammar, so its run keeps its own.
+    cats: dict = {}
     expr = spec.expression_category
-    if expr is not None and not member(term, expr.name, spec):
+    if expr is not None and not member(term, expr.name, spec, cats):
         raise LangxError(f"eval needs a term of category {expr.name}; "
                          f"the grammar does not derive this one")
 
@@ -244,7 +247,7 @@ def cmd_eval(args, rep: Reporter) -> int:
             spec = _derive(spec, args.spec)
         kind, result, trace = _outcome(ck_eval, MachineConfig(term, MT), spec, args.fuel)
     else:
-        kind, result, trace = _outcome(evaluate, term, spec, args.fuel)
+        kind, result, trace = _outcome(evaluate, term, spec, args.fuel, cats=cats)
 
     if args.trace:
         _print_trace(trace, spec, rep)
@@ -267,15 +270,18 @@ def outcomes_agree(a, b) -> bool:
     return True
 
 
-def _outcome_text(outcome, spec: LanguageSpec) -> str:
+def _outcome_text(outcome, spec: LanguageSpec, memo: Optional[dict] = None) -> str:
+    """An outcome as compare prints it; memo is render_term's, which the
+    memo-free compare oracle of the tests leaves out."""
     kind, value = outcome
-    return f"value {render_term(value, spec)}" if kind == "value" else kind
+    return f"value {render_term(value, spec, memo)}" if kind == "value" else kind
 
 
-def well_typed_terms(spec: LanguageSpec, count: int, seed: int,
-                     max_size: int) -> Iterable[Term]:
+def well_typed_terms(spec: LanguageSpec, count: int, seed: int, max_size: int,
+                     cats: Optional[dict] = None) -> Iterable[Term]:
     """First `count` generated terms that typecheck under `spec`; a spec
-    without typing rules accepts every draw.
+    without typing rules accepts every draw.  cats is the membership memo
+    of spec the typing rules' value tests read.
 
     Attempts are capped so a grammar whose terms almost never typecheck
     terminates with fewer terms.  Typing rules that are not syntax-directed
@@ -283,13 +289,18 @@ def well_typed_terms(spec: LanguageSpec, count: int, seed: int,
     """
     checked = bool(spec.typing_rules())
     # The stream repeats most of its draws, so each distinct draw's verdict
-    # is kept for the rest of this call.
+    # is kept for the rest of this call, and the draws share most of their
+    # subterms, so one typing memo serves the whole call.  A draw may be in
+    # the typing memo already, as a subterm of an earlier one; typecheck
+    # still sees each distinct draw once.
     verdicts: dict[Term, bool] = {}
+    types: dict = {}
+    cats = {} if cats is None else cats
     for term in islice(iter_swarm_terms(spec, seed=seed, max_size=max_size),
                        max(200 * count, 10000)):
         typed = verdicts.get(term)
         if typed is None:
-            typed = verdicts[term] = not checked or _typechecks(term, spec)
+            typed = verdicts[term] = not checked or _typechecks(term, spec, types, cats)
         if typed:
             yield term
             count -= 1
@@ -297,9 +308,9 @@ def well_typed_terms(spec: LanguageSpec, count: int, seed: int,
                 return
 
 
-def _typechecks(term: Term, spec: LanguageSpec) -> bool:
+def _typechecks(term: Term, spec: LanguageSpec, types: dict, cats: dict) -> bool:
     try:
-        typecheck(term, spec)
+        typecheck(term, spec, types=types, cats=cats)
     except NotSyntaxDirected:
         raise
     except TypecheckError:
@@ -335,11 +346,14 @@ def cmd_compare(args, rep: Reporter) -> int:
 
     # Equal terms run and render alike, and most compared terms repeat an
     # earlier one, so each distinct term's row is worked out once per call.
-    # Each side keeps one membership memo for the call: terms are interned
-    # and immutable, so a subterm's categories never change.
+    # Each spec keeps one membership memo and one render memo for the call:
+    # terms are interned and immutable, so a subterm's categories and text
+    # never change.  The typecheck filter reads the source spec's cats.
     rows: dict[Term, tuple[bool, str, str, str, str]] = {}
     source_cats: dict = {}
     machine_cats: dict = {}
+    source_texts: dict = {}
+    machine_texts: dict = {}
 
     def row(term: Term) -> tuple[bool, str, str, str, str]:
         """Whether the sides agree on term, the texts of term and of each
@@ -352,9 +366,9 @@ def cmd_compare(args, rep: Reporter) -> int:
             machine = _outcome(ck_eval, MachineConfig(term, MT), machine_spec,
                                machine_fuel, cats=machine_cats)[:2]
             ok = outcomes_agree(source, machine)
-            shown = render_term(term, spec)
-            source_text = _outcome_text(source, spec)
-            machine_text = _outcome_text(machine, machine_spec)
+            shown = render_term(term, spec, source_texts)
+            source_text = _outcome_text(source, spec, source_texts)
+            machine_text = _outcome_text(machine, machine_spec, machine_texts)
             found = rows[term] = (ok, shown, source_text, machine_text, rep.encode(
                 term=shown, source=source_text, machine=machine_text, agree=ok))
         return found
@@ -366,7 +380,7 @@ def cmd_compare(args, rep: Reporter) -> int:
     agreed = 0
     first_failure = None
     for index, term in enumerate(well_typed_terms(
-            spec, args.count, args.seed, args.max_size)):
+            spec, args.count, args.seed, args.max_size, source_cats)):
         ok, shown, source_text, machine_text, fields = row(term)
         total += 1
         agreed += ok
@@ -388,7 +402,7 @@ def cmd_compare(args, rep: Reporter) -> int:
         return EXIT_OK
 
     minimal = shrink_counterexample(first_failure, disagrees)
-    shown = render_term(minimal, spec)
+    shown = render_term(minimal, spec, source_texts)
     rep.emit(f"minimal counterexample ({term_size(minimal)} nodes): {shown}",
              kind="counterexample", term=shown, size=term_size(minimal))
     return EXIT_DISAGREE

@@ -820,45 +820,70 @@ def _typing_rules(spec: LanguageSpec) -> tuple[dict, Optional[str], dict]:
     return table, value, membership
 
 
-def typecheck(t: Term, spec: LanguageSpec,
-              env: Optional[dict[str, Term]] = None) -> Term:
-    """Type of a term under syntax-directed rules; raises TypecheckError."""
-    typed = _type_of(t, env or {}, spec)
+# Types of nodes typed under the empty environment, by node: a typing memo.
+# A node's value is its type, or the first failure that refuses it.
+Types = dict[Term, Term | TypecheckError]
+
+
+def typecheck(t: Term, spec: LanguageSpec, env: Optional[dict[str, Term]] = None,
+              types: Optional[Types] = None,
+              cats: Optional[Categories] = None) -> Term:
+    """Type of a term under syntax-directed rules; raises TypecheckError.
+
+    types is the typing memo and cats the membership memo (see evaluate).
+    Pass one of each to calls on terms of one spec to type each node under
+    the empty environment once: terms are immutable, so its type never
+    changes.
+    """
+    typed = _type_of(t, env or {}, spec, {} if types is None else types,
+                     {} if cats is None else cats)
     if isinstance(typed, TypecheckError):
         raise typed
     return typed
 
 
-def _type_of(t: Term, env: dict[str, Term], spec: LanguageSpec) -> Union[Term, TypecheckError]:
+def _type_of(t: Term, env: dict[str, Term], spec: LanguageSpec, types: Types,
+             cats: Categories) -> Union[Term, TypecheckError]:
     """The type of t under env, or the failure that refuses it.  A frame,
     [subterm, rule, sigma, env, step], discharges a subterm's rule: a typing
     step descends into its subject under the environment it extends, and
-    the type that comes back must match the step's."""
+    the type that comes back must match the step's.
+
+    Under the empty environment a node is looked up in types before its
+    rule is matched, and its type is kept there once its rule is
+    discharged.  A failure goes down the stack unchanged, so it is kept for
+    every node on it typed under the empty environment."""
     rules, value, table = spec.derived(_typing_rules)
-    cats: Categories = {}
     frames: list[list] = []
     try:
         while True:
-            if type(t) is Var:
+            known = None if env else types.get(t)
+            if known is not None:
+                if isinstance(known, TypecheckError):
+                    return _failed(known, frames, types)
+                typed, returned = known, True
+            elif type(t) is Var:
                 if t.name not in env:
-                    return UnboundVariable(t.name)
+                    return _failed(UnboundVariable(t.name), frames, types, None if env else t)
                 typed, returned = env[t.name], True
             else:
                 rule, sigma = rules.get(term_head(t)), {}
                 if rule is None or not _run_match(rule[0], [t], sigma, value, table, cats):
-                    return NoRuleApplies(t)
+                    return _failed(NoRuleApplies(t), frames, types, None if env else t)
                 if rule[1]:
                     frames.append([t, rule, sigma, env, 0])
                     returned = False
                 else:   # an axiom: its type goes up at once
-                    node = t
+                    node, scope = t, env
                     typed, returned = _run_build(rule[2], sigma)[0], True
+                    if not env:
+                        types[t] = typed
             while frames:
                 frame = frames[-1]
                 node, (_, steps, build), sigma, scope, at = frame
                 if returned:   # typed is the type of steps[at]'s subject
                     if not _run_match(steps[at][2], [typed], sigma, value, table, cats):
-                        return NoRuleApplies(node)
+                        return _failed(NoRuleApplies(node), frames, types)
                     at += 1
                 while at < len(steps):
                     op, a, b, c = steps[at]
@@ -869,17 +894,38 @@ def _type_of(t: Term, env: dict[str, Term], spec: LanguageSpec) -> Union[Term, T
                         break
                     failed = _premise(op, a, b, c, sigma, spec)
                     if failed is not None:
-                        return failed
+                        return _failed(failed, frames, types)
                     at += 1
                 else:
                     typed, returned = _run_build(build, sigma)[0], True
+                    if not scope:
+                        types[node] = typed
                     frames.pop()
                     continue
                 break
             else:
                 return typed
     except EngineError:   # a metavariable the rule leaves unbound: it cannot type the node
-        return NoRuleApplies(node)
+        return _failed(NoRuleApplies(node), frames, types, None if scope else node)
+
+
+def _failed(failure: TypecheckError, frames: list[list], types: Types,
+            refused: Optional[Term] = None) -> TypecheckError:
+    """A copy of failure to raise, which is kept in types for the nodes it
+    refuses that were typed under the empty environment: refused, a node
+    outside the frames, and the nodes of the frames at the bottom of the
+    stack, whose environments the others extend.  A kept failure is never
+    raised itself, so it holds no traceback, and each raise has an
+    instance of its own."""
+    if refused is not None:
+        types[refused] = failure
+    for frame in frames:
+        if frame[3]:
+            break
+        types[frame[0]] = failure
+    copy = TypecheckError.__new__(type(failure), *failure.args)
+    copy.__dict__.update(vars(failure))
+    return copy
 
 
 def _premise(op: Optional[int], a, b, c, sigma: Substitution,

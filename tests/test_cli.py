@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, GOLDEN, load, swapped_order_machine_text
-from langx import cli
+from langx import cli, engine
 from langx.ck import derive_ck
 from langx.engine import MT, ck_eval, evaluate, iter_swarm_terms, member
-from langx.ir import MachineConfig
+from langx.ir import MachineConfig, subterms
 from langx.parser import SpecParseError, parse_spec, parse_term, print_spec, render_term
 from oracles import oracle_compare, oracle_print_trace
 
@@ -769,6 +769,41 @@ def test_compare_works_on_each_distinct_term_once(capsys, monkeypatch):
     assert len(received["typecheck"]) == len(set(draws))
 
 
+def test_compare_matches_a_typing_rule_once_per_distinct_node(capsys, monkeypatch):
+    # One typing memo for the call keeps each node typed under the empty
+    # environment; only the bodies under a binder are typed again, once per
+    # binder node.  Typing every draw afresh matched once per node of each
+    # distinct draw.
+    subjects, matches, draws = set(), [0], []
+    rules, match, stream = engine._typing_rules, engine._run_match, cli.iter_swarm_terms
+
+    def recorded_rules(spec):
+        compiled = rules(spec)
+        subjects.update(id(rule[0]) for rule in compiled[0].values())
+        return compiled
+
+    def counted_match(program, *args):
+        matches[0] += id(program) in subjects
+        return match(program, *args)
+
+    def recorded_stream(*args, **kwargs):
+        for term in stream(*args, **kwargs):
+            draws.append(term)
+            yield term
+
+    monkeypatch.setattr(engine, "_typing_rules", recorded_rules)
+    monkeypatch.setattr(engine, "_run_match", counted_match)
+    monkeypatch.setattr(cli, "iter_swarm_terms", recorded_stream)
+    code, out, err = run(capsys, "--format", "structured", "compare",
+                         fix("langfunny.lang"), "--count", "1000",
+                         "--max-size", "10", "--seed", "0")
+    assert code == 0 and subjects
+    distinct = set(draws)
+    nodes = {s for d in distinct for s in subterms(d)}
+    occurrences = sum(1 for d in distinct for _ in subterms(d))
+    assert 0 < matches[0] <= len(nodes) < occurrences // 2
+
+
 def swapped_order_machine(tmp_path, capsys):
     path = tmp_path / "langfunny.ck.bad.lang"
     path.write_text(swapped_order_machine_text())
@@ -783,6 +818,7 @@ ORACLE_COMPARES = {
     "langfunny-1": ("langfunny", None, 1),
     "langfunny-2": ("langfunny", None, 2),
     "stlc_consts-0": ("stlc_consts", None, 0),
+    "langfunny.sub-0": ("golden/langfunny.sub", None, 0),
     "swapped-order-4": ("langfunny", swapped_order_machine, 4),
     "boollist-mutant-7": ("boollist", mutated_machine, 7),
 }

@@ -7,6 +7,7 @@ import pickle
 import random
 import subprocess
 import sys
+import traceback
 import weakref
 from itertools import islice
 
@@ -1440,6 +1441,55 @@ def test_typecheck_agrees_with_the_recursive_oracle():
             seen[kind] = seen.get(kind, 0) + 1
     assert {"typed", NoRuleApplies, UnboundVariable, SubtypeFailure, NotSyntaxDirected,
             TypecheckError} <= set(seen), seen
+
+
+def test_typecheck_with_one_typing_memo_agrees_with_the_recursive_oracle():
+    # The distinct draws among 2,000 swarm terms of each spec, in draw
+    # order, share one typing memo and one membership memo, as compare's
+    # filter does: a draw's subterms, and often the draw itself, were typed
+    # or refused by the draws before it.  Then their open subterms, under
+    # no environment, which nothing typed under a binder may answer for.
+    seen, kept = set(), set()
+    for name, spec in typing_specs():
+        types, cats = {}, {}
+
+        def shared(t, spec, env):
+            return typecheck(t, spec, env, types, cats)
+
+        draws = dict.fromkeys(islice(iter_swarm_terms(spec, seed=0, max_size=10), 2000))
+        open_terms = dict.fromkeys(s for d in draws for s in subterms(d) if free_vars(s))
+        for t in (*draws, *open_terms):
+            expected = typing_outcome(oracle_typecheck, t, spec)
+            was_kept = t in types
+            assert typing_outcome(shared, t, spec) == expected, (name, t)
+            kind = expected[0] if type(expected) is tuple else "typed"
+            seen.add(kind)
+            if was_kept:
+                kept.add(kind)
+    assert {"typed", NoRuleApplies, SubtypeFailure, NotSyntaxDirected,
+            TypecheckError} <= seen, seen
+    assert {"typed", NoRuleApplies} <= kept, kept
+
+
+def test_a_kept_failure_is_raised_as_a_fresh_object(stlc_consts):
+    # (app ci ci) is refused once; the term that holds it, and each term
+    # again, are refused by the kept failure.  Each raise is an object of
+    # its own with a traceback as long as the first one's, and the kept
+    # failure is never raised.
+    bad = conc("(app ci ci)", stlc_consts)
+    outer = conc("(app (lam x int x) (app ci ci))", stlc_consts)
+    types = {}
+    raised = []
+    for t in (bad, outer, bad, outer):
+        with pytest.raises(NoRuleApplies) as caught:
+            typecheck(t, stlc_consts, types=types)
+        raised.append(caught.value)
+    assert types[bad] is types[outer] and types[bad].__traceback__ is None
+    assert len({id(exc) for exc in (*raised, types[bad])}) == 5
+    assert {(type(exc), exc.term, str(exc)) for exc in raised} == \
+        {(NoRuleApplies, bad, "no typing rule applies to a subterm")}
+    depth = len(traceback.extract_tb(raised[0].__traceback__))
+    assert all(len(traceback.extract_tb(exc.__traceback__)) == depth for exc in raised)
 
 
 def test_a_5000_deep_chain_typechecks_under_the_default_recursion_limit():
