@@ -277,11 +277,10 @@ def _outcome_text(outcome, spec: LanguageSpec, memo: Optional[dict] = None) -> s
     return f"value {render_term(value, spec, memo)}" if kind == "value" else kind
 
 
-def well_typed_terms(spec: LanguageSpec, count: int, seed: int, max_size: int,
-                     cats: Optional[dict] = None) -> Iterable[Term]:
+def well_typed_terms(spec: LanguageSpec, count: int, seed: int,
+                     max_size: int) -> Iterable[Term]:
     """First `count` generated terms that typecheck under `spec`; a spec
-    without typing rules accepts every draw.  cats is the membership memo
-    of spec the typing rules' value tests read.
+    without typing rules accepts every draw.
 
     Attempts are capped so a grammar whose terms almost never typecheck
     terminates with fewer terms.  Typing rules that are not syntax-directed
@@ -295,12 +294,11 @@ def well_typed_terms(spec: LanguageSpec, count: int, seed: int, max_size: int,
     # still sees each distinct draw once.
     verdicts: dict[Term, bool] = {}
     types: dict = {}
-    cats = {} if cats is None else cats
     for term in islice(iter_swarm_terms(spec, seed=seed, max_size=max_size),
                        max(200 * count, 10000)):
         typed = verdicts.get(term)
         if typed is None:
-            typed = verdicts[term] = not checked or _typechecks(term, spec, types, cats)
+            typed = verdicts[term] = not checked or _typechecks(term, spec, types)
         if typed:
             yield term
             count -= 1
@@ -308,9 +306,9 @@ def well_typed_terms(spec: LanguageSpec, count: int, seed: int, max_size: int,
                 return
 
 
-def _typechecks(term: Term, spec: LanguageSpec, types: dict, cats: dict) -> bool:
+def _typechecks(term: Term, spec: LanguageSpec, types: dict) -> bool:
     try:
-        typecheck(term, spec, types=types, cats=cats)
+        typecheck(term, spec, types=types)
     except NotSyntaxDirected:
         raise
     except TypecheckError:
@@ -348,7 +346,7 @@ def cmd_compare(args, rep: Reporter) -> int:
     # earlier one, so each distinct term's row is worked out once per call.
     # Each spec keeps one membership memo and one render memo for the call:
     # terms are interned and immutable, so a subterm's categories and text
-    # never change.  The typecheck filter reads the source spec's cats.
+    # never change.
     rows: dict[Term, tuple[bool, str, str, str, str]] = {}
     source_cats: dict = {}
     machine_cats: dict = {}
@@ -380,7 +378,7 @@ def cmd_compare(args, rep: Reporter) -> int:
     agreed = 0
     first_failure = None
     for index, term in enumerate(well_typed_terms(
-            spec, args.count, args.seed, args.max_size, source_cats)):
+            spec, args.count, args.seed, args.max_size)):
         ok, shown, source_text, machine_text, fields = row(term)
         total += 1
         agreed += ok

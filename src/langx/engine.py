@@ -483,8 +483,7 @@ def _descend(t: Term, frames: Optional[Frame], spec: LanguageSpec,
     it descends through pushed onto frames, and the focus it stops at.
     Without frames above, t is the whole term, and the state keeps it."""
     contexts = spec.derived(_context_table)
-    table = spec.derived(_membership_table)
-    value = spec.value_category.name if spec.value_category is not None else None
+    value, table = spec.derived(_value_test)
     whole = t if frames is None else None
     while isinstance(t, Constructor):
         for hole_at, others in contexts.get((t.name, len(t.args)), ()):
@@ -580,11 +579,9 @@ def _contract(redex: Term, programs: _Programs,
     return None
 
 
-def step(t: Term, spec: LanguageSpec,
-         cats: Optional[Categories] = None) -> Optional[TraceStep]:
-    """One contextual reduction of t, or None when no rule applies.  cats is
-    the membership memo of t's subterms, shared with the caller."""
-    cats = {} if cats is None else cats
+def step(t: Term, spec: LanguageSpec) -> Optional[TraceStep]:
+    """One contextual reduction of t, or None when no rule applies."""
+    cats: Categories = {}
     state = _descend(t, None, spec, cats)
     contracted = _contract(state.focus, spec.derived(_Programs), cats)
     return None if contracted is None else TraceStep(
@@ -685,12 +682,11 @@ def is_value_pattern(pattern: Term, spec: LanguageSpec) -> bool:
     membership walk, with each metavariable standing for any term of its
     category: a member of every category that reaches its own through unit
     productions."""
-    value = spec.value_category
+    value, table = spec.derived(_value_test)
     closure = spec.derived(_unit_closure)
     cats: Categories = {s: closure.get(s.category, _NO_CATEGORIES)
                         for s in subterms(pattern) if isinstance(s, Metavariable)}
-    return _member(pattern, value.name if value is not None else None,
-                   spec.derived(_membership_table), cats)
+    return _member(pattern, value, table, cats)
 
 
 _TRACE_KINDS = (("-order-", "machine-order"), ("-comp-", "machine-computation"))
@@ -722,17 +718,15 @@ def _by_continuation(rules: list[tuple[Term, tuple]]) -> tuple[dict, tuple]:
     return {k: trying(k) for k, _ in keyed if k is not None}, trying(None)
 
 
-def machine_step(config: MachineConfig, spec: LanguageSpec,
-                 cats: Optional[Categories] = None) -> Optional[TraceStep]:
+def machine_step(config: MachineConfig, spec: LanguageSpec) -> Optional[TraceStep]:
     """One machine transition from config, or None when no rule applies.
-    cats is the membership memo of config's subterms, shared with the caller.
 
     Rule choice is split on whether the focus is a value: a value focus only
     consults rules whose focus pattern is value-shaped (order, computation,
     plug), a non-value focus only the rest (start).  Plain first-match order
     would re-enter the rebuilding rules of value formers forever.
     """
-    return _machine_step(config, spec.derived(_Programs), {} if cats is None else cats)
+    return _machine_step(config, spec.derived(_Programs), {})
 
 
 def _machine_step(config: MachineConfig, programs: _Programs,
@@ -778,9 +772,11 @@ def check_subtype(t1: Term, t2: Term, spec: LanguageSpec) -> bool:
 #
 # Each typing rule compiles once per spec to its subject's match program, its
 # premises' steps and its type's build program.  typecheck discharges them in
-# frames on an explicit stack, passing environments down and types up.
+# frames on an explicit stack, passing environments down and types or
+# failures up.
 
 _TYPING, _SUBTYPE, _JOIN = range(3)
+_REFUSE = (None, None, None, None)
 
 
 def _typing_rules(spec: LanguageSpec) -> tuple[dict, Optional[str], dict]:
@@ -788,7 +784,9 @@ def _typing_rules(spec: LanguageSpec) -> tuple[dict, Optional[str], dict]:
     value test their matches read; raises NotSyntaxDirected when two rules
     conclude subjects with one head.  An equality is a join of one operand
     into the side still unbound, which the rule tells, as each match binds
-    every metavariable of its pattern."""
+    every metavariable of its pattern.  So it tells, too, where a rule first
+    builds from a metavariable it leaves unbound: there the node is refused,
+    as no rule applies to it."""
     value, membership = spec.derived(_value_test)
     table: dict[tuple, tuple[tuple, list, tuple]] = {}
     for rule in spec.typing_rules():
@@ -796,25 +794,34 @@ def _typing_rules(spec: LanguageSpec) -> tuple[dict, Optional[str], dict]:
         if head in table:
             raise NotSyntaxDirected(str(head[1] if len(head) > 1 else head[0]))
         bound, steps = set(metavariable_tokens(subject)), []
+
+        def unbound(*patterns: Term) -> bool:
+            return not bound.issuperset(m for p in patterns for m in metavariable_tokens(p))
+
         for f in rule.premises:
             if type(f) is Typing:
-                bound.update(metavariable_tokens(f.ty))
                 built = (f.subject, *(t for v, ty in f.env.extensions for t in (Var(v), ty)))
-                steps.append((_TYPING, _build_program(built), _match_program((f.ty,), value), None))
+                steps.append(_REFUSE if unbound(*built) else (
+                    _TYPING, _build_program(built), _match_program((f.ty,), value), None))
+                bound.update(metavariable_tokens(f.ty))
             elif type(f) is Subtype:
-                steps.append((_SUBTYPE, _build_program((f.sub,)), _build_program((f.sup,)), None))
+                steps.append(_REFUSE if unbound(f.sub, f.sup) else (
+                    _SUBTYPE, _build_program((f.sub,)), _build_program((f.sup,)), None))
             elif type(f) is TypeEq or type(f) is Join:
                 result, *operands = formula_terms(f)
                 if type(f) is TypeEq and type(f.right) is Metavariable and f.right.token not in bound:
                     result, operands = f.right, [f.left]
                 token = result.token if type(result) is Metavariable \
                     and result.token not in bound else None
+                steps.append(_REFUSE if unbound(*operands) else (
+                    _JOIN, token, None if unbound(result) else _build_program((result,)),
+                    tuple(_build_program((o,)) for o in operands)))
                 bound.add(token)
-                steps.append((_JOIN, token, _build_program((result,)),
-                              tuple(_build_program((o,)) for o in operands)))
             else:
                 steps.append((None, f"rule {rule.name!r} has an unsupported premise for checking",
                               None, None))
+        if unbound(rule.conclusion.ty):
+            steps.append(_REFUSE)
         table[head] = (_match_program((subject,), value), steps,
                        _build_program((rule.conclusion.ty,)))
     return table, value, membership
@@ -826,124 +833,98 @@ Types = dict[Term, Term | TypecheckError]
 
 
 def typecheck(t: Term, spec: LanguageSpec, env: Optional[dict[str, Term]] = None,
-              types: Optional[Types] = None,
-              cats: Optional[Categories] = None) -> Term:
+              types: Optional[Types] = None) -> Term:
     """Type of a term under syntax-directed rules; raises TypecheckError.
 
-    types is the typing memo and cats the membership memo (see evaluate).
-    Pass one of each to calls on terms of one spec to type each node under
-    the empty environment once: terms are immutable, so its type never
-    changes.
+    types is the typing memo.  Pass one to calls on terms of one spec to
+    type each node under the empty environment once: terms are immutable,
+    so its type never changes.  Each raise is a fresh copy of the failure.
     """
-    typed = _type_of(t, env or {}, spec, {} if types is None else types,
-                     {} if cats is None else cats)
+    typed = _type_of(t, env or {}, spec, {} if types is None else types)
     if isinstance(typed, TypecheckError):
-        raise typed
+        copy = TypecheckError.__new__(type(typed), *typed.args)
+        copy.__dict__.update(vars(typed))
+        raise copy
     return typed
 
 
-def _type_of(t: Term, env: dict[str, Term], spec: LanguageSpec, types: Types,
-             cats: Categories) -> Union[Term, TypecheckError]:
+def _type_of(t: Term, env: dict[str, Term], spec: LanguageSpec,
+             types: Types) -> Union[Term, TypecheckError]:
     """The type of t under env, or the failure that refuses it.  A frame,
     [subterm, rule, sigma, env, step], discharges a subterm's rule: a typing
     step descends into its subject under the environment it extends, and
-    the type that comes back must match the step's.
-
-    Under the empty environment a node is looked up in types before its
-    rule is matched, and its type is kept there once its rule is
-    discharged.  A failure goes down the stack unchanged, so it is kept for
-    every node on it typed under the empty environment."""
+    what comes back, a type that must match the step's or a failure that
+    pops the frame, goes to the frame below.  Under the empty environment a
+    node is looked up in types before its rule is matched, and what it
+    comes back with is kept there: one failure, kept and never raised, for
+    every frame it pops."""
     rules, value, table = spec.derived(_typing_rules)
+    cats: Categories = {}
     frames: list[list] = []
-    try:
-        while True:
-            known = None if env else types.get(t)
-            if known is not None:
-                if isinstance(known, TypecheckError):
-                    return _failed(known, frames, types)
-                typed, returned = known, True
-            elif type(t) is Var:
-                if t.name not in env:
-                    return _failed(UnboundVariable(t.name), frames, types, None if env else t)
-                typed, returned = env[t.name], True
+    while True:
+        typed = None if env else types.get(t)
+        if typed is None:
+            if type(t) is Var:
+                typed = env[t.name] if t.name in env else UnboundVariable(t.name)
             else:
                 rule, sigma = rules.get(term_head(t)), {}
                 if rule is None or not _run_match(rule[0], [t], sigma, value, table, cats):
-                    return _failed(NoRuleApplies(t), frames, types, None if env else t)
-                if rule[1]:
+                    typed = NoRuleApplies(t)
+                elif rule[1]:
                     frames.append([t, rule, sigma, env, 0])
-                    returned = False
                 else:   # an axiom: its type goes up at once
-                    node, scope = t, env
-                    typed, returned = _run_build(rule[2], sigma)[0], True
-                    if not env:
-                        types[t] = typed
-            while frames:
-                frame = frames[-1]
-                node, (_, steps, build), sigma, scope, at = frame
-                if returned:   # typed is the type of steps[at]'s subject
-                    if not _run_match(steps[at][2], [typed], sigma, value, table, cats):
-                        return _failed(NoRuleApplies(node), frames, types)
-                    at += 1
-                while at < len(steps):
-                    op, a, b, c = steps[at]
-                    if op == _TYPING:   # descend into its subject, under its extensions
-                        frame[4], (t, *bound) = at, _run_build(a, sigma)
-                        env = dict(scope, **{v.name: ty for v, ty in zip(bound[::2], bound[1::2])}) \
-                            if bound else scope
-                        break
-                    failed = _premise(op, a, b, c, sigma, spec)
-                    if failed is not None:
-                        return _failed(failed, frames, types)
-                    at += 1
-                else:
-                    typed, returned = _run_build(build, sigma)[0], True
-                    if not scope:
-                        types[node] = typed
-                    frames.pop()
-                    continue
-                break
+                    typed = _run_build(rule[2], sigma)[0]
+            if typed is not None and not env:
+                types[t] = typed
+        # typed is what t comes back with, or None for the frame just pushed
+        while frames:
+            frame = frames[-1]
+            node, (_, steps, build), sigma, scope, at = frame
+            if typed is not None:   # what steps[at]'s subject came back with
+                if not isinstance(typed, TypecheckError):
+                    matched = _run_match(steps[at][2], [typed], sigma, value, table, cats)
+                    typed = None if matched else NoRuleApplies(node)
+                at += 1
+            while typed is None and at < len(steps):
+                op, a, b, c = steps[at]
+                if op == _TYPING:   # descend into its subject, under its extensions
+                    frame[4], (t, *bound) = at, _run_build(a, sigma)
+                    env = dict(scope, **{v.name: ty for v, ty in zip(bound[::2], bound[1::2])}) \
+                        if bound else scope
+                    break
+                typed = _premise(op, a, b, c, sigma, node, spec)
+                at += 1
             else:
-                return typed
-    except EngineError:   # a metavariable the rule leaves unbound: it cannot type the node
-        return _failed(NoRuleApplies(node), frames, types, None if scope else node)
-
-
-def _failed(failure: TypecheckError, frames: list[list], types: Types,
-            refused: Optional[Term] = None) -> TypecheckError:
-    """A copy of failure to raise, which is kept in types for the nodes it
-    refuses that were typed under the empty environment: refused, a node
-    outside the frames, and the nodes of the frames at the bottom of the
-    stack, whose environments the others extend.  A kept failure is never
-    raised itself, so it holds no traceback, and each raise has an
-    instance of its own."""
-    if refused is not None:
-        types[refused] = failure
-    for frame in frames:
-        if frame[3]:
+                if typed is None:
+                    typed = _run_build(build, sigma)[0]
+                if not scope:
+                    types[node] = typed
+                frames.pop()
+                continue
             break
-        types[frame[0]] = failure
-    copy = TypecheckError.__new__(type(failure), *failure.args)
-    copy.__dict__.update(vars(failure))
-    return copy
+        else:
+            return typed
 
 
-def _premise(op: Optional[int], a, b, c, sigma: Substitution,
+def _premise(op: Optional[int], a, b, c, sigma: Substitution, node: Term,
              spec: LanguageSpec) -> Optional[TypecheckError]:
-    """Discharge a subtype step, or a join step, which binds its result's
-    token if it has one and compares with its result if not; the failure,
+    """Discharge a subtype step, a join step, which binds its result's token
+    if it has one and compares with its result if it can build it, or a
+    step that refuses node or states an unsupported premise; the failure,
     if any."""
     if op == _SUBTYPE:
         sub, sup = _run_build(a, sigma)[0], _run_build(b, sigma)[0]
         return None if check_subtype(sub, sup, spec) else SubtypeFailure(sub, sup)
     if op is None:
-        return TypecheckError(a)
+        return NoRuleApplies(node) if a is None else TypecheckError(a)
     try:
         joined = join_all(tuple(_run_build(o, sigma)[0] for o in c), spec)
     except NoJoin as exc:
         return SubtypeFailure(exc.t1, exc.t2)
     if a is not None:
         sigma[a] = joined
+    elif b is None:   # a result that reads a metavariable the rule leaves unbound
+        return NoRuleApplies(node)
     elif (built := _run_build(b, sigma)[0]) != joined:
         return SubtypeFailure(built, joined)
     return None
@@ -1245,15 +1226,13 @@ def _draw(plan: _GenerationPlan, kept: _Mask, seed: int, max_size: int,
         gen = None
 
 
-def iter_random_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 7,
-                      min_budget: int = 0) -> Iterator[Term]:
+def iter_random_terms(spec: LanguageSpec, seed: int = 0, max_size: int = 7) -> Iterator[Term]:
     """Endless stream of random closed Expression terms of size <= max_size.
 
     The stream is deterministic in (seed, max_size) and prefix-stable, so a
-    caller that filters it still sees reproducible terms.  min_budget lifts
-    the low end of the per-term size draw, biasing toward larger terms.
+    caller that filters it still sees reproducible terms.
     """
-    return _draw(spec.derived(_GenerationPlan), None, seed, max_size, min_budget)
+    return _draw(spec.derived(_GenerationPlan), None, seed, max_size, 0)
 
 
 def random_terms(spec: LanguageSpec, count: int, seed: int = 0,

@@ -272,47 +272,58 @@ def generate_join_relation(spec: LanguageSpec) -> list[InferenceRule]:
 # ground joins and meets
 
 
-def _is_base(t: Term, bases: tuple[str, ...]) -> bool:
-    return isinstance(t, Constructor) and not t.args and t.name in bases
+def _base_bounds(spec: LanguageSpec) -> dict[tuple[Term, Term, bool], Term]:
+    """The join (True) and the meet (False) of each pair of base types that
+    has one: of the types above (below) both, the first in grammar order
+    below (above) all the others."""
+    bases, closure = spec.base_types(), spec.base_subtype_closure()
 
+    def toward(x: str, y: str, upper: bool) -> bool:   # x <: y for a join, y <: x for a meet
+        return x == y or ((x, y) if upper else (y, x)) in closure
 
-def _leq(a: str, b: str, spec: LanguageSpec) -> bool:
-    return a == b or (a, b) in spec.base_subtype_closure()
-
-
-def _base_bound(a: str, b: str, spec: LanguageSpec, upper: bool) -> str | None:
-    bases = spec.base_types()
-    if upper:
-        cands = [c for c in bases if _leq(a, c, spec) and _leq(b, c, spec)]
-        return next((c for c in cands if all(_leq(c, d, spec) for d in cands)), None)
-    cands = [c for c in bases if _leq(c, a, spec) and _leq(c, b, spec)]
-    return next((c for c in cands if all(_leq(d, c, spec) for d in cands)), None)
+    bounds = {}
+    for upper in (True, False):
+        for a in bases:
+            for b in bases:
+                cands = [c for c in bases if toward(a, c, upper) and toward(b, c, upper)]
+                found = next((c for c in cands if all(toward(c, d, upper) for d in cands)), None)
+                if found is not None:
+                    bounds[Constructor(a), Constructor(b), upper] = Constructor(found)
+    return bounds
 
 
 def _bound(a: Term, b: Term, spec: LanguageSpec, upper: bool) -> Term:
-    if a == b:
-        return a
-    bases = spec.base_types()
-    if _is_base(a, bases) and _is_base(b, bases):
-        found = _base_bound(a.name, b.name, spec, upper)
-        if found is not None:
-            return Constructor(found)
-        raise NoJoin(a, b)
-    if (isinstance(a, Constructor) and isinstance(b, Constructor)
-            and a.name == b.name and len(a.args) == len(b.args)):
-        marks = spec.variance.get(a.name)
-        if marks is not None and len(marks) == len(a.args):
-            args = []
-            for mark, x, y in zip(marks, a.args, b.args):
-                if mark == INVARIANT:
-                    if x != y:
-                        raise NoJoin(a, b)
-                    args.append(x)
-                else:
-                    flip = upper if mark == COVARIANT else not upper
-                    args.append(_bound(x, y, spec, flip))
-            return Constructor(a.name, tuple(args))
-    raise NoJoin(a, b)
+    """The join (upper) or the meet of a and b, on an explicit stack: a pair
+    of one constructor with variance marks is bound argument by argument,
+    left to right, each by its mark, the constructor pushed below them to
+    be rebuilt from their bounds.  NoJoin names the innermost pair that has
+    no bound, or the constructor whose invariant arguments differ."""
+    bounds, variance = spec.derived(_base_bounds), spec.variance
+    work: list = [(a, b, upper)]
+    done: list[Term] = []
+    while work:
+        item = work.pop()
+        if type(item) is Constructor:   # its arguments are bound: rebuild it
+            at = len(done) - len(item.args)
+            args = tuple(done[at:])
+            del done[at:]
+            done.append(Constructor(item.name, args))
+            continue
+        a, b, upper = item
+        if a == b:
+            done.append(a)
+        elif type(upper) is tuple:   # an invariant argument of the pair upper
+            raise NoJoin(*upper)
+        elif (a, b, upper) in bounds:
+            done.append(bounds[a, b, upper])
+        elif type(a) is Constructor and type(b) is Constructor and a.name == b.name \
+                and len(a.args) == len(b.args) == len(marks := variance.get(a.name, ())):
+            work.append(a)
+            work.extend((x, y, (a, b) if mark == INVARIANT else upper == (mark == COVARIANT))
+                        for mark, x, y in reversed(tuple(zip(marks, a.args, b.args))))
+        else:
+            raise NoJoin(a, b)
+    return done[0]
 
 
 def join_types(a: Term, b: Term, spec: LanguageSpec) -> Term:

@@ -1030,8 +1030,6 @@ STRUCTURED_PATHS = {
                         "--trace"]),
     "fuel-0": (1, ["eval", fix("boollist.lang"), "(and t f)", "--fuel", "0"]),
     "count-0": (1, ["compare", fix("boollist.lang"), "--count", "0"]),
-    "nested-too-deeply": (1, ["compare", "{tmp}/deep.lang", "--count", "300",
-                              "--max-size", "5"]),
 }
 
 
@@ -1071,9 +1069,6 @@ def structured_paths(capsys, tmp_path):
         (FIXTURES / "stlc.lang").read_text()
         .replace("(app e e)", "(app e e) | (wrap e) | (unwrap e)")
         .replace("(app v E)", "(app v E) | (unwrap (wrap E))"))
-    # the subtype check of (app ci cf) joins two types with a walk that
-    # recurses once per level of them
-    (tmp_path / "deep.lang").write_text(deep_join_spec(capsys))
     return tmp_path
 
 
@@ -1089,3 +1084,26 @@ def test_structured_mode_prints_only_records(capsys, structured_paths,
         record = json.loads(line)
         assert isinstance(record, dict) and "kind" in record, line
     assert err == ""
+
+
+def test_input_nested_too_deeply_is_one_structured_diagnostic(capsys, monkeypatch):
+    # No walk of langx recurses once per level of its input any more; the
+    # handler stays as a safety net for one that does.
+    def nested_too_deeply(args, rep):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(cli, "cmd_compare", nested_too_deeply)
+    code, out, err = run(capsys, "--format", "structured", "compare",
+                         fix("boollist.lang"), "--count", "5")
+    assert (code, err) == (1, "")
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"kind": "diagnostic", "message": "input is nested too deeply to process", "span": None}]
+
+
+def test_a_3000_deep_join_compares(capsys, tmp_path):
+    # The subtype check of (app ci cf) joins two types 3,000 levels deep;
+    # the join walks them on a stack of its own.
+    (tmp_path / "deep.lang").write_text(deep_join_spec(capsys))
+    code, out, err = run(capsys, "--format", "structured", "compare",
+                         str(tmp_path / "deep.lang"), "--count", "300", "--max-size", "5")
+    assert (code, err) == (0, "")
+    assert json.loads(out.splitlines()[-1])["message"] == "300/300 agree"

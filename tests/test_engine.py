@@ -1371,6 +1371,47 @@ def typing_outcome(check, t, spec, env=None):
         return type(exc), {f: getattr(exc, f) for f in fields if hasattr(exc, f)}, str(exc)
 
 
+# Edits of references.sub whose rule reads a metavariable nothing binds, at
+# each kind of step: a typing premise's subject and its environment, a
+# subtype, a join operand, an equality, a conclusion and an axiom's type.
+UNBOUND_READS = (
+    ("  G |- e3 : T2\n", "  G |- e3 : T2\n  G |- e9 : T3\n"),
+    ("  G, x : T1 |- e : T2", "  G, x : T8 |- e : T2"),
+    ("  T12 <: T11\n", "  T12 <: T11\n  T12 <: T99\n"),
+    ("  T = T1 \\/ T2\n", "  T = T1 \\/ T77\n"),
+    ("  T1 = T2\n", "  T1 = T2\n  T5 = T6\n"),
+    ("  G |- (app e1 e2) : T2", "  G |- (app e1 e2) : T42"),
+    ("  G |- ci : int", "  G |- ci : T42"),
+)
+
+
+def test_a_rule_is_refused_where_it_first_reads_an_unbound_metavariable():
+    # t-if's join result reads T13, which nothing binds.  The join comes
+    # first, so branches without a join are a SubtypeFailure; joinable ones
+    # are refused at the join, before the always-failing T1 <: Bool.
+    text = (GOLDEN / "references.sub.lang").read_text()
+    spec = parse_spec(text.replace(
+        "  T = T1 \\/ T2\n  --------------------------------\n  G |- (if e1 e2 e3) : T",
+        "  (arrow T T13) = T1 \\/ T2\n  T1 <: Bool\n"
+        "  --------------------------------\n  G |- (if e1 e2 e3) : T1"))
+    outcomes = {text: typing_outcome(typecheck, conc(text, spec), spec)
+                for text in ("(if true ci true)", "(if true ci ci)")}
+    assert outcomes == {text: typing_outcome(oracle_typecheck, conc(text, spec), spec)
+                        for text in outcomes}
+    assert [o[0] for o in outcomes.values()] == [SubtypeFailure, NoRuleApplies]
+    # Each other kind of step, on swarm draws typed fresh and with one memo,
+    # and on an application that reaches t-app's last premise.
+    for old, new in UNBOUND_READS:
+        assert old in text
+        spec, types = parse_spec(text.replace(old, new)), {}
+        draws = dict.fromkeys(islice(iter_swarm_terms(spec, seed=0, max_size=8), 500))
+        for t in (*draws, conc("(app (lam x int x) ci)", spec)):
+            expected = typing_outcome(oracle_typecheck, t, spec)
+            assert typing_outcome(typecheck, t, spec) == expected, (new, t)
+            assert typing_outcome(lambda t, spec, env: typecheck(t, spec, env, types),
+                                  t, spec) == expected, (new, t)
+
+
 # d's rule and lam's leave a metavariable of their type unbound.
 UNBOUND_TYPES = """\
 language unbound
@@ -1445,16 +1486,16 @@ def test_typecheck_agrees_with_the_recursive_oracle():
 
 def test_typecheck_with_one_typing_memo_agrees_with_the_recursive_oracle():
     # The distinct draws among 2,000 swarm terms of each spec, in draw
-    # order, share one typing memo and one membership memo, as compare's
-    # filter does: a draw's subterms, and often the draw itself, were typed
-    # or refused by the draws before it.  Then their open subterms, under
-    # no environment, which nothing typed under a binder may answer for.
+    # order, share one typing memo, as compare's filter does: a draw's
+    # subterms, and often the draw itself, were typed or refused by the
+    # draws before it.  Then their open subterms, under no environment,
+    # which nothing typed under a binder may answer for.
     seen, kept = set(), set()
     for name, spec in typing_specs():
-        types, cats = {}, {}
+        types = {}
 
         def shared(t, spec, env):
-            return typecheck(t, spec, env, types, cats)
+            return typecheck(t, spec, env, types)
 
         draws = dict.fromkeys(islice(iter_swarm_terms(spec, seed=0, max_size=10), 2000))
         open_terms = dict.fromkeys(s for d in draws for s in subterms(d) if free_vars(s))
@@ -1529,16 +1570,6 @@ def test_random_terms_are_closed_members_within_budget(boollist):
         assert member(t, "Expression", boollist)
 
 
-def test_min_budget_floors_the_size_draw(langfunny):
-    floored = [term_size(t) for t in
-               islice(iter_random_terms(langfunny, seed=5, max_size=9,
-                                        min_budget=9), 200)]
-    plain = [term_size(t) for t in
-             islice(iter_random_terms(langfunny, seed=5, max_size=9), 200)]
-    assert all(s <= 9 for s in floored)
-    assert sum(floored) > sum(plain)
-
-
 def test_swarm_terms_deterministic_and_well_formed(langfunny):
     a = list(islice(iter_swarm_terms(langfunny, seed=5, max_size=9), 80))
     b = list(islice(iter_swarm_terms(langfunny, seed=5, max_size=9), 80))
@@ -1597,10 +1628,9 @@ def test_generator_draws_what_the_per_draw_sizing_oracle_draws(name):
     spec = load(name)
     for seed in (0, 1, 1001):
         for max_size in range(4, 13):
-            for min_budget in (0, 6, 12):
-                args = (seed, max_size, min_budget)
-                assert _draws(iter_random_terms, spec, *args) \
-                    == _draws(oracle_iter_random_terms, spec, *args), args
+            args = (seed, max_size)
+            assert _draws(iter_random_terms, spec, *args) \
+                == _draws(oracle_iter_random_terms, spec, *args), args
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
 import dataclasses
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -321,6 +323,38 @@ def test_join_incomparable_bases(references):
 def test_join_all_folds(references):
     ii, ff = Constructor("int"), Constructor("float")
     assert join_all((ii, ii, ff), references) == ff
+
+
+def test_5000_deep_types_join_under_the_default_recursion_limit():
+    # join_types and meet_types keep their pairs on a stack of their own;
+    # the recursive walk they replaced raised RecursionError about 1,000
+    # levels deep.  Each chain nests its arrows in the contravariant slot,
+    # so the bound sought flips at every level.
+    program = "\n".join([
+        "import sys",
+        "from langx.engine import check_subtype",
+        "from langx.ir import Constructor",
+        "from langx.parser import parse_spec",
+        "from langx.subtyping import NoJoin, join_types, meet_types",
+        f"spec = parse_spec(open({str(FIXTURES / 'references.lang')!r}).read())",
+        "ii, ff = Constructor('int'), Constructor('float')",
+        "def chain(t):",
+        "    for _ in range(5000):",
+        "        t = Constructor('arrow', (t, ii))",
+        "    return t",
+        "low, high = chain(ii), chain(ff)",
+        "assert sys.getrecursionlimit() < 5000",
+        "assert join_types(low, high, spec) is high and join_types(high, low, spec) is high",
+        "assert meet_types(low, high, spec) is low and meet_types(high, low, spec) is low",
+        "assert check_subtype(low, high, spec) and not check_subtype(high, low, spec)",
+        "refs = Constructor('Ref', (ii,)), Constructor('Ref', (ff,))",
+        "try:",
+        "    join_types(*map(chain, refs), spec)",
+        "except NoJoin as exc:",
+        "    print((exc.t1, exc.t2) == refs)",
+    ])
+    result = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True)
+    assert (result.returncode, result.stderr, result.stdout) == (0, "", "True\n")
 
 
 @pytest.fixture(scope="module")
