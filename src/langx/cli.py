@@ -98,7 +98,7 @@ class Style:
 
 class Reporter:
     """Uniform text / line-delimited JSON output; every line the CLI prints
-    goes through emit, or emit_indexed for a record encoded in part."""
+    goes through emit, or emit_encoded for a record already encoded."""
 
     def __init__(self, structured: bool, style: Style):
         self.structured = structured
@@ -113,18 +113,23 @@ class Reporter:
             print(text, file=sys.stderr if err else sys.stdout)
 
     def encode(self, **fields) -> str:
-        """fields as JSON text for emit_indexed, or "" in text mode."""
+        """fields as JSON text for emit_encoded, or "" in text mode."""
         return json.dumps(fields)[1:-1] if self.structured else ""
+
+    def emit_encoded(self, text: Optional[str], fields: str) -> None:
+        """emit a record given as its encoded fields, the JSON text inside
+        its braces as json.dumps writes it; text mode ignores fields."""
+        if self.structured:
+            sys.stdout.write(f"{{{fields}}}\n")
+        else:
+            self.emit(text)
 
     def emit_indexed(self, text: Optional[str], kind: str, index: int,
                      fields: str) -> None:
-        """emit a record of kind and index followed by encoded fields: the
-        line is the json.dumps of the whole record."""
+        """emit_encoded a record of kind and index followed by fields."""
         if self.structured:
-            sys.stdout.write(
-                f'{{"kind": {encode_basestring_ascii(kind)}, "index": {index:d}, {fields}}}\n')
-        else:
-            self.emit(text)
+            fields = f'"kind": {encode_basestring_ascii(kind)}, "index": {index:d}, {fields}'
+        self.emit_encoded(text, fields)
 
     def diagnostic(self, message: str, span: Optional[str] = None) -> None:
         self.emit(message, err=True, kind="diagnostic", message=message, span=span)
@@ -194,16 +199,22 @@ def cmd_derive_ck(args, rep: Reporter) -> int:
 
 def _print_trace(trace, spec: LanguageSpec, rep: Reporter) -> None:
     # A step usually starts from the state the step before it ended in, so
-    # that state is rendered once; a padded looping trace may start a step
-    # elsewhere, and then its state is rendered afresh.
+    # that state is rendered, and in structured mode escaped, once; a padded
+    # looping trace may start a step elsewhere, and then its state is
+    # rendered afresh.
     texts = TraceTexts(spec)
+    shown_as = encode_basestring_ascii if rep.structured else str
     previous, shown = None, ""
     for step in trace:
-        before = shown if step.start is previous else texts.render(step.start)
-        after = texts.render(step.end)
-        label = rep.style.rule(f"[{step.kind}/{step.rule_name}]")
-        rep.emit(f"{label} {before}  ~~>  {after}", kind=step.kind,
-                 rule=step.rule_name, before=before, after=after)
+        before = shown if step.start is previous else shown_as(texts.render(step.start))
+        after = shown_as(texts.render(step.end))
+        if rep.structured:
+            rep.emit_encoded(None, f'"kind": {encode_basestring_ascii(step.kind)}, '
+                                   f'"rule": {encode_basestring_ascii(step.rule_name)}, '
+                                   f'"before": {before}, "after": {after}')
+        else:
+            label = rep.style.rule(f"[{step.kind}/{step.rule_name}]")
+            rep.emit(f"{label} {before}  ~~>  {after}")
         previous, shown = step.end, after
 
 
@@ -425,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="parse and validate a spec")
     p_check.add_argument("spec")
-    p_check.set_defaults(func=cmd_check)
 
     p_sub = sub.add_parser("add-subtyping",
                            help="make typing rules subtype-aware")
@@ -433,13 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub.add_argument("-o", "--output", help="write result here instead of stdout")
     p_sub.add_argument("--with-relations", action="store_true",
                        help="also append generated subtype and join rules")
-    p_sub.set_defaults(func=cmd_add_subtyping)
 
     p_ck = sub.add_parser("derive-ck",
                           help="derive an abstract machine from contexts")
     p_ck.add_argument("spec")
     p_ck.add_argument("-o", "--output", help="write result here instead of stdout")
-    p_ck.set_defaults(func=cmd_derive_ck)
 
     p_eval = sub.add_parser("eval", help="evaluate a closed term")
     p_eval.add_argument("spec")
@@ -451,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--trace", action="store_true",
                         help="print every step taken")
     p_eval.add_argument("--fuel", type=int, default=10000)
-    p_eval.set_defaults(func=cmd_eval)
 
     p_cmp = sub.add_parser(
         "compare",
@@ -462,17 +469,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--max-size", type=int, default=7)
     p_cmp.add_argument("--fuel", type=int, default=10000)
-    p_cmp.set_defaults(func=cmd_compare)
 
     return top
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    # One parser serves every call in a process: parsing leaves it as it
+    # was.  It is built on the first call, not at import.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     # Options are stored as they are read, so a usage error met after
     # --format is reported in the format it asked for.
     args = argparse.Namespace()
     try:
-        build_parser().parse_args(argv, namespace=args)
+        _parser.parse_args(argv, namespace=args)
     except LangxError as exc:
         Reporter(args.format == "structured", Style()).diagnostic(str(exc))
         return EXIT_INVALID
@@ -482,7 +496,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise LangxError("fuel must be positive")
         if getattr(args, "count", 1) <= 0:
             raise LangxError("count must be positive")
-        return args.func(args, rep)
+        # Looked up at call time, so a command replaced on the module runs.
+        return globals()["cmd_" + args.command.replace("-", "_")](args, rep)
     except SpecParseError as exc:
         for err in exc.errors:
             rep.diagnostic(str(err), span=str(err.span))

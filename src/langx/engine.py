@@ -187,15 +187,19 @@ def _state(slot: Term) -> Union[str, Term]:
 
 
 def _membership_table(spec: LanguageSpec) -> dict[tuple, tuple[
-        frozenset, tuple[tuple[tuple, frozenset], ...]]]:
+        frozenset, int, dict[object, tuple[tuple[tuple, frozenset], ...]]]]:
     """Transitions by the head of the node they derive.
 
     A non-unit production derives, from the states its slots read, every
     category that reaches it directly or through unit productions; a nested
     slot is one more transition, which derives its own state.  A
     substitution derives nothing.  Each head maps to every state that some
-    node with that head derives, and to its transitions' distinct tuples of
-    slot states, each with the states they derive.
+    node with that head derives, to a slot position, and to its transitions'
+    distinct tuples of slot states, each with the states they derive, keyed
+    by the state they read at that position.  The position is the one whose
+    states tell the most transitions apart, so a node tries only those its
+    child there can fire: a nested production makes a transition per level,
+    each reading another state.
     """
     reached_by = spec.derived(_unit_closure)
     by_head: dict[tuple, dict[tuple, set]] = {}
@@ -207,9 +211,16 @@ def _membership_table(spec: LanguageSpec) -> dict[tuple, tuple[
         by_head.setdefault(term_head(p), {}).setdefault(
             tuple(map(_state, slots)), set()).update(names)
         stack.extend((s, (s,)) for s in slots if not isinstance(s, (Metavariable, Subst)))
-    return {head: (frozenset().union(*entries.values()),
-                   tuple((slots, frozenset(names)) for slots, names in entries.items()))
-            for head, entries in by_head.items()}
+    table = {}
+    for head, entries in by_head.items():
+        at = max(range(len(next(iter(entries)))), default=0,
+                 key=lambda i: len({slots[i] for slots in entries}))
+        index: dict[object, list] = {}
+        for slots, names in entries.items():
+            index.setdefault(slots[at] if slots else None, []).append((slots, frozenset(names)))
+        table[head] = (frozenset().union(*entries.values()), at,
+                       {state: tuple(group) for state, group in index.items()})
+    return table
 
 
 def categories(t: Term, spec: LanguageSpec,
@@ -236,12 +247,14 @@ def _derived_by(table: dict, t: Term, kids: tuple[frozenset, ...]) -> frozenset:
     entry = table.get(term_head(t))
     if entry is None:
         return _NO_CATEGORIES
+    states, at, index = entry
     if not kids:
-        return entry[0]   # a leaf: no transition of its head has slots
+        return states   # a leaf: no transition of its head has slots
     found = _NO_CATEGORIES
-    for slots, names in entry[1]:
-        if not names <= found and all(s in k for s, k in zip(slots, kids)):
-            found = found | names
+    for state in kids[at]:
+        for slots, names in index.get(state, ()):
+            if not names <= found and all(s in k for s, k in zip(slots, kids)):
+                found = found | names
     return found
 
 
@@ -552,10 +565,11 @@ def _frame_views(spec: LanguageSpec) -> dict[tuple[str, int, int], frozenset]:
     table, contexts = spec.derived(_membership_table), spec.derived(_context_table)
     views = {(name, arity, at): set() for name, arity in contexts for at in range(arity)}
     for name, arity in contexts:
-        for slots, _ in table[("con", name, arity)][1]:
-            if HOLE not in slots:
-                for at, state in enumerate(slots):
-                    views[name, arity, at].add(state)
+        for group in table[("con", name, arity)][2].values():
+            for slots, _ in group:
+                if HOLE not in slots:
+                    for at, state in enumerate(slots):
+                        views[name, arity, at].add(state)
     return {key: frozenset(states) for key, states in views.items()}
 
 

@@ -216,9 +216,7 @@ def test_compare_with_a_very_deeply_nested_production_succeeds(tmp_path):
 def test_eval_of_a_term_of_a_deeply_nested_production_ends_stuck(tmp_path):
     # Membership reads a nested production slot as one more state of the
     # grammar, one level per node, so a 1,000-deep production derives its
-    # term under the default recursion limit; no rule reduces wrap.  Each
-    # wrap node checks every wrap transition, so time grows with the square
-    # of the depth, which keeps this test at 1,000 levels.
+    # term under the default recursion limit; no rule reduces wrap.
     spec, term = tmp_path / "deep.lang", tmp_path / "deep.term"
     spec.write_text(deep_production(1000))
     term.write_text("(wrap " * 1000 + "(lam x B x)" + ")" * 1000 + "\n")
@@ -957,6 +955,48 @@ def test_module_entry_point_in_process(capsys, monkeypatch):
         runpy.run_module("langx", run_name="__main__")
     assert info.value.code == 0
     assert capsys.readouterr() == ("stlc: valid\n", "")
+
+
+FIVE_STEPS = "(app (lam x int x) " * 5 + "ci" + ")" * 5
+
+
+def test_calls_of_main_in_one_process_act_as_calls_in_fresh_processes(capsys):
+    # main builds its parser once per process; no call may see options,
+    # defaults or a format left behind by the one before.
+    calls = [
+        ["--format", "structured", "eval", fix("stlc_consts.lang"), FIVE_STEPS, "--trace"],
+        ["eval", fix("stlc_consts.lang"), FIVE_STEPS, "--trace"],
+        ["eval", fix("stlc_consts.lang"), FIVE_STEPS, "--fuel", "3"],
+        ["eval", fix("stlc_consts.lang"), FIVE_STEPS],
+        ["--format", "structured", "eval", fix("stlc_consts.lang"), "--fuel"],
+        ["eval", fix("stlc_consts.lang"), FIVE_STEPS, "--machine", "ck"],
+        ["compare", fix("boollist.lang"), "--bogus"],
+        ["compare", fix("boollist.lang"), "--count", "5"],
+    ]
+    fresh = [subprocess.run([sys.executable, "-m", "langx", *argv],
+                            capture_output=True, text=True) for argv in calls]
+    expected = [(result.returncode, result.stdout, result.stderr) for result in fresh]
+    assert [code for code, _, _ in expected] == [0, 0, 4, 0, 1, 0, 1, 0]
+    assert [run(capsys, *argv) for argv in calls] == expected
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_main_runs_a_command_replaced_after_its_parser_was_built(capsys, monkeypatch):
+    argv = ["eval", fix("stlc_consts.lang"), FIVE_STEPS, "--fuel", "3"]
+    assert run(capsys, *argv)[0] == 4
+    seen = []
+
+    def replaced(args, rep):
+        seen.append(args.fuel)
+        rep.emit("replaced")
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_eval", replaced)
+    assert run(capsys, *argv) == (0, "replaced\n", "")
+    assert seen == [3]
+    monkeypatch.undo()
+    assert run(capsys, *argv) == (4, "", "out of fuel after 3 steps at (app (lam x int x) "
+                                         "(app (lam x int x) ci))\n")
 
 
 # -- structured output -------------------------------------------------------------

@@ -825,6 +825,34 @@ def test_a_refocused_run_does_membership_work_linear_in_depth(monkeypatch, spec_
     assert calls[0] <= 4 * depth
 
 
+class CountedStates(frozenset):
+    """A node's states, counting in tests the slot tests made against them."""
+    tests = 0
+
+    def __contains__(self, state):
+        CountedStates.tests += 1
+        return frozenset.__contains__(self, state)
+
+
+def test_membership_through_a_nested_production_is_linear_in_its_depth(monkeypatch):
+    derived_by = engine._derived_by
+    monkeypatch.setattr(engine, "_derived_by",
+                        lambda *args: CountedStates(derived_by(*args)))
+    monkeypatch.setattr(CountedStates, "tests", 0)
+    stlc = (FIXTURES / "stlc.lang").read_text()
+    tests = {}
+    for depth in (200, 400):
+        spec = parse_spec(stlc.replace(
+            "(app e e)\n", "(app e e) | " + "(wrap " * depth + "e" + ")" * depth + "\n"))
+        term = conc("(wrap " * depth + "(lam x B x)" + ")" * depth, spec)
+        CountedStates.tests = 0
+        assert categories(term, spec) == {"Expression"}
+        tests[depth] = CountedStates.tests
+    # Each wrap node tried every wrap transition, one per level of the
+    # production: four times the slot tests at twice the depth.
+    assert 0 < tests[400] <= 2.2 * tests[200]
+
+
 def random_name_chain(depth):
     """identity_chain with each bound name drawn from x, x1, x2 and x'."""
     rng = random.Random(0)
